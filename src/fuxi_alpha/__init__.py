@@ -4,8 +4,6 @@ training, full-catalog ranking evaluation, and analysis instruments."""
 
 __version__ = "0.1.0"
 
-from . import baselines as baselines  # registers baseline block appliers
-from .baselines import VariantSpec, build_variant, hstu_like_block, vanilla_attention_block
 from .data import (
     DataError,
     DatasetSplit,
@@ -23,14 +21,18 @@ from .model import (
     ModelParams,
     SequenceBatch,
     ams_attention,
+    build_attn_context,
     embed_sequence,
     forward,
+    hstu_attention,
     init_params,
     mffn,
     param_count,
     predict_next,
     relative_time_bucket,
+    sampled_loss,
     sampled_softmax_loss,
+    softmax_attention,
 )
 from .poly import SimplifiedBlockSpec, SymbolicPoly, simplified_block_apply, verify_degree_bound
 from .tensor import Tape, Tensor, backward, grad_check
@@ -38,10 +40,6 @@ from .train import TrainConfig, sample_negatives, train
 
 __all__ = [
     "__version__",
-    "VariantSpec",
-    "build_variant",
-    "hstu_like_block",
-    "vanilla_attention_block",
     "DataError",
     "DatasetSplit",
     "InteractionEvent",
@@ -59,14 +57,18 @@ __all__ = [
     "ModelParams",
     "SequenceBatch",
     "ams_attention",
+    "build_attn_context",
     "embed_sequence",
     "forward",
+    "hstu_attention",
     "init_params",
     "mffn",
     "param_count",
     "predict_next",
     "relative_time_bucket",
+    "sampled_loss",
     "sampled_softmax_loss",
+    "softmax_attention",
     "SimplifiedBlockSpec",
     "SymbolicPoly",
     "simplified_block_apply",

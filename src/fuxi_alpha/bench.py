@@ -3,17 +3,24 @@ lengths, and step-time/parameter growth along the layer or width axis."""
 
 from __future__ import annotations
 
+import ctypes
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import tensor as T
 from .data import UserSequence, batch_iterator
-from .model import ModelConfig, SequenceBatch, forward_hidden, init_params, param_count, sampled_softmax_loss
+from .model import ModelConfig, SequenceBatch, forward_hidden, init_params, param_count, sampled_loss
 from .tensor import Tape, backward
-from .train import next_item_targets, sample_negatives_batch
+from .train import next_item_negatives, next_item_targets
+
+
+# timed windows per length; the median one is reported, so one window slowed
+# by a neighbour on a shared machine does not decide the record
+TIMING_WINDOWS = 3
 
 
 @dataclass
@@ -25,24 +32,58 @@ class BenchRecord:
     elapsed: float
 
 
+def _openblas_thread_setters():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    paths = sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()})
+    for path in paths:
+        if not path.startswith("/"):
+            continue
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its thread count.
+
+    With a BLAS thread pool the same timed window swings several-fold from
+    run to run on a small shared machine; one thread keeps it steady."""
+    setters = _openblas_thread_setters()
+    if setters is None:
+        yield
+        return
+    get, set_ = setters
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _one_pass(dataset, params, cfg, batch_size, rng) -> int:
     """Forward + backward over the dataset once; returns samples processed."""
     processed = 0
     for batch in batch_iterator(dataset, batch_size, cfg.n, shuffle_seed=0):
-        targets, mask = next_item_targets(batch)
-        if mask.sum() == 0:
-            processed += batch.size
-            continue
-        safe = np.where(targets > 0, targets, 1)
-        negs = sample_negatives_batch(safe, cfg.negatives, cfg.vocab, rng)
-        with Tape() as tape:
-            hidden = forward_hidden(batch, params, cfg)
-            pos = T.reshape(T.rows_dot(hidden, params.item_emb, targets[..., None]), targets.shape)
-            neg = T.rows_dot(hidden, params.item_emb, negs)
-            loss = sampled_softmax_loss(pos, neg, mask)
-        backward(loss, tape)
-        for t in params.tensors():
-            t.grad = None
+        targets = next_item_targets(batch)
+        if targets.any():
+            negs = next_item_negatives(targets, cfg, rng)
+            with Tape() as tape:
+                loss = sampled_loss(forward_hidden(batch, params, cfg), params.item_emb, targets, negs)
+            backward(loss, tape)
+            for t in params.tensors():
+                t.grad = None
         processed += batch.size
     return processed
 
@@ -56,34 +97,45 @@ def tps_benchmark(
     seed: int = 0,
     passes: int = 3,
 ) -> list[BenchRecord]:
-    """Samples/second over `passes` full forward+backward sweeps per length.
+    """Samples/second of `passes` full forward+backward sweeps per length.
 
-    A full warm-up pass runs first and is excluded from timing.
+    Untimed warm-up passes run first: one at the longest length, then one per
+    length. Each length times TIMING_WINDOWS windows of `passes` sweeps with
+    OpenBLAS on one thread and reports the window of median speed.
     """
     if len(dataset) < batch_size:
         raise ValueError(
             f"tps_benchmark: dataset of {len(dataset)} sequences too small for one batch of {batch_size}"
         )
     records = []
-    for length in seq_lengths:
-        cfg = replace(cfg_template, n=length)
-        params = init_params(cfg, variant, seed)
-        rng = np.random.default_rng(seed)
-        _one_pass(dataset, params, cfg, batch_size, rng)  # warm-up, untimed
-        start = time.perf_counter()
-        processed = 0
-        for _ in range(passes):
-            processed += _one_pass(dataset, params, cfg, batch_size, rng)
-        elapsed = time.perf_counter() - start
-        records.append(
-            BenchRecord(
-                variant=variant,
-                seq_len=length,
-                tps=processed / elapsed,
-                samples=processed,
-                elapsed=elapsed,
+    with single_blas_thread():
+        # glibc raises its mmap and trim thresholds to the largest block freed
+        # so far; before that, every step returns its [B, n, n] temporaries to
+        # the OS and page-faults them back in. Growing the allocator at the
+        # longest length first times every length in the same allocator state,
+        # whatever ran earlier in the process.
+        longest = replace(cfg_template, n=max(seq_lengths))
+        _one_pass(dataset, init_params(longest, variant, seed), longest, batch_size, np.random.default_rng(seed))
+        for length in seq_lengths:
+            cfg = replace(cfg_template, n=length)
+            params = init_params(cfg, variant, seed)
+            rng = np.random.default_rng(seed)
+            _one_pass(dataset, params, cfg, batch_size, rng)  # warm-up, untimed
+            windows = []
+            for _ in range(TIMING_WINDOWS):
+                start = time.perf_counter()
+                processed = sum(_one_pass(dataset, params, cfg, batch_size, rng) for _ in range(passes))
+                windows.append(time.perf_counter() - start)
+            elapsed = float(np.median(windows))
+            records.append(
+                BenchRecord(
+                    variant=variant,
+                    seq_len=length,
+                    tps=processed / elapsed,
+                    samples=processed,
+                    elapsed=elapsed,
+                )
             )
-        )
     return records
 
 
@@ -109,17 +161,13 @@ def _fixed_batch(cfg: ModelConfig, batch_size: int, seed: int) -> SequenceBatch:
 
 
 def _step_time(params, cfg, batch, rng, repeats: int) -> float:
+    targets = next_item_targets(batch)
     times = []
     for _ in range(repeats + 1):
-        targets, mask = next_item_targets(batch)
-        safe = np.where(targets > 0, targets, 1)
-        negs = sample_negatives_batch(safe, cfg.negatives, cfg.vocab, rng)
+        negs = next_item_negatives(targets, cfg, rng)
         start = time.perf_counter()
         with Tape() as tape:
-            hidden = forward_hidden(batch, params, cfg)
-            pos = T.reshape(T.rows_dot(hidden, params.item_emb, targets[..., None]), targets.shape)
-            neg = T.rows_dot(hidden, params.item_emb, negs)
-            loss = sampled_softmax_loss(pos, neg, mask)
+            loss = sampled_loss(forward_hidden(batch, params, cfg), params.item_emb, targets, negs)
         backward(loss, tape)
         times.append(time.perf_counter() - start)
         for t in params.tensors():
@@ -154,15 +202,16 @@ def scaling_probe(
     if list(values) != sorted(values):
         raise ValueError("scaling_probe: values must be ascending")
     rows = []
-    for v in values:
-        if axis == "layers":
-            cfg = replace(cfg_template, layers=int(v))
-        else:
-            cfg = replace(cfg_template, d=int(v), d_h=int(v), d_ffn=2 * int(v))
-        params = init_params(cfg, "full", seed)
-        batch = _fixed_batch(cfg, batch_size, seed)
-        rng = np.random.default_rng(seed)
-        rows.append(ProbeRow(value=int(v), param_count=param_count(cfg), step_time=_step_time(params, cfg, batch, rng, repeats)))
+    with single_blas_thread():
+        for v in values:
+            if axis == "layers":
+                cfg = replace(cfg_template, layers=int(v))
+            else:
+                cfg = replace(cfg_template, d=int(v), d_h=int(v), d_ffn=2 * int(v))
+            params = init_params(cfg, "full", seed)
+            batch = _fixed_batch(cfg, batch_size, seed)
+            rng = np.random.default_rng(seed)
+            rows.append(ProbeRow(value=int(v), param_count=param_count(cfg), step_time=_step_time(params, cfg, batch, rng, repeats)))
     xs = np.array([r.value for r in rows], dtype=float)
     ys = np.array([r.step_time for r in rows])
     return ProbeResult(axis=axis, rows=rows, r_squared=_linear_fit_r2(xs, ys))

@@ -50,23 +50,29 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig, dict]:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupt")
     header_len = struct.unpack_from("<I", body, len(MAGIC))[0]
     start = len(MAGIC) + 4
-    header = json.loads(body[start : start + header_len].decode("utf-8"))
-    cfg = ModelConfig(**header["config"])
-    params = init_params(cfg, header["kind"], seed=0)
+    try:
+        header = json.loads(body[start : start + header_len].decode("utf-8"))
+        cfg = ModelConfig(**header["config"])
+        params = init_params(cfg, header["kind"], seed=0)
+        table = [(a["name"], tuple(a["shape"])) for a in header["arrays"]]
+        extra = dict(header["extra"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed header: {type(e).__name__}: {e}") from None
     offset = start + header_len
     named = dict(params.named())
-    if [a["name"] for a in header["arrays"]] != [n for n, _ in params.named()]:
+    if [name for name, _ in table] != list(named):
         raise CheckpointError(f"{path}: array table does not match the {header['kind']} layout")
-    for entry in header["arrays"]:
-        t = named[entry["name"]]
-        shape = tuple(entry["shape"])
+    for name, shape in table:
+        t = named[name]
         if shape != t.shape:
-            raise CheckpointError(f"{path}: array {entry['name']} has shape {shape}, expected {t.shape}")
+            raise CheckpointError(f"{path}: array {name} has shape {shape}, expected {t.shape}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * 8
+        if offset + nbytes > len(body):
+            raise CheckpointError(f"{path}: truncated at array {name}")
         t.data = np.frombuffer(body[offset : offset + nbytes], dtype="<f8").reshape(shape).copy()
         offset += nbytes
     if offset != len(body):
         raise CheckpointError(f"{path}: trailing bytes after arrays")
     params.item_emb.data[0, :] = 0.0
-    return params, cfg, header["extra"]
+    return params, cfg, extra

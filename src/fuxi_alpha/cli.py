@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .baselines import VariantSpec
 from .bench import scaling_probe, tps_benchmark
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, resolve_config
@@ -38,9 +37,9 @@ from .data import (
     uniform_gap_rule,
 )
 from .evaluate import evaluate, metrics_records, write_metrics_csv
-from .model import ModelConfig, SequenceBatch, forward_hidden, init_params, sampled_softmax_loss
+from .model import ModelConfig, SequenceBatch, forward_hidden, init_params, sampled_loss
 from .poly import generic_block_spec, verify_degree_bound
-from .train import TrainConfig, sample_negatives_batch, train
+from .train import TrainConfig, next_item_negatives, train
 
 COMMANDS = ("ingest", "train", "eval", "ablate", "bench", "analyze", "gradcheck")
 
@@ -76,9 +75,18 @@ def load_split(cfg: dict):
     return split_leave_last(build_sequences(events, data["n"]), remap)
 
 
+def _as_config_error(build, **kwargs):
+    """build(**kwargs), with its range-check ValueError reported as a config error."""
+    try:
+        return build(**kwargs)
+    except ValueError as e:
+        raise ConfigError([str(e)]) from None
+
+
 def build_model_config(cfg: dict, vocab: int) -> ModelConfig:
     m = cfg["model"]
-    return ModelConfig(
+    return _as_config_error(
+        ModelConfig,
         vocab=vocab,
         d=m["d"],
         d_h=m["d_h"],
@@ -96,7 +104,8 @@ def build_model_config(cfg: dict, vocab: int) -> ModelConfig:
 
 def build_train_config(cfg: dict) -> TrainConfig:
     t = cfg["train"]
-    return TrainConfig(
+    return _as_config_error(
+        TrainConfig,
         lr=t["lr"], weight_decay=t["weight_decay"], beta1=t["beta1"], beta2=t["beta2"],
         adam_eps=t["adam_eps"], epochs=t["epochs"], batch_size=t["batch_size"],
         seed=t["seed"], eval_every=t["eval_every"], patience=t["patience"],
@@ -125,11 +134,11 @@ def cmd_train(cfg: dict, outdir: Path) -> int:
     split = load_split(cfg)
     mcfg = build_model_config(cfg, split.vocab)
     tcfg = build_train_config(cfg)
-    variant = VariantSpec(cfg["model"]["variant"])
+    variant = cfg["model"]["variant"]
     result = train(variant, split, tcfg, mcfg)
     save_checkpoint(
         outdir / "checkpoint.bin", result.params, mcfg,
-        extra={"variant": variant.kind, "seed": tcfg.seed, "best_epoch": result.best_epoch},
+        extra={"variant": variant, "seed": tcfg.seed, "best_epoch": result.best_epoch},
     )
     _write_loss_csv(outdir / "loss.csv", result)
     return 0
@@ -138,6 +147,8 @@ def cmd_train(cfg: dict, outdir: Path) -> int:
 def cmd_eval(cfg: dict, outdir: Path) -> int:
     split = load_split(cfg)
     params, mcfg, extra = load_checkpoint(outdir / "checkpoint.bin")
+    if mcfg.vocab != split.vocab:
+        raise DataError(f"checkpoint vocab {mcfg.vocab} does not match the data's vocab {split.vocab}")
     partition = split.test if cfg["eval"]["partition"] == "test" else split.validation
     report = evaluate(params, partition, cfg["eval"]["ks"], mcfg)
     rows = metrics_records(report, extra.get("variant", params.kind), "final")
@@ -153,7 +164,7 @@ def cmd_ablate(cfg: dict, outdir: Path) -> int:
     header = ["variant"] + [f"hr@{k}" for k in ks] + [f"ndcg@{k}" for k in ks] + ["mrr"]
     rows = []
     for kind in ABLATION_KINDS:
-        result = train(VariantSpec(kind), split, tcfg, mcfg)
+        result = train(kind, split, tcfg, mcfg)
         report = evaluate(result.params, split.test, ks, mcfg)
         rows.append(
             [kind]
@@ -183,7 +194,6 @@ def cmd_bench(cfg: dict, outdir: Path) -> int:
         writer = csv.writer(fh)
         writer.writerow(["variant", "seq_len", "metric", "value", "machine"])
         for kind in b["variants"]:
-            VariantSpec(kind)
             for rec in tps_benchmark(kind, template, lengths, b["batch"], dataset):
                 writer.writerow([rec.variant, rec.seq_len, "tps", repr(rec.tps), machine])
     return 0
@@ -220,13 +230,6 @@ def cmd_analyze(cfg: dict, outdir: Path) -> int:
     return 0
 
 
-def _gradcheck_loss(params, cfg, batch, targets, mask, negs):
-    hidden = forward_hidden(batch, params, cfg)
-    pos = T.reshape(T.rows_dot(hidden, params.item_emb, targets[..., None]), targets.shape)
-    neg = T.rows_dot(hidden, params.item_emb, negs)
-    return sampled_softmax_loss(pos, neg, mask)
-
-
 def cmd_gradcheck(cfg: dict, outdir: Path) -> int:
     tiny = ModelConfig(vocab=7, d=4, d_h=4, heads=1, d_ffn=8, layers=2, n=4, n_buckets=8, negatives=2)
     lines = []
@@ -241,10 +244,9 @@ def cmd_gradcheck(cfg: dict, outdir: Path) -> int:
         ts = np.array([[3, 9, 12, 40]], dtype=np.int64)
         batch = SequenceBatch(items, ts, np.array([4]))
         targets = np.array([[2, 5, 3, 0]], dtype=np.int64)
-        mask = (targets > 0).astype(float)
-        negs = sample_negatives_batch(np.where(targets > 0, targets, 1), tiny.negatives, tiny.vocab, rng)
+        negs = next_item_negatives(targets, tiny, rng)
         err = T.grad_check_params(
-            lambda: _gradcheck_loss(params, tiny, batch, targets, mask, negs),
+            lambda: sampled_loss(forward_hidden(batch, params, tiny), params.item_emb, targets, negs),
             params.tensors(),
             fd_step=1e-5,
         )

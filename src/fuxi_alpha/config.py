@@ -1,8 +1,8 @@
 """Run configuration: one JSON document plus dotted-path overrides.
 
-Unknown keys are rejected (all offenders reported at once); missing keys take
-the documented defaults; the fully resolved config is echoed into the output
-directory by the CLI for provenance.
+Unknown keys and variant kinds are rejected (all offenders reported at once);
+missing keys take the documented defaults; the fully resolved config is echoed
+into the output directory by the CLI for provenance.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import copy
 import json
 from typing import Any, Sequence
+
+from .model import VARIANT_KINDS
 
 DEFAULTS: dict[str, dict[str, Any]] = {
     "data": {
@@ -179,6 +181,13 @@ def resolve_config(document: dict | None, overrides: Sequence[str] = ()) -> dict
     resolved = _merge_section("", document or {}, DEFAULTS, problems)
     for spec in overrides:
         _parse_override(spec, resolved, problems)
+    kinds = [("model.variant", resolved["model"]["variant"])]
+    kinds += [(f"bench.variants[{i}]", kind) for i, kind in enumerate(resolved["bench"]["variants"])]
+    problems += [
+        f"{path}: unknown variant kind {kind!r}; expected one of {list(VARIANT_KINDS)}"
+        for path, kind in kinds
+        if kind not in VARIANT_KINDS
+    ]
     if problems:
         raise ConfigError(problems)
     return resolved

@@ -316,16 +316,7 @@ def batch_iterator(
     order = np.random.default_rng(shuffle_seed).permutation(len(partition))
     for start in range(0, len(order), batch_size):
         chunk = [partition[i] for i in order[start : start + batch_size]]
-        b = len(chunk)
-        items = np.zeros((b, n), dtype=np.int64)
-        ts = np.zeros((b, n), dtype=np.int64)
-        lens = np.zeros(b, dtype=np.int64)
-        for row, seq in enumerate(chunk):
-            take = min(len(seq), n)
-            items[row, :take] = seq.items[-take:]
-            ts[row, :take] = seq.timestamps[-take:]
-            lens[row] = take
-        yield SequenceBatch(items, ts, lens)
+        yield SequenceBatch.from_sequences([s.items for s in chunk], [s.timestamps for s in chunk], n)
 
 
 def split_manifest(split: DatasetSplit) -> dict:

@@ -72,19 +72,10 @@ def evaluate(
     for start in range(0, len(instances), batch_size):
         chunk = instances[start : start + batch_size]
         b = len(chunk)
-        items = np.zeros((b, cfg.n), dtype=np.int64)
-        ts = np.zeros((b, cfg.n), dtype=np.int64)
-        lens = np.zeros(b, dtype=np.int64)
-        targets = np.zeros(b, dtype=np.int64)
-        for row, inst in enumerate(chunk):
-            take = min(len(inst.items), cfg.n)
-            items[row, :take] = inst.items[-take:]
-            ts[row, :take] = inst.timestamps[-take:]
-            lens[row] = take
-            targets[row] = inst.target
-        batch = SequenceBatch(items, ts, lens)
+        batch = SequenceBatch.from_sequences([inst.items for inst in chunk], [inst.timestamps for inst in chunk], cfg.n)
+        targets = np.array([inst.target for inst in chunk], dtype=np.int64)
         hidden = forward_hidden(batch, params, cfg).data
-        last = hidden[np.arange(b), lens - 1]
+        last = hidden[np.arange(b), batch.valid_len - 1]
         logits = last @ params.item_emb.data.T
         keep = np.ones(cfg.vocab, dtype=bool)
         keep[0] = False

@@ -1,9 +1,30 @@
 """The FuXi-alpha network: embeddings, stacked blocks, prediction, sampled loss.
 
-Each block pairs a multi-channel SiLU attention layer (separate semantic,
-positional, and temporal weight channels sharing one value projection, gated
-by a learned projection of the input) with a two-stage feed-forward network
-(channel fusion + residual, then a gated SwiGLU transform + residual).
+Each block pairs an attention half with a feed-forward half, and `VARIANTS`
+maps every model kind to that pair. The table drives both the parameter
+layout (`init_block`) and the forward pass (`BLOCK_APPLIERS`):
+
+  kind       attention  ffn
+  full       ams        mffn    the reference FuXi-alpha block
+  base       softmax    fusion
+  no_ams     softmax    mffn
+  no_mffn    ams        fusion
+  vanilla    softmax    relu    SASRec-style block
+  hstu_like  hstu       fusion  HSTU-style block
+
+Attention halves:
+  ams      multi-channel SiLU attention: separate semantic, positional and
+           temporal weight channels share one value projection; the channel
+           outputs are concatenated, RMS-normalized and gated by a learned
+           SiLU projection of the input
+  hstu     the same gated SiLU attention with the three weights summed into
+           one channel
+  softmax  causal multi-head softmax attention
+
+Feed-forward halves, each starting with a fusion projection plus residual:
+  fusion   that projection alone
+  mffn     then an RMS-normalized SwiGLU transform plus residual
+  relu     then a two-layer relu transform plus residual
 """
 
 from __future__ import annotations
@@ -17,7 +38,16 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-VARIANT_KINDS = ("full", "base", "no_ams", "no_mffn", "vanilla", "hstu_like")
+# kind -> (attention, ffn); see the module docstring
+VARIANTS = {
+    "full": ("ams", "mffn"),
+    "base": ("softmax", "fusion"),
+    "no_ams": ("softmax", "mffn"),
+    "no_mffn": ("ams", "fusion"),
+    "vanilla": ("softmax", "relu"),
+    "hstu_like": ("hstu", "fusion"),
+}
+VARIANT_KINDS = tuple(VARIANTS)
 
 INIT_STD = 0.02
 
@@ -89,6 +119,20 @@ class SequenceBatch:
         if np.any((self.timestamps[:, 1:] - self.timestamps[:, :-1])[both] < 0):
             raise ValueError("SequenceBatch: timestamps must be non-decreasing over the valid prefix")
 
+    @classmethod
+    def from_sequences(cls, items: Sequence, timestamps: Sequence, n: int) -> SequenceBatch:
+        """One row per sequence: its last n events left-aligned, zero-padded to width n."""
+        b = len(items)
+        rows = np.zeros((b, n), dtype=np.int64)
+        ts = np.zeros((b, n), dtype=np.int64)
+        lens = np.zeros(b, dtype=np.int64)
+        for row, (seq_items, seq_ts) in enumerate(zip(items, timestamps)):
+            take = min(len(seq_items), n)
+            rows[row, :take] = seq_items[-take:]
+            ts[row, :take] = seq_ts[-take:]
+            lens[row] = take
+        return cls(rows, ts, lens)
+
     @property
     def size(self) -> int:
         return self.items.shape[0]
@@ -154,34 +198,26 @@ def _ones(shape) -> Tensor:
 
 
 def init_block(kind: str, cfg: ModelConfig, rng: np.random.Generator) -> BlockParams:
-    h = cfg.channel_width
-    d = cfg.d
-    if kind not in VARIANT_KINDS:
-        raise ValueError(f"unknown variant kind: {kind!r}")
+    if kind not in VARIANTS:
+        raise ValueError(f"unknown variant kind {kind!r}; expected one of {VARIANT_KINDS}")
+    attention, ffn = VARIANTS[kind]
+    h, d, f = cfg.channel_width, cfg.d, cfg.d_ffn
+    width = 3 * h if attention == "ams" else h  # attention output the fusion projection reads
     blk = BlockParams(
         w_q=_normal(rng, (d, h)),
         w_k=_normal(rng, (d, h)),
         w_v=_normal(rng, (d, h)),
-        w_o=_normal(rng, (3 * h if kind in ("full", "no_mffn") else h, d)),
+        w_o=_normal(rng, (width, d)),
         attn_gain=_ones(d),
     )
-    if kind in ("full", "no_mffn"):
-        blk.w_u = _normal(rng, (d, 3 * h))
+    if attention != "softmax":
+        blk.w_u = _normal(rng, (d, width))
         blk.alpha = [_zeros(cfg.n_buckets) for _ in range(cfg.heads)]
         blk.beta = [_zeros(cfg.n) for _ in range(cfg.heads)]
-    if kind == "hstu_like":
-        blk.w_u = _normal(rng, (d, h))
-        blk.alpha = [_zeros(cfg.n_buckets) for _ in range(cfg.heads)]
-        blk.beta = [_zeros(cfg.n) for _ in range(cfg.heads)]
-    if kind in ("full", "no_ams"):
-        blk.ffn_gain = _ones(d)
-        blk.w_1 = _normal(rng, (d, cfg.d_ffn))
-        blk.w_2 = _normal(rng, (d, cfg.d_ffn))
-        blk.w_3 = _normal(rng, (cfg.d_ffn, d))
-    if kind == "vanilla":
-        blk.ffn_gain = _ones(d)
-        blk.w_1 = _normal(rng, (d, cfg.d_ffn))
-        blk.w_2 = _normal(rng, (cfg.d_ffn, d))
+    if ffn == "mffn":
+        blk.ffn_gain, blk.w_1, blk.w_2, blk.w_3 = _ones(d), _normal(rng, (d, f)), _normal(rng, (d, f)), _normal(rng, (f, d))
+    if ffn == "relu":
+        blk.ffn_gain, blk.w_1, blk.w_2 = _ones(d), _normal(rng, (d, f)), _normal(rng, (f, d))
     return blk
 
 
@@ -301,49 +337,88 @@ def _per_head(t: Tensor, h: int, d_h: int, heads: int) -> Tensor:
     return T.slice_last(t, h * d_h, (h + 1) * d_h)
 
 
-def ams_attention(x: Tensor, batch: SequenceBatch, layer: BlockParams, cfg: ModelConfig) -> Tensor:
-    """Multi-channel attention: gated concat of semantic/positional/temporal channels."""
-    return _ams(x, build_attn_context(batch, cfg), layer, cfg)
+def _cat(parts: Sequence[Tensor]) -> Tensor:
+    return parts[0] if len(parts) == 1 else T.concat(list(parts), axis=-1)
 
 
-def ams_channel_outputs(
-    x: Tensor, batch: SequenceBatch, layer: BlockParams, cfg: ModelConfig
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Per-channel attention outputs (semantic, positional, temporal) before fusion."""
-    ctx = build_attn_context(batch, cfg)
-    xt = T.rms_norm(x, layer.attn_gain, cfg.rms_eps)
-    return _channels(xt, ctx, layer, cfg)
+def channel_outputs(
+    xt: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool
+) -> list[Tensor]:
+    """Attention outputs of the normalized input xt, heads concatenated per channel.
 
-
-def _cat_heads(parts: list[Tensor]) -> Tensor:
-    return parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
-
-
-def _channels(xt: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig):
+    Each head scores (1/n)·SiLU(q·kᵀ) and reads the learned position (beta) and
+    time-bucket (alpha) biases. AMS (summed=False) masks the semantic,
+    positional and temporal weights and applies each to V, giving three
+    channels; HSTU (summed=True) adds them before masking, giving one.
+    """
     q = T.silu(T.matmul(xt, layer.w_q))
     k = T.silu(T.matmul(xt, layer.w_k))
     v = T.silu(T.matmul(xt, layer.w_v))
-    sem_outs, pos_outs, tmp_outs = [], [], []
+    heads = []
     for h in range(cfg.heads):
         qh = _per_head(q, h, cfg.d_h, cfg.heads)
         kh = _per_head(k, h, cfg.d_h, cfg.heads)
         vh = _per_head(v, h, cfg.d_h, cfg.heads)
-        sem = T.mul(T.scale(T.silu(T.matmul(qh, T.swap_last(kh))), 1.0 / cfg.n), ctx.mask)
-        pos = T.mul(T.take(layer.beta[h], ctx.rel_idx), ctx.mask)
-        tmp = T.mul(T.take(layer.alpha[h], ctx.bucket_idx), ctx.mask)
-        sem_outs.append(T.matmul(sem, vh))
-        pos_outs.append(T.matmul(pos, vh))
-        tmp_outs.append(T.matmul(tmp, vh))
-    return _cat_heads(sem_outs), _cat_heads(pos_outs), _cat_heads(tmp_outs)
+        heads.append([T.matmul(w, vh) for w in _head_weights(qh, kh, h, ctx, layer, cfg, summed)])
+    return [_cat(channel) for channel in zip(*heads)]
 
 
-def _ams(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
+def _head_weights(
+    qh: Tensor, kh: Tensor, h: int, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool
+) -> list[Tensor]:
+    """Head h's masked attention weights: the three AMS channels, or their HSTU sum.
+
+    Only the returned weights outlive the call, so without a tape the unmasked
+    [B, n, n] scores are freed before the value matmuls.
+    """
+    sem = T.scale(T.silu(T.matmul(qh, T.swap_last(kh))), 1.0 / cfg.n)
+    if summed:
+        biased = T.add(T.add(sem, T.take(layer.alpha[h], ctx.bucket_idx)), T.take(layer.beta[h], ctx.rel_idx))
+        return [T.mul(biased, ctx.mask)]
+    return [
+        T.mul(sem, ctx.mask),
+        T.mul(T.take(layer.beta[h], ctx.rel_idx), ctx.mask),
+        T.mul(T.take(layer.alpha[h], ctx.bucket_idx), ctx.mask),
+    ]
+
+
+def _gated_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool) -> Tensor:
     xt = T.rms_norm(x, layer.attn_gain, cfg.rms_eps)
     gate = T.silu(T.matmul(xt, layer.w_u))
-    sem, pos, tmp = _channels(xt, ctx, layer, cfg)
-    stacked = T.concat([sem, pos, tmp], axis=-1)
-    normed = T.rms_norm(stacked, None, cfg.rms_eps)
-    return T.mul(normed, gate)
+    stacked = _cat(channel_outputs(xt, ctx, layer, cfg, summed))
+    return T.mul(T.rms_norm(stacked, None, cfg.rms_eps), gate)
+
+
+def ams_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
+    """Multi-channel attention: gated concat of semantic/positional/temporal channels."""
+    return _gated_attention(x, ctx, layer, cfg, summed=False)
+
+
+def hstu_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
+    """Gated single SiLU channel whose weights add the time and position biases."""
+    return _gated_attention(x, ctx, layer, cfg, summed=True)
+
+
+def softmax_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
+    """Pre-norm causal multi-head softmax attention; returns concatenated heads."""
+    xt = T.rms_norm(x, layer.attn_gain, cfg.rms_eps)
+    q = T.matmul(xt, layer.w_q)
+    k = T.matmul(xt, layer.w_k)
+    v = T.matmul(xt, layer.w_v)
+    outs = []
+    inv_sqrt = 1.0 / np.sqrt(cfg.d_h)
+    for h in range(cfg.heads):
+        qh = _per_head(q, h, cfg.d_h, cfg.heads)
+        kh = _per_head(k, h, cfg.d_h, cfg.heads)
+        vh = _per_head(v, h, cfg.d_h, cfg.heads)
+        scores = T.scale(T.matmul(qh, T.swap_last(kh)), inv_sqrt)
+        outs.append(T.matmul(T.masked_softmax(scores, ctx.allowed), vh))
+    return _cat(outs)
+
+
+def stage_one(h: Tensor, x_prev: Tensor, layer: BlockParams) -> Tensor:
+    """Fusion projection of the attention output plus the layer's residual input."""
+    return T.add(T.matmul(h, layer.w_o), x_prev)
 
 
 def mffn(h: Tensor, x_prev: Tensor, layer: BlockParams, cfg: ModelConfig) -> Tensor:
@@ -354,19 +429,32 @@ def mffn(h: Tensor, x_prev: Tensor, layer: BlockParams, cfg: ModelConfig) -> Ten
     return T.add(T.matmul(inner, layer.w_3), o)
 
 
-def stage_one(h: Tensor, x_prev: Tensor, layer: BlockParams) -> Tensor:
-    """Fusion projection of the attention output plus the layer's residual input."""
-    return T.add(T.matmul(h, layer.w_o), x_prev)
+def relu_ffn(h: Tensor, x_prev: Tensor, layer: BlockParams, cfg: ModelConfig) -> Tensor:
+    """Channel fusion + residual, then a two-layer pointwise relu FFN + residual."""
+    o = stage_one(h, x_prev, layer)
+    on = T.rms_norm(o, layer.ffn_gain, cfg.rms_eps)
+    return T.add(T.matmul(T.relu(T.matmul(on, layer.w_1)), layer.w_2), o)
 
 
-def _apply_full_block(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
-    return mffn(_ams(x, ctx, layer, cfg), x, layer, cfg)
+ATTENTIONS = {"ams": ams_attention, "softmax": softmax_attention, "hstu": hstu_attention}
 
 
-# Block appliers per variant kind; baselines registers the other kinds.
-BLOCK_APPLIERS: dict[str, Callable[[Tensor, AttnContext, BlockParams, ModelConfig], Tensor]] = {
-    "full": _apply_full_block,
-}
+def _block_applier(attention: str, ffn: str) -> Callable[[Tensor, AttnContext, BlockParams, ModelConfig], Tensor]:
+    attend = ATTENTIONS[attention]
+
+    def apply(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
+        h = attend(x, ctx, layer, cfg)
+        # looked up by module-level name on each call, so a rebound mffn is seen
+        if ffn == "mffn":
+            return mffn(h, x, layer, cfg)
+        if ffn == "relu":
+            return relu_ffn(h, x, layer, cfg)
+        return stage_one(h, x, layer)
+
+    return apply
+
+
+BLOCK_APPLIERS = {kind: _block_applier(*layout) for kind, layout in VARIANTS.items()}
 
 
 def forward_hidden(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) -> Tensor:
@@ -374,7 +462,7 @@ def forward_hidden(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) 
     try:
         apply = BLOCK_APPLIERS[params.kind]
     except KeyError:
-        raise ValueError(f"no block applier registered for kind {params.kind!r}") from None
+        raise ValueError(f"unknown variant kind {params.kind!r}; expected one of {VARIANT_KINDS}") from None
     x = embed_sequence(batch, params, cfg)
     if params.blocks:
         ctx = build_attn_context(batch, cfg)
@@ -403,6 +491,14 @@ def sampled_softmax_loss(pos_scores: Tensor, neg_scores: Tensor, mask: np.ndarra
     return T.scale(T.mul(per_pos, Tensor(mask)).sum(), 1.0 / total)
 
 
+def sampled_loss(hidden: Tensor, item_emb: Tensor, targets: np.ndarray, negs: np.ndarray) -> Tensor:
+    """Sampled-softmax loss of hidden states [B, n, d] scored against the target
+    ids [B, n] and the negative ids [B, n, N]; positions with target 0 are masked."""
+    pos = T.reshape(T.rows_dot(hidden, item_emb, targets[..., None]), targets.shape)
+    neg = T.rows_dot(hidden, item_emb, negs)
+    return sampled_softmax_loss(pos, neg, targets > 0)
+
+
 def predict_next(
     items: Sequence[int],
     timestamps: Sequence[int],
@@ -411,22 +507,12 @@ def predict_next(
     k: int,
 ) -> list[int]:
     """Top-k next items at the end of one history; ties break by ascending id."""
-    items = np.asarray(items, dtype=np.int64)
-    timestamps = np.asarray(timestamps, dtype=np.int64)
-    if items.size == 0:
+    if len(items) == 0:
         raise ValueError("predict_next: history is empty")
     if not 1 <= k <= cfg.vocab - 1:
         raise ValueError(f"predict_next: k must lie in [1, {cfg.vocab - 1}]")
-    if items.size > cfg.n:
-        items = items[-cfg.n:]
-        timestamps = timestamps[-cfg.n:]
-    length = items.size
-    row_items = np.zeros((1, cfg.n), dtype=np.int64)
-    row_ts = np.zeros((1, cfg.n), dtype=np.int64)
-    row_items[0, :length] = items
-    row_ts[0, :length] = timestamps
-    batch = SequenceBatch(row_items, row_ts, np.array([length]))
-    hidden = forward_hidden(batch, params, cfg).data[0, length - 1]
+    batch = SequenceBatch.from_sequences([items], [timestamps], cfg.n)
+    hidden = forward_hidden(batch, params, cfg).data[0, batch.valid_len[0] - 1]
     scores = params.item_emb.data[1:] @ hidden
     ids = np.arange(1, cfg.vocab)
     order = np.lexsort((ids, -scores))

@@ -256,25 +256,6 @@ def relu(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def texp(x: Tensor) -> Tensor:
-    e = np.exp(x.data)
-    out = Tensor(e)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(x, g * e, own=True)
-
-    return _record(out, (x,), bwd)
-
-
-def tlog(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data))
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(x, g / x.data, own=True)
-
-    return _record(out, (x,), bwd)
-
-
 def rms_norm(x: Tensor, gain: Tensor | None = None, eps: float = 1e-6) -> Tensor:
     """Row normalization by root-mean-square over the last axis.
 

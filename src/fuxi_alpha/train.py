@@ -8,11 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .data import DatasetSplit, batch_iterator
 from .evaluate import evaluate
-from .model import ModelConfig, ModelParams, init_params, sampled_softmax_loss
-from .model import forward_hidden
+from .model import ModelConfig, ModelParams, forward_hidden, init_params, sampled_loss
 from .tensor import Tape, backward
 
 
@@ -137,11 +135,16 @@ class TrainResult:
     best_epoch: int | None = None
 
 
-def next_item_targets(batch) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted targets within the batch rows plus the contribute-to-loss mask."""
+def next_item_targets(batch) -> np.ndarray:
+    """Each position's next item within its batch row; 0 where none follows."""
     targets = np.zeros_like(batch.items)
     targets[:, :-1] = batch.items[:, 1:]
-    return targets, (targets > 0).astype(np.float64)
+    return targets
+
+
+def next_item_negatives(targets: np.ndarray, cfg: ModelConfig, rng: np.random.Generator) -> np.ndarray:
+    """cfg.negatives sampled ids per position, excluding that position's target."""
+    return sample_negatives_batch(np.where(targets > 0, targets, 1), cfg.negatives, cfg.vocab, rng)
 
 
 def train_step(
@@ -152,16 +155,12 @@ def train_step(
     rng: np.random.Generator,
 ) -> float | None:
     """One forward/backward/update; returns the loss or None if the batch has no targets."""
-    targets, mask = next_item_targets(batch)
-    if mask.sum() == 0:
+    targets = next_item_targets(batch)
+    if not targets.any():
         return None
-    safe = np.where(targets > 0, targets, 1)
-    negs = sample_negatives_batch(safe, cfg.negatives, cfg.vocab, rng)
+    negs = next_item_negatives(targets, cfg, rng)
     with Tape() as tape:
-        hidden = forward_hidden(batch, params, cfg)
-        pos = T.reshape(T.rows_dot(hidden, params.item_emb, targets[..., None]), targets.shape)
-        neg = T.rows_dot(hidden, params.item_emb, negs)
-        loss = sampled_softmax_loss(pos, neg, mask)
+        loss = sampled_loss(forward_hidden(batch, params, cfg), params.item_emb, targets, negs)
     value = loss.item()
     if not np.isfinite(value):
         raise RuntimeError(

@@ -38,7 +38,7 @@ from fuxi_alpha.model import (
     forward_hidden,
     init_params,
     param_count,
-    sampled_softmax_loss,
+    sampled_loss,
 )
 from fuxi_alpha.poly import generic_block_spec, verify_degree_bound
 from fuxi_alpha.train import TrainConfig, sample_negatives_batch, train
@@ -76,14 +76,10 @@ def test_criterion_1_gradient_suite():
         batch = SequenceBatch(items, ts, lens)
         targets = np.zeros_like(items)
         targets[:, :-1] = items[:, 1:]
-        mask = (targets > 0).astype(float)
         negs = sample_negatives_batch(np.where(targets > 0, targets, 1), cfg.negatives, cfg.vocab, rng)
 
         def loss_fn():
-            hidden = forward_hidden(batch, params, cfg)
-            pos = T.reshape(T.rows_dot(hidden, params.item_emb, targets[..., None]), targets.shape)
-            neg = T.rows_dot(hidden, params.item_emb, negs)
-            return sampled_softmax_loss(pos, neg, mask)
+            return sampled_loss(forward_hidden(batch, params, cfg), params.item_emb, targets, negs)
 
         worst = max(worst, T.grad_check_params(loss_fn, params.tensors(), fd_step=1e-5))
     elapsed = time.perf_counter() - start

@@ -10,9 +10,9 @@ from conftest import (
     tiny_config,
 )
 
-from fuxi_alpha import baselines as B
 from fuxi_alpha import model as M
 from fuxi_alpha import tensor as T
+from fuxi_alpha.config import ConfigError, resolve_config
 from fuxi_alpha.model import ModelConfig, SequenceBatch, Tensor
 
 
@@ -24,23 +24,30 @@ def _silu(z):
     return z * _sigmoid(z)
 
 
+def _block(apply, x, batch, layer, cfg):
+    return apply(x, M.build_attn_context(batch, cfg), layer, cfg)
+
+
 def test_variant_spec_is_closed_enum():
+    assert set(M.VARIANT_KINDS) == set(M.VARIANTS) == set(M.BLOCK_APPLIERS)
     for kind in M.VARIANT_KINDS:
-        assert B.VariantSpec(kind=kind).kind == kind
+        assert M.init_params(tiny_config(), kind).kind == kind
+        assert resolve_config({"model": {"variant": kind}})["model"]["variant"] == kind
     with pytest.raises(ValueError):
-        B.VariantSpec(kind="mystery")
-    with pytest.raises(ValueError):
-        B.build_variant("mystery", tiny_config())
+        M.init_params(tiny_config(), "mystery")
+    with pytest.raises(ConfigError):
+        resolve_config({}, ["model.variant=mystery"])
 
 
 def test_full_variant_forward_identical_to_model():
     cfg = tiny_config()
     batch = random_batch(cfg, 3, seed=2)
-    via_variant = B.build_variant(B.VariantSpec("full"), cfg, seed=5)
-    direct = M.init_params(cfg, "full", seed=5)
-    la = M.forward(batch, via_variant, cfg).data
-    lb = M.forward(batch, direct, cfg).data
-    np.testing.assert_array_equal(la, lb)
+    params = M.init_params(cfg, "full", seed=5)
+    ctx = M.build_attn_context(batch, cfg)
+    x = M.embed_sequence(batch, params, cfg)
+    for blk in params.blocks:
+        x = M.mffn(M.ams_attention(x, ctx, blk, cfg), x, blk, cfg)
+    np.testing.assert_array_equal(M.forward_hidden(batch, params, cfg).data, x.data)
 
 
 def test_vanilla_zero_weights_pass_input_through():
@@ -52,7 +59,7 @@ def test_vanilla_zero_weights_pass_input_through():
     batch = random_batch(cfg, 2, seed=3)
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(2, cfg.n, cfg.d)))
-    out = B.vanilla_attention_block(x, batch, blk, cfg)
+    out = _block(M.BLOCK_APPLIERS["vanilla"], x, batch, blk, cfg)
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -84,7 +91,7 @@ def test_vanilla_scalar_transcription():
     blk.w_2.data = np.array([[-0.8]])
     batch = SequenceBatch(np.array([[1, 2]]), np.array([[5, 9]]), np.array([2]))
     x = Tensor(np.array([[[0.9], [-0.7]]]))
-    out = B.vanilla_attention_block(x, batch, blk, cfg).data[0]
+    out = _block(M.BLOCK_APPLIERS["vanilla"], x, batch, blk, cfg).data[0]
 
     eps = cfg.rms_eps
     xt = [xi / math.sqrt(xi * xi + eps) * 1.2 for xi in (0.9, -0.7)]
@@ -113,9 +120,11 @@ def test_hstu_reduces_to_semantic_channel_when_biases_zero():
     for name in ("w_q", "w_k", "w_v", "attn_gain"):
         getattr(full.blocks[0], name).data = getattr(hstu.blocks[0], name).data.copy()
     x = Tensor(np.random.default_rng(0).normal(size=(2, cfg.n, cfg.d)))
-    hstu_out = B.hstu_channel_output(x, batch, hstu.blocks[0], cfg).data
-    sem, _, _ = M.ams_channel_outputs(x, batch, full.blocks[0], cfg)
-    np.testing.assert_array_equal(hstu_out, sem.data)
+    ctx = M.build_attn_context(batch, cfg)
+    xt = T.rms_norm(x, hstu.blocks[0].attn_gain, cfg.rms_eps)
+    (hstu_out,) = M.channel_outputs(xt, ctx, hstu.blocks[0], cfg, summed=True)
+    sem, _, _ = M.channel_outputs(xt, ctx, full.blocks[0], cfg, summed=False)
+    np.testing.assert_array_equal(hstu_out.data, sem.data)
 
 
 def test_hstu_zero_input_gives_zero_output_before_residual():
@@ -123,7 +132,7 @@ def test_hstu_zero_input_gives_zero_output_before_residual():
     params = random_params(cfg, kind="hstu_like", seed=1)
     batch = random_batch(cfg, 2, seed=1)
     x = Tensor(np.zeros((2, cfg.n, cfg.d)))
-    out = B.hstu_like_block(x, batch, params.blocks[0], cfg)
+    out = _block(M.BLOCK_APPLIERS["hstu_like"], x, batch, params.blocks[0], cfg)
     # gate silu(0) = 0 annihilates the attention path; residual carries the zeros
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
@@ -145,7 +154,7 @@ def test_hstu_scalar_transcription():
     blk.beta[0].data = np.array([0.6, -0.7])
     batch = SequenceBatch(np.array([[1, 2]]), np.array([[5, 9]]), np.array([2]))
     x = Tensor(np.array([[[0.9], [-0.7]]]))
-    out = B.hstu_like_block(x, batch, blk, cfg).data[0]
+    out = _block(M.BLOCK_APPLIERS["hstu_like"], x, batch, blk, cfg).data[0]
 
     eps = cfg.rms_eps
     xt = [xi / math.sqrt(xi * xi + eps) * 1.2 for xi in (0.9, -0.7)]

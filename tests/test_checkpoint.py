@@ -3,19 +3,21 @@ import pytest
 from conftest import random_params, tiny_config
 
 from fuxi_alpha.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from fuxi_alpha.model import VARIANT_KINDS
 
 
-def test_round_trip_preserves_everything(tmp_path):
+@pytest.mark.parametrize("kind", VARIANT_KINDS)
+def test_round_trip_preserves_everything(tmp_path, kind):
     cfg = tiny_config()
-    params = random_params(cfg, kind="hstu_like", seed=3)
+    params = random_params(cfg, kind=kind, seed=3)
     path = tmp_path / "checkpoint.bin"
     save_checkpoint(path, params, cfg, extra={"note": "x", "epoch": 4})
     loaded, loaded_cfg, extra = load_checkpoint(path)
-    assert loaded.kind == "hstu_like"
+    assert loaded.kind == kind
     assert loaded_cfg == cfg
     assert extra == {"note": "x", "epoch": 4}
-    for (na, a), (nb, b) in zip(params.named(), loaded.named()):
-        assert na == nb
+    assert [n for n, _ in params.named()] == [n for n, _ in loaded.named()]
+    for (_, a), (_, b) in zip(params.named(), loaded.named()):
         np.testing.assert_array_equal(a.data, b.data)
 
 

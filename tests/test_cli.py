@@ -1,6 +1,11 @@
 import csv
+import hashlib
 import json
+import struct
 
+import pytest
+
+from fuxi_alpha.checkpoint import MAGIC
 from fuxi_alpha.cli import main
 
 
@@ -145,3 +150,48 @@ def test_train_eval_determinism_quick(tmp_path):
             ((out / "checkpoint.bin").read_bytes(), (out / "metrics.csv").read_bytes())
         )
     assert blobs[0] == blobs[1]
+
+
+def _reseal_header(path, edit):
+    """Apply edit to a checkpoint's JSON header and rewrite it with a valid checksum."""
+    body = path.read_bytes()[:-32]
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack_from("<I", body, len(MAGIC))
+    header = json.loads(body[start : start + length])
+    edit(header)
+    raw = json.dumps(header).encode()
+    body = MAGIC + struct.pack("<I", len(raw)) + raw + body[start + length :]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _unchanged(header):
+    pass
+
+
+# (case, command, overrides, edit of a freshly trained checkpoint or None, exit code, error kind)
+ERROR_CASES = [
+    ("unknown_variant", "train", {"model.variant": "mystery"}, None, 2, "config"),
+    ("unknown_bench_variant", "bench", {"bench.variants": '["mystery"]'}, None, 2, "config"),
+    ("zero_width", "train", {"model.d": 0}, None, 2, "config"),
+    ("negative_lr", "train", {"train.lr": -1}, None, 2, "config"),
+    ("vocab_mismatch", "eval", {"data.synthetic.items": 12}, _unchanged, 3, "data"),
+    ("header_missing_key", "eval", {}, lambda header: header.pop("extra"), 3, "data"),
+    ("header_unknown_config_field", "eval", {}, lambda header: header["config"].update(width=4), 3, "data"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, edit, code, kind", [case[1:] for case in ERROR_CASES], ids=[case[0] for case in ERROR_CASES]
+)
+def test_errors_exit_with_documented_code(tmp_path, capsys, command, overrides, edit, code, kind):
+    out = tmp_path / "run"
+    if edit is not None:
+        assert main(["train"] + _fast_overrides(out)) == 0
+        _reseal_header(out / "checkpoint.bin", edit)
+        capsys.readouterr()
+    assert main([command] + _fast_overrides(out, **overrides)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == kind

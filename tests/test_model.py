@@ -134,12 +134,21 @@ def test_bucket_base_rescales_units():
 # ams_attention ------------------------------------------------------------------
 
 
+def _ams(x, batch, layer, cfg):
+    return M.ams_attention(x, M.build_attn_context(batch, cfg), layer, cfg)
+
+
+def _ams_channels(x, batch, layer, cfg):
+    xt = T.rms_norm(x, layer.attn_gain, cfg.rms_eps)
+    return M.channel_outputs(xt, M.build_attn_context(batch, cfg), layer, cfg, summed=False)
+
+
 def test_ams_zero_input_gives_zero_output():
     cfg = tiny_config()
     params = random_params(cfg)
     batch = random_batch(cfg, 2, seed=1)
     x = Tensor(np.zeros((2, cfg.n, cfg.d)))
-    out = M.ams_attention(x, batch, params.blocks[0], cfg)
+    out = _ams(x, batch, params.blocks[0], cfg)
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
 
@@ -164,7 +173,7 @@ def test_ams_scalar_transcription():
 
     batch = SequenceBatch(np.array([[1, 2]]), np.array([[5, 9]]), np.array([2]))
     x = M.embed_sequence(batch, params, cfg)
-    out = M.ams_attention(x, batch, blk, cfg).data[0]
+    out = _ams(x, batch, blk, cfg).data[0]
 
     eps = cfg.rms_eps
     x0, x1 = 0.8 + 0.1, -0.5 - 0.2
@@ -195,8 +204,8 @@ def test_ams_causal_bitwise():
     lens = np.array([5])
     xa = M.embed_sequence(SequenceBatch(items_a, ts, lens), params, cfg)
     xb = M.embed_sequence(SequenceBatch(items_b, ts, lens), params, cfg)
-    out_a = M.ams_attention(xa, SequenceBatch(items_a, ts, lens), params.blocks[0], cfg).data
-    out_b = M.ams_attention(xb, SequenceBatch(items_b, ts, lens), params.blocks[0], cfg).data
+    out_a = _ams(xa, SequenceBatch(items_a, ts, lens), params.blocks[0], cfg).data
+    out_b = _ams(xb, SequenceBatch(items_b, ts, lens), params.blocks[0], cfg).data
     np.testing.assert_array_equal(out_a[0, :3], out_b[0, :3])
 
 
@@ -351,13 +360,13 @@ def test_channel_separation():
 
     base = random_params(cfg, seed=8)
     x = M.embed_sequence(batch, base, cfg)
-    sem0, pos0, tmp0 = (t.data for t in M.ams_channel_outputs(x, batch, base.blocks[0], cfg))
+    sem0, pos0, tmp0 = (t.data for t in _ams_channels(x, batch, base.blocks[0], cfg))
 
     # zeroing the temporal/positional biases must not touch the semantic channel
     zeroed = random_params(cfg, seed=8)
     zeroed.blocks[0].alpha[0].data[:] = 0.0
     zeroed.blocks[0].beta[0].data[:] = 0.0
-    sem1, pos1, tmp1 = (t.data for t in M.ams_channel_outputs(x, batch, zeroed.blocks[0], cfg))
+    sem1, pos1, tmp1 = (t.data for t in _ams_channels(x, batch, zeroed.blocks[0], cfg))
     np.testing.assert_array_equal(sem0, sem1)
     np.testing.assert_array_equal(pos1, np.zeros_like(pos1))
     np.testing.assert_array_equal(tmp1, np.zeros_like(tmp1))
@@ -366,7 +375,7 @@ def test_channel_separation():
     blind = random_params(cfg, seed=8)
     blind.blocks[0].w_q.data[:] = 0.0
     blind.blocks[0].w_k.data[:] = 0.0
-    _, pos2, tmp2 = (t.data for t in M.ams_channel_outputs(x, batch, blind.blocks[0], cfg))
+    _, pos2, tmp2 = (t.data for t in _ams_channels(x, batch, blind.blocks[0], cfg))
     np.testing.assert_array_equal(pos0, pos2)
     np.testing.assert_array_equal(tmp0, tmp2)
 
@@ -386,7 +395,7 @@ def test_semantic_scale_factor_is_configured_length():
             np.array([[2] + [0] * (n - 1)]), np.array([[7] + [0] * (n - 1)]), np.array([1])
         )
         x = M.embed_sequence(batch, params, cfg)
-        sem, _, _ = M.ams_channel_outputs(x, batch, params.blocks[0], cfg)
+        sem, _, _ = _ams_channels(x, batch, params.blocks[0], cfg)
         out[n] = sem.data[0, 0]
     np.testing.assert_array_equal(out[2] * 2.0, out[4] * 4.0)
 
@@ -549,15 +558,10 @@ def test_grad_check_through_tiny_model():
     batch = random_batch(cfg, 2, seed=0)
     rng = np.random.default_rng(0)
     targets = np.where(batch.items > 0, (batch.items % (cfg.vocab - 1)) + 1, 0)
-    mask = (targets > 0).astype(float)
     negs = rng.integers(1, cfg.vocab, size=(2, cfg.n, 2))
 
     def loss_fn():
-        hidden = M.forward_hidden(batch, params, cfg)
-        pos = T.rows_dot(hidden, params.item_emb, targets[..., None])
-        pos = T.reshape(pos, targets.shape)
-        neg = T.rows_dot(hidden, params.item_emb, negs)
-        return M.sampled_softmax_loss(pos, neg, mask)
+        return M.sampled_loss(M.forward_hidden(batch, params, cfg), params.item_emb, targets, negs)
 
     err = T.grad_check_params(loss_fn, params.tensors(), fd_step=1e-5)
     assert err < 1e-4
