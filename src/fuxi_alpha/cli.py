@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .bench import scaling_probe, tps_benchmark
+from .bench import _openblas_thread_setters, scaling_probe, tps_benchmark
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, resolve_config
 from .data import (
@@ -84,32 +84,12 @@ def _as_config_error(build, **kwargs):
 
 
 def build_model_config(cfg: dict, vocab: int) -> ModelConfig:
-    m = cfg["model"]
-    return _as_config_error(
-        ModelConfig,
-        vocab=vocab,
-        d=m["d"],
-        d_h=m["d_h"],
-        heads=m["heads"],
-        d_ffn=m["d_ffn"],
-        layers=m["layers"],
-        n=cfg["data"]["n"],
-        n_buckets=m["n_buckets"],
-        negatives=m["negatives"],
-        time_bucket_base=m["time_bucket_base"],
-        max_time_span=m["max_time_span"],
-        rms_eps=m["rms_eps"],
-    )
+    model = {key: value for key, value in cfg["model"].items() if key != "variant"}
+    return _as_config_error(ModelConfig, vocab=vocab, n=cfg["data"]["n"], **model)
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    return _as_config_error(
-        TrainConfig,
-        lr=t["lr"], weight_decay=t["weight_decay"], beta1=t["beta1"], beta2=t["beta2"],
-        adam_eps=t["adam_eps"], epochs=t["epochs"], batch_size=t["batch_size"],
-        seed=t["seed"], eval_every=t["eval_every"], patience=t["patience"],
-    )
+    return _as_config_error(TrainConfig, **cfg["train"])
 
 
 # commands -----------------------------------------------------------------------
@@ -272,6 +252,7 @@ DISPATCH = {
 
 
 def _write_provenance(cfg: dict, outdir: Path, command: str, overrides) -> None:
+    blas = _openblas_thread_setters()
     (outdir / "resolved_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
     manifest = {
         "command": command,
@@ -281,6 +262,7 @@ def _write_provenance(cfg: dict, outdir: Path, command: str, overrides) -> None:
         "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas_threads": blas[0]() if blas else None,  # OpenBLAS threads; null if none is loaded
         "platform": platform.platform(),
         "machine": platform.node() or platform.machine(),
     }

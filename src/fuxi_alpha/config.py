@@ -1,17 +1,27 @@
 """Run configuration: one JSON document plus dotted-path overrides.
 
-Unknown keys and variant kinds are rejected (all offenders reported at once);
-missing keys take the documented defaults; the fully resolved config is echoed
-into the output directory by the CLI for provenance.
+The model and train sections are the fields of `ModelConfig` and
+`TrainConfig` with their defaults. Overrides are written into the document
+before it is checked, so both go through one validator: unknown keys and
+variant kinds are rejected (all offenders reported at once) and missing keys
+take the defaults. The fully resolved config is echoed into the output
+directory by the CLI for provenance.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from dataclasses import fields
 from typing import Any, Sequence
 
-from .model import VARIANT_KINDS
+from .model import VARIANT_KINDS, ModelConfig
+from .train import TrainConfig
+
+
+def _field_defaults(cls, skip: Sequence[str] = ()) -> dict[str, Any]:
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
 
 DEFAULTS: dict[str, dict[str, Any]] = {
     "data": {
@@ -20,38 +30,16 @@ DEFAULTS: dict[str, dict[str, Any]] = {
         "n": 50,                 # maximum sequence length
         "synthetic": {
             "users": 120,
-            "items": 20,
+            "items": 256,
             "length": 30,
             "seed": 7,
             "rule": "shifted_two_class",  # uniform | two_class | shifted_two_class
             "prob": 0.9,
         },
     },
-    "model": {
-        "variant": "full",
-        "d": 50,
-        "d_h": 50,
-        "heads": 1,
-        "d_ffn": 100,
-        "layers": 2,
-        "n_buckets": 128,
-        "negatives": 128,
-        "time_bucket_base": 1.0,
-        "max_time_span": 63_072_000,
-        "rms_eps": 1e-6,
-    },
-    "train": {
-        "lr": 1e-3,
-        "weight_decay": 0.1,
-        "beta1": 0.9,
-        "beta2": 0.98,
-        "adam_eps": 1e-8,
-        "epochs": 10,
-        "batch_size": 32,
-        "seed": 0,
-        "eval_every": 1,
-        "patience": 0,
-    },
+    # vocab comes from the data and n is data.n
+    "model": {"variant": "full", **_field_defaults(ModelConfig, skip=("vocab", "n"))},
+    "train": _field_defaults(TrainConfig),
     "eval": {
         "ks": [10, 50],
         "partition": "test",  # test | validation
@@ -60,7 +48,7 @@ DEFAULTS: dict[str, dict[str, Any]] = {
         "seq_lengths": [200, 400, 600, 800],
         "batch": 8,
         "users": 48,
-        "items": 100,
+        "items": 256,
         "variants": ["vanilla", "hstu_like", "full"],
     },
     "output": {
@@ -82,7 +70,7 @@ def _type_name(value: Any) -> str:
 def _check_value(path: str, value: Any, default: Any, problems: list[str]) -> Any:
     if isinstance(default, dict):
         if not isinstance(value, dict):
-            problems.append(f"{path}: expected a section, got {_type_name(value)}")
+            problems.append(f"{path or 'top level'}: expected a section, got {_type_name(value)}")
             return default
         return _merge_section(path, value, default, problems)
     if isinstance(default, bool) or isinstance(value, bool):
@@ -133,54 +121,38 @@ def _merge_section(prefix: str, doc: dict, defaults: dict, problems: list[str]) 
     return out
 
 
-def _parse_override(spec: str, resolved: dict, problems: list[str]) -> None:
-    if "=" not in spec:
+def _write_override(document: dict, spec: str, problems: list[str]) -> None:
+    """Write key=value into the document: the text as is for a string key, else
+    JSON-decoded (text that is not JSON stays text for the type check to report)."""
+    key, sep, value = spec.partition("=")
+    if not sep:
         problems.append(f"override {spec!r}: expected key=value")
         return
-    key, raw = spec.split("=", 1)
-    parts = key.split(".")
-    node = DEFAULTS
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            problems.append(f"override {key}: unknown key")
-            return
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        problems.append(f"override {key}: unknown key")
-        return
-    default = node[parts[-1]]
-    try:
-        if isinstance(default, dict):
-            problems.append(f"override {key}: cannot override a whole section")
-            return
-        if isinstance(default, int) and not isinstance(default, bool):
-            value: Any = int(raw)
-        elif isinstance(default, float):
-            value = float(raw)
-        elif isinstance(default, str):
-            value = raw
-        elif isinstance(default, list):
-            value = json.loads(raw)
-            if not isinstance(value, list):
-                raise ValueError("not a list")
-        else:
-            problems.append(f"override {key}: unsupported type")
-            return
-    except (ValueError, json.JSONDecodeError):
-        problems.append(f"override {key}: expected {_type_name(default)}, got {raw!r}")
-        return
-    target = resolved
-    for part in parts[:-1]:
-        target = target[part]
-    target[parts[-1]] = value
+    *sections, name = parts = key.split(".")
+    node = document
+    for part in sections:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            return  # the document's own value there is reported as not a section
+    default: Any = DEFAULTS
+    for part in parts:
+        default = default.get(part) if isinstance(default, dict) else None
+    if not isinstance(default, str):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError:
+            pass
+    node[name] = value
 
 
-def resolve_config(document: dict | None, overrides: Sequence[str] = ()) -> dict:
+def resolve_config(document: Any, overrides: Sequence[str] = ()) -> dict:
     """Defaults <- document <- overrides, with exhaustive validation."""
     problems: list[str] = []
-    resolved = _merge_section("", document or {}, DEFAULTS, problems)
-    for spec in overrides:
-        _parse_override(spec, resolved, problems)
+    document = copy.deepcopy(document)
+    if isinstance(document, dict):
+        for spec in overrides:
+            _write_override(document, spec, problems)
+    resolved = _check_value("", document, DEFAULTS, problems)
     kinds = [("model.variant", resolved["model"]["variant"])]
     kinds += [(f"bench.variants[{i}]", kind) for i, kind in enumerate(resolved["bench"]["variants"])]
     problems += [

@@ -82,6 +82,14 @@ class ModelConfig:
             problems.append("layers must be >= 0")
         if self.time_bucket_base <= 0 or self.max_time_span <= 0 or self.rms_eps <= 0:
             problems.append("time_bucket_base, max_time_span and rms_eps must be positive")
+        for name in ("time_bucket_base", "rms_eps"):
+            if not math.isfinite(getattr(self, name)):
+                problems.append(f"{name} must be finite")
+        if self.negatives > self.vocab - 2:
+            problems.append(
+                f"negatives={self.negatives} exceeds the {self.vocab - 2} items a position can draw "
+                f"(vocab {self.vocab} minus padding and the target)"
+            )
         if problems:
             raise ValueError("invalid ModelConfig: " + "; ".join(problems))
 

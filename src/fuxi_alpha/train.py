@@ -4,6 +4,7 @@ negative sampling, and early stopping on validation ranking quality."""
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,9 @@ class TrainConfig:
             problems.append("betas must lie in [0, 1)")
         if self.adam_eps <= 0:
             problems.append("adam_eps must be positive")
+        for name in ("lr", "weight_decay", "beta1", "beta2", "adam_eps"):
+            if not math.isfinite(getattr(self, name)):
+                problems.append(f"{name} must be finite")
         if self.epochs < 0 or self.batch_size < 1 or self.eval_every < 0 or self.patience < 0:
             problems.append("epochs/batch_size/eval_every/patience out of range")
         if problems:
@@ -175,19 +179,18 @@ def train_step(
 
 
 def train(
-    variant,
+    kind: str,
     split: DatasetSplit,
     train_cfg: TrainConfig,
     model_cfg: ModelConfig,
     freeze_temporal: bool = False,
     initial_params: ModelParams | None = None,
 ) -> TrainResult:
-    """Fit the requested variant on the split's training partition.
+    """Fit the variant `kind` on the split's training partition.
 
     freeze_temporal zeroes the time-bucket biases and keeps them fixed, which
     turns the temporal channel off while leaving the architecture unchanged.
     """
-    kind = getattr(variant, "kind", variant)
     params = initial_params if initial_params is not None else init_params(model_cfg, kind, train_cfg.seed)
     if freeze_temporal:
         for blk in params.blocks:

@@ -6,7 +6,8 @@ import struct
 import pytest
 
 from fuxi_alpha.checkpoint import MAGIC
-from fuxi_alpha.cli import main
+from fuxi_alpha.cli import build_model_config, main
+from fuxi_alpha.config import resolve_config
 
 
 def _fast_overrides(outdir, **extra):
@@ -72,7 +73,35 @@ def test_ingest_writes_manifest(tmp_path):
     assert manifest["stats"]["users"] == 30
     assert manifest["partitions"]["test"] == 30
     assert (out / "resolved_config.json").exists()
-    assert (out / "run_manifest.json").exists()
+    run = json.loads((out / "run_manifest.json").read_text())
+    assert run["blas_threads"] is None or run["blas_threads"] >= 1
+
+
+@pytest.mark.parametrize("text", ["5", "[1]", '"model"', "null"])
+def test_config_file_must_hold_an_object(tmp_path, capsys, text):
+    conf = tmp_path / "conf.json"
+    conf.write_text(text)
+    assert main(["ingest", "--config", str(conf), "--set", f"output.directory={tmp_path / 'run'}"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    message = f"top level: expected a section, got {type(json.loads(text)).__name__}"
+    assert json.loads(line) == {"error": "config", "message": message}
+
+
+def test_default_config_trains(tmp_path):
+    assert main(["train", "--set", "train.epochs=1", "--set", f"output.directory={tmp_path}"]) == 0
+    assert (tmp_path / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("section", ["data.synthetic", "bench"])
+def test_default_catalogues_fit_the_default_negatives(section):
+    cfg = resolve_config({})
+    node = cfg
+    for part in section.split("."):
+        node = node[part]
+    model = build_model_config(cfg, vocab=node["items"] + 1)
+    assert model.negatives <= model.vocab - 2
 
 
 def test_train_then_eval_produces_artifacts(tmp_path):
@@ -174,6 +203,9 @@ ERROR_CASES = [
     ("unknown_bench_variant", "bench", {"bench.variants": '["mystery"]'}, None, 2, "config"),
     ("zero_width", "train", {"model.d": 0}, None, 2, "config"),
     ("negative_lr", "train", {"train.lr": -1}, None, 2, "config"),
+    ("nan_lr", "train", {"train.lr": "NaN"}, None, 2, "config"),
+    ("negatives_exceed_catalogue", "train", {"model.negatives": 64}, None, 2, "config"),
+    ("list_element_type", "eval", {"eval.ks": '["x"]'}, None, 2, "config"),
     ("vocab_mismatch", "eval", {"data.synthetic.items": 12}, _unchanged, 3, "data"),
     ("header_missing_key", "eval", {}, lambda header: header.pop("extra"), 3, "data"),
     ("header_unknown_config_field", "eval", {}, lambda header: header["config"].update(width=4), 3, "data"),

@@ -60,3 +60,23 @@ def test_float_accepts_int_in_document():
 def test_list_element_type_checked():
     with pytest.raises(ConfigError):
         resolve_config({"eval": {"ks": [10, "fifty"]}})
+
+
+def test_override_errors_match_document_errors():
+    for override, document in [
+        ("model.layers=x", {"model": {"layers": "x"}}),
+        ('eval.ks=["x"]', {"eval": {"ks": ["x"]}}),
+        ("model.width=4", {"model": {"width": 4}}),
+    ]:
+        with pytest.raises(ConfigError) as from_override:
+            resolve_config({}, overrides=[override])
+        with pytest.raises(ConfigError) as from_document:
+            resolve_config(document)
+        assert from_override.value.problems == from_document.value.problems
+
+
+@pytest.mark.parametrize("override", ["train.lr=nan", "train.lr=inf", "model.d=1_000"])
+def test_override_numbers_are_json(override):
+    key = override.split("=")[0]
+    with pytest.raises(ConfigError, match=f"{key}: expected"):
+        resolve_config({}, overrides=[override])

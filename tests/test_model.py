@@ -24,9 +24,15 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         ModelConfig(vocab=1)
     with pytest.raises(ValueError):
-        ModelConfig(vocab=10, n_buckets=1)
+        ModelConfig(vocab=10, n_buckets=1, negatives=4)
     with pytest.raises(ValueError):
         ModelConfig(vocab=10, negatives=0)
+    ModelConfig(vocab=10, negatives=8)  # every item but the target
+    with pytest.raises(ValueError, match="negatives=9"):
+        ModelConfig(vocab=10, negatives=9)
+    for name in ("time_bucket_base", "rms_eps"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelConfig(vocab=10, negatives=4, **{name: math.nan})
 
 
 def test_batch_invariants_enforced():

@@ -22,6 +22,10 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    for name in ("lr", "weight_decay", "beta1", "beta2", "adam_eps"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TrainConfig(**{name: value})
 
 
 def test_zero_epochs_returns_initialization_bitwise():
