@@ -25,15 +25,14 @@ from .bench import _openblas_thread_setters, scaling_probe, tps_benchmark
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, resolve_config
 from .data import (
+    GAP_RULES,
     DataError,
     SyntheticSpec,
     build_sequences,
     parse_interactions,
-    shifted_two_class_gap_rule,
     split_leave_last,
     split_manifest,
     synthesize_dataset,
-    two_class_gap_rule,
     uniform_gap_rule,
 )
 from .evaluate import evaluate, metrics_records, write_metrics_csv
@@ -56,17 +55,9 @@ def load_split(cfg: dict):
     data = cfg["data"]
     if data["format"] == "synthetic":
         syn = data["synthetic"]
-        items = syn["items"]
-        rules = {
-            "uniform": lambda: uniform_gap_rule(items),
-            "two_class": lambda: two_class_gap_rule(items, prob=syn["prob"]),
-            "shifted_two_class": lambda: shifted_two_class_gap_rule(items, prob=syn["prob"]),
-        }
-        if syn["rule"] not in rules:
-            raise ConfigError([f"data.synthetic.rule: unknown rule {syn['rule']!r}"])
         spec = SyntheticSpec(
-            users=syn["users"], items=items, length=syn["length"], seed=syn["seed"],
-            gap_rule=rules[syn["rule"]](),
+            users=syn["users"], items=syn["items"], length=syn["length"], seed=syn["seed"],
+            gap_rule=GAP_RULES[syn["rule"]](syn["items"], syn["prob"]),
         )
         events = synthesize_dataset(spec)
         remap = None

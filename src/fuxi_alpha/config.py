@@ -2,10 +2,10 @@
 
 The model and train sections are the fields of `ModelConfig` and
 `TrainConfig` with their defaults. Overrides are written into the document
-before it is checked, so both go through one validator: unknown keys and
-variant kinds are rejected (all offenders reported at once) and missing keys
-take the defaults. The fully resolved config is echoed into the output
-directory by the CLI for provenance.
+before it is checked, so both go through one validator: unknown keys, wrong
+types and string values outside `CHOICES` are rejected (all offenders
+reported at once) and missing keys take the defaults. The fully resolved
+config is echoed into the output directory by the CLI for provenance.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 from dataclasses import fields
 from typing import Any, Sequence
 
+from .data import FORMATS, GAP_RULES
 from .model import VARIANT_KINDS, ModelConfig
 from .train import TrainConfig
 
@@ -26,14 +27,14 @@ def _field_defaults(cls, skip: Sequence[str] = ()) -> dict[str, Any]:
 DEFAULTS: dict[str, dict[str, Any]] = {
     "data": {
         "path": "",
-        "format": "synthetic",   # movielens_dat | csv | synthetic
+        "format": "synthetic",
         "n": 50,                 # maximum sequence length
         "synthetic": {
             "users": 120,
             "items": 256,
             "length": 30,
             "seed": 7,
-            "rule": "shifted_two_class",  # uniform | two_class | shifted_two_class
+            "rule": "shifted_two_class",
             "prob": 0.9,
         },
     },
@@ -42,7 +43,7 @@ DEFAULTS: dict[str, dict[str, Any]] = {
     "train": _field_defaults(TrainConfig),
     "eval": {
         "ks": [10, 50],
-        "partition": "test",  # test | validation
+        "partition": "test",
     },
     "bench": {
         "seq_lengths": [200, 400, 600, 800],
@@ -54,6 +55,16 @@ DEFAULTS: dict[str, dict[str, Any]] = {
     "output": {
         "directory": "runs/latest",
     },
+}
+
+
+# the values a string key, or each element of a list of strings, may take
+CHOICES: dict[str, tuple[str, ...]] = {
+    "data.format": ("synthetic", *FORMATS),
+    "data.synthetic.rule": tuple(GAP_RULES),
+    "model.variant": VARIANT_KINDS,
+    "eval.partition": ("test", "validation"),
+    "bench.variants": VARIANT_KINDS,
 }
 
 
@@ -153,13 +164,14 @@ def resolve_config(document: Any, overrides: Sequence[str] = ()) -> dict:
         for spec in overrides:
             _write_override(document, spec, problems)
     resolved = _check_value("", document, DEFAULTS, problems)
-    kinds = [("model.variant", resolved["model"]["variant"])]
-    kinds += [(f"bench.variants[{i}]", kind) for i, kind in enumerate(resolved["bench"]["variants"])]
-    problems += [
-        f"{path}: unknown variant kind {kind!r}; expected one of {list(VARIANT_KINDS)}"
-        for path, kind in kinds
-        if kind not in VARIANT_KINDS
-    ]
+    for key, allowed in CHOICES.items():
+        value: Any = resolved
+        for part in key.split("."):
+            value = value[part]
+        named = [(f"{key}[{i}]", v) for i, v in enumerate(value)] if isinstance(value, list) else [(key, value)]
+        problems += [
+            f"{path}: unknown value {v!r}; expected one of {list(allowed)}" for path, v in named if v not in allowed
+        ]
     if problems:
         raise ConfigError(problems)
     return resolved

@@ -267,6 +267,14 @@ def shifted_two_class_gap_rule(
     return GapRule(gap_ranges=[short, long], next_dist=dist)
 
 
+# data.synthetic.rule name -> rule for a catalogue of `items` with the rule's probability
+GAP_RULES: dict[str, Callable[[int, float], GapRule]] = {
+    "uniform": lambda items, prob: uniform_gap_rule(items),
+    "two_class": lambda items, prob: two_class_gap_rule(items, prob=prob),
+    "shifted_two_class": lambda items, prob: shifted_two_class_gap_rule(items, prob=prob),
+}
+
+
 @dataclass
 class SyntheticSpec:
     users: int

@@ -298,9 +298,8 @@ def relative_time_bucket(delta_t: float, cfg: ModelConfig) -> int:
 class AttnContext:
     """Batch-level constants shared by every layer's attention."""
 
-    mask: Tensor          # [B, n, n] 0/1 float; 1 where j <= i and j is a valid position
-    allowed: np.ndarray   # same predicate as bool, for softmax-style masking
-    bucket_idx: np.ndarray  # [B, n, n] time bucket of t_i - t_j (clipped at 0)
+    allowed: np.ndarray     # [B, n, n] bool; True where j <= i and j is a valid position
+    bucket_idx: np.ndarray  # [B, n, n] time bucket of t_i - t_j (clipped at 0), narrowest unsigned dtype
     rel_idx: np.ndarray     # [n, n] index distance i - j (clipped at 0)
 
 
@@ -309,15 +308,14 @@ def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
     pos = np.arange(n)
     tri = pos[:, None] >= pos[None, :]
     col_valid = pos[None, None, :] < batch.valid_len[:, None, None]
-    allowed = tri[None, :, :] & col_valid
-    delta = batch.timestamps[:, :, None] - batch.timestamps[:, None, :]
-    bucket_idx = bucket_indices(np.maximum(delta, 0), cfg)
-    rel_idx = np.maximum(pos[:, None] - pos[None, :], 0)
+    # one row at a time, so bucketing's float and int64 temporaries are [n, n]
+    bucket_idx = np.empty((b, n, n), dtype=np.min_scalar_type(cfg.n_buckets - 1))
+    for row, ts in enumerate(batch.timestamps):
+        bucket_idx[row] = bucket_indices(np.maximum(ts[:, None] - ts[None, :], 0), cfg)
     return AttnContext(
-        mask=Tensor(allowed.astype(np.float64)),
-        allowed=allowed,
+        allowed=tri[None, :, :] & col_valid,
         bucket_idx=bucket_idx,
-        rel_idx=rel_idx,
+        rel_idx=np.maximum(pos[:, None] - pos[None, :], 0),
     )
 
 
@@ -339,61 +337,29 @@ def embed_sequence(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) 
     return T.mul(T.add(e, p), Tensor(valid[:, :, None]))
 
 
-def _per_head(t: Tensor, h: int, d_h: int, heads: int) -> Tensor:
-    if heads == 1:
-        return t
-    return T.slice_last(t, h * d_h, (h + 1) * d_h)
-
-
-def _cat(parts: Sequence[Tensor]) -> Tensor:
-    return parts[0] if len(parts) == 1 else T.concat(list(parts), axis=-1)
-
-
 def channel_outputs(
     xt: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool
-) -> list[Tensor]:
-    """Attention outputs of the normalized input xt, heads concatenated per channel.
+) -> Tensor:
+    """Attention output of the normalized input xt, heads concatenated per channel.
 
     Each head scores (1/n)·SiLU(q·kᵀ) and reads the learned position (beta) and
     time-bucket (alpha) biases. AMS (summed=False) masks the semantic,
-    positional and temporal weights and applies each to V, giving three
-    channels; HSTU (summed=True) adds them before masking, giving one.
+    positional and temporal weights and applies each to V, giving the three
+    channels [semantic | positional | temporal]; HSTU (summed=True) adds them
+    before masking, giving one.
     """
     q = T.silu(T.matmul(xt, layer.w_q))
     k = T.silu(T.matmul(xt, layer.w_k))
     v = T.silu(T.matmul(xt, layer.w_v))
-    heads = []
-    for h in range(cfg.heads):
-        qh = _per_head(q, h, cfg.d_h, cfg.heads)
-        kh = _per_head(k, h, cfg.d_h, cfg.heads)
-        vh = _per_head(v, h, cfg.d_h, cfg.heads)
-        heads.append([T.matmul(w, vh) for w in _head_weights(qh, kh, h, ctx, layer, cfg, summed)])
-    return [_cat(channel) for channel in zip(*heads)]
-
-
-def _head_weights(
-    qh: Tensor, kh: Tensor, h: int, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool
-) -> list[Tensor]:
-    """Head h's masked attention weights: the three AMS channels, or their HSTU sum.
-
-    Only the returned weights outlive the call, so without a tape the unmasked
-    [B, n, n] scores are freed before the value matmuls.
-    """
-    sem = T.scale(T.silu(T.matmul(qh, T.swap_last(kh))), 1.0 / cfg.n)
-    if summed:
-        biased = T.add(T.add(sem, T.take(layer.alpha[h], ctx.bucket_idx)), T.take(layer.beta[h], ctx.rel_idx))
-        return [T.mul(biased, ctx.mask)]
-    return [
-        T.mul(sem, ctx.mask),
-        T.mul(T.take(layer.beta[h], ctx.rel_idx), ctx.mask),
-        T.mul(T.take(layer.alpha[h], ctx.bucket_idx), ctx.mask),
-    ]
+    return T.silu_attention(
+        q, k, v, layer.alpha, layer.beta, ctx.allowed, ctx.bucket_idx, ctx.rel_idx, 1.0 / cfg.n, summed
+    )
 
 
 def _gated_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool) -> Tensor:
     xt = T.rms_norm(x, layer.attn_gain, cfg.rms_eps)
     gate = T.silu(T.matmul(xt, layer.w_u))
-    stacked = _cat(channel_outputs(xt, ctx, layer, cfg, summed))
+    stacked = channel_outputs(xt, ctx, layer, cfg, summed)
     return T.mul(T.rms_norm(stacked, None, cfg.rms_eps), gate)
 
 
@@ -413,15 +379,7 @@ def softmax_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: Mode
     q = T.matmul(xt, layer.w_q)
     k = T.matmul(xt, layer.w_k)
     v = T.matmul(xt, layer.w_v)
-    outs = []
-    inv_sqrt = 1.0 / np.sqrt(cfg.d_h)
-    for h in range(cfg.heads):
-        qh = _per_head(q, h, cfg.d_h, cfg.heads)
-        kh = _per_head(k, h, cfg.d_h, cfg.heads)
-        vh = _per_head(v, h, cfg.d_h, cfg.heads)
-        scores = T.scale(T.matmul(qh, T.swap_last(kh)), inv_sqrt)
-        outs.append(T.matmul(T.masked_softmax(scores, ctx.allowed), vh))
-    return _cat(outs)
+    return T.masked_softmax_attention(q, k, v, ctx.allowed, cfg.heads)
 
 
 def stage_one(h: Tensor, x_prev: Tensor, layer: BlockParams) -> Tensor:

@@ -26,6 +26,8 @@ __all__ = [
     "take",
     "take_rows",
     "rows_dot",
+    "silu_attention",
+    "masked_softmax_attention",
     "backward",
     "grad_check",
     "grad_check_params",
@@ -231,9 +233,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument never overflows
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
+    # exp of a non-positive argument never overflows; z ends as 1 / (1 + e^-x)
+    # or e^x / (1 + e^x), built in place to keep one x-sized temporary
+    z = np.abs(x)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    den = z + 1.0
+    np.copyto(z, 1.0, where=x >= 0.0)
+    z /= den
+    return z
 
 
 def silu(x: Tensor) -> Tensor:
@@ -294,26 +302,15 @@ def softmax(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def masked_softmax(x: Tensor, allowed: np.ndarray) -> Tensor:
-    """Softmax over the last axis restricted to `allowed` (boolean) entries.
-
-    Disallowed entries get probability zero; an all-disallowed row yields a
-    zero row instead of NaN.
-    """
-    neg = np.where(allowed, x.data, -np.inf)
-    m = np.max(neg, axis=-1, keepdims=True)
-    any_allowed = np.isfinite(m)
-    m = np.where(any_allowed, m, 0.0)
-    e = np.where(allowed, np.exp(neg - m), 0.0)
-    z = np.sum(e, axis=-1, keepdims=True)
-    p = np.divide(e, z, out=np.zeros_like(e), where=z > 0)
-    out = Tensor(p)
-
-    def bwd(g: np.ndarray) -> None:
-        dot = np.sum(g * p, axis=-1, keepdims=True)
-        _accumulate(x, p * (g - dot), own=True)
-
-    return _record(out, (x,), bwd)
+def _masked_softmax_rows(x: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of x restricted to `allowed`, in place in x."""
+    np.copyto(x, -np.inf, where=~allowed)
+    m = np.max(x, axis=-1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    x -= m
+    np.exp(x, out=x)  # exactly 0 where disallowed
+    z = np.sum(x, axis=-1, keepdims=True)
+    return np.divide(x, z, out=x, where=z > 0)
 
 
 def logsumexp(x: Tensor) -> Tensor:
@@ -363,17 +360,6 @@ def swap_last(x: Tensor) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(x, np.swapaxes(g, -1, -2))
-
-    return _record(out, (x,), bwd)
-
-
-def slice_last(x: Tensor, lo: int, hi: int) -> Tensor:
-    out = Tensor(x.data[..., lo:hi])
-
-    def bwd(g: np.ndarray) -> None:
-        z = np.zeros_like(x.data)
-        z[..., lo:hi] = g
-        _accumulate(x, z, own=True)
 
     return _record(out, (x,), bwd)
 
@@ -485,6 +471,168 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
     return _record(out, (x, table), bwd)
 
 
+# fused attention -------------------------------------------------------------
+#
+# Each head's attention weights are [B, n, n]. These ops build them one at a
+# time, apply them to V and free them; backward rebuilds them from q, k and
+# the biases, so nothing of size [B, n, n] stays on the tape. Head h is the
+# h-th equal slice of the last axis of q, k and v.
+
+
+def _head_slices(width: int, heads: int) -> list[slice]:
+    d_h = width // heads
+    return [slice(h * d_h, (h + 1) * d_h) for h in range(heads)]
+
+
+def _swapped_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """aᵀ·b over the last two axes."""
+    return np.matmul(np.swapaxes(a, -1, -2), b)
+
+
+def _bias_grad(bias: Tensor, idx: np.ndarray, dw: np.ndarray) -> None:
+    """Scatter a weight-map gradient dw into the bias vector it gathered through idx."""
+    if idx.ndim < dw.ndim:  # one index map shared by every sequence
+        dw = dw.sum(axis=0)
+    _accumulate(bias, np.bincount(idx.ravel(), weights=dw.ravel(), minlength=bias.shape[0]), own=True)
+
+
+def silu_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    alpha: Sequence[Tensor],
+    beta: Sequence[Tensor],
+    allowed: np.ndarray,
+    bucket_idx: np.ndarray,
+    rel_idx: np.ndarray,
+    inv_n: float,
+    summed: bool,
+) -> Tensor:
+    """Causal SiLU attention with learned time and position biases, one head per alpha.
+
+    Head h weighs value j at query i by the semantic score SiLU(q_i·k_j)·inv_n,
+    the position bias beta[h][rel_idx[i, j]] and the time bias
+    alpha[h][bucket_idx[b, i, j]], each zero where `allowed` is False.
+    summed=False applies the three to V separately and returns the channels
+    [semantic | positional | temporal]; summed=True applies their sum and
+    returns one channel. Heads are concatenated within each channel.
+    """
+    width = v.shape[-1]
+    head_cols = _head_slices(width, len(alpha))
+    out = np.empty(q.shape[:-1] + (1 if summed else 3, width))
+    for h, cols in enumerate(head_cols):
+        vh = v.data[..., cols]
+        s = np.matmul(q.data[..., cols], np.swapaxes(k.data[..., cols], -1, -2))
+        s *= _sigmoid(s)
+        s *= inv_n
+        if summed:
+            s += alpha[h].data[bucket_idx]
+            s += beta[h].data[rel_idx]
+        s *= allowed
+        out[..., 0, cols] = np.matmul(s, vh)
+        del s
+        if not summed:
+            out[..., 1, cols] = np.matmul(beta[h].data[rel_idx] * allowed, vh)
+            out[..., 2, cols] = np.matmul(alpha[h].data[bucket_idx] * allowed, vh)
+    result = Tensor(out.reshape(q.shape[:-1] + (-1,)))
+
+    def bwd(g: np.ndarray) -> None:
+        g = g.reshape(out.shape)
+        dq, dk, dv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+        for h, cols in enumerate(head_cols):
+            qh, kh, vh = q.data[..., cols], k.data[..., cols], v.data[..., cols]
+            g_sem, *g_bias = (g[..., c, cols] for c in range(out.shape[-2]))
+            a, b = alpha[h], beta[h]
+
+            def weight_grad(gw: np.ndarray) -> np.ndarray:
+                """Gradient of a masked weight map whose output's gradient is gw."""
+                dw = np.matmul(gw, np.swapaxes(vh, -1, -2))
+                dw *= allowed
+                return dw
+
+            dv_h = np.zeros(vh.shape)
+            if not summed:  # temporal, positional, then semantic, as a tape replay would
+                g_pos, g_tmp = g_bias
+                dv_h += _swapped_matmul(a.data[bucket_idx] * allowed, g_tmp)
+                dv_h += _swapped_matmul(b.data[rel_idx] * allowed, g_pos)
+                if a.requires_grad:
+                    _bias_grad(a, bucket_idx, weight_grad(g_tmp))
+                if b.requires_grad:
+                    _bias_grad(b, rel_idx, weight_grad(g_pos))
+            s = np.matmul(qh, np.swapaxes(kh, -1, -2))
+            sig = _sigmoid(s)
+            w = s * sig
+            w *= inv_n
+            if summed:
+                w += a.data[bucket_idx]
+                w += b.data[rel_idx]
+            w *= allowed
+            dv_h += _swapped_matmul(w, g_sem)
+            dv[..., cols] = dv_h
+            # w becomes SiLU'(s) = sigmoid(s)·(1 + s·(1 - sigmoid(s)))
+            np.subtract(1.0, sig, out=w)
+            w *= s
+            w += 1.0
+            w *= sig
+            del s, sig
+            ds = weight_grad(g_sem)
+            if summed:
+                if a.requires_grad:
+                    _bias_grad(a, bucket_idx, ds)
+                if b.requires_grad:
+                    _bias_grad(b, rel_idx, ds)
+            ds *= inv_n
+            ds *= w
+            del w
+            dq[..., cols] = np.matmul(ds, kh)
+            dk[..., cols] = _swapped_matmul(ds, qh)
+        _accumulate(q, dq, own=True)
+        _accumulate(k, dk, own=True)
+        _accumulate(v, dv, own=True)
+
+    return _record(result, (q, k, v, *alpha, *beta), bwd)
+
+
+def masked_softmax_attention(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray, heads: int) -> Tensor:
+    """Multi-head scaled dot-product softmax attention restricted to `allowed`.
+
+    Head h's weights are the softmax of q_h·k_hᵀ / sqrt(d_h) over the allowed
+    entries of each row, zero elsewhere and in a row with none allowed; its
+    output is those weights times v_h, and the heads are concatenated.
+    """
+    head_cols = _head_slices(v.shape[-1], heads)
+    inv_sqrt = 1.0 / np.sqrt(v.shape[-1] // heads)
+
+    def weights(cols: slice) -> np.ndarray:
+        s = np.matmul(q.data[..., cols], np.swapaxes(k.data[..., cols], -1, -2))
+        s *= inv_sqrt
+        return _masked_softmax_rows(s, allowed)
+
+    out = np.empty(q.shape[:-1] + v.shape[-1:])
+    for cols in head_cols:
+        out[..., cols] = np.matmul(weights(cols), v.data[..., cols])
+    result = Tensor(out)
+
+    def bwd(g: np.ndarray) -> None:
+        dq, dk, dv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+        for cols in head_cols:
+            gh = g[..., cols]
+            p = weights(cols)
+            dv[..., cols] = _swapped_matmul(p, gh)
+            ds = np.matmul(gh, np.swapaxes(v.data[..., cols], -1, -2))
+            ds -= np.sum(ds * p, axis=-1, keepdims=True)
+            ds *= p
+            ds *= inv_sqrt
+            del p
+            dq[..., cols] = np.matmul(ds, k.data[..., cols])
+            dk[..., cols] = _swapped_matmul(ds, q.data[..., cols])
+        _accumulate(q, dq, own=True)
+        _accumulate(k, dk, own=True)
+        _accumulate(v, dv, own=True)
+
+    return _record(result, (q, k, v), bwd)
+
+
 # reverse pass ---------------------------------------------------------------
 
 
@@ -492,6 +640,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Populate grads of every requires_grad leaf reachable from loss.
 
     loss must be a scalar recorded on `tape`; a tape can be consumed once.
+    Gradients of intermediate results are not kept.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -501,10 +650,14 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise RuntimeError("backward: loss was not produced on this tape")
     tape._consumed = True
     loss.grad = np.ones_like(loss.data)
-    for out, bwd in reversed(tape._nodes):
-        if out.grad is not None:
-            bwd(out.grad)
-    tape._nodes.clear()
+    nodes = tape._nodes
+    while nodes:
+        # Each node is dropped once replayed, and its output's gradient once
+        # passed on, so the arrays they hold are freed as the pass proceeds.
+        out, bwd = nodes.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            bwd(g)
 
 
 # gradient checking ----------------------------------------------------------

@@ -122,9 +122,9 @@ def test_hstu_reduces_to_semantic_channel_when_biases_zero():
     x = Tensor(np.random.default_rng(0).normal(size=(2, cfg.n, cfg.d)))
     ctx = M.build_attn_context(batch, cfg)
     xt = T.rms_norm(x, hstu.blocks[0].attn_gain, cfg.rms_eps)
-    (hstu_out,) = M.channel_outputs(xt, ctx, hstu.blocks[0], cfg, summed=True)
-    sem, _, _ = M.channel_outputs(xt, ctx, full.blocks[0], cfg, summed=False)
-    np.testing.assert_array_equal(hstu_out.data, sem.data)
+    hstu_out = M.channel_outputs(xt, ctx, hstu.blocks[0], cfg, summed=True).data
+    sem, _, _ = np.split(M.channel_outputs(xt, ctx, full.blocks[0], cfg, summed=False).data, 3, axis=-1)
+    np.testing.assert_array_equal(hstu_out, sem)
 
 
 def test_hstu_zero_input_gives_zero_output_before_residual():

@@ -206,6 +206,9 @@ ERROR_CASES = [
     ("nan_lr", "train", {"train.lr": "NaN"}, None, 2, "config"),
     ("negatives_exceed_catalogue", "train", {"model.negatives": 64}, None, 2, "config"),
     ("list_element_type", "eval", {"eval.ks": '["x"]'}, None, 2, "config"),
+    ("unknown_partition", "eval", {"eval.partition": "tset"}, _unchanged, 2, "config"),
+    ("unknown_format", "ingest", {"data.format": "xml"}, None, 2, "config"),
+    ("unknown_rule", "ingest", {"data.synthetic.rule": "zigzag"}, None, 2, "config"),
     ("vocab_mismatch", "eval", {"data.synthetic.items": 12}, _unchanged, 3, "data"),
     ("header_missing_key", "eval", {}, lambda header: header.pop("extra"), 3, "data"),
     ("header_unknown_config_field", "eval", {}, lambda header: header["config"].update(width=4), 3, "data"),

@@ -146,7 +146,8 @@ def _ams(x, batch, layer, cfg):
 
 def _ams_channels(x, batch, layer, cfg):
     xt = T.rms_norm(x, layer.attn_gain, cfg.rms_eps)
-    return M.channel_outputs(xt, M.build_attn_context(batch, cfg), layer, cfg, summed=False)
+    out = M.channel_outputs(xt, M.build_attn_context(batch, cfg), layer, cfg, summed=False)
+    return np.split(out.data, 3, axis=-1)
 
 
 def test_ams_zero_input_gives_zero_output():
@@ -366,13 +367,13 @@ def test_channel_separation():
 
     base = random_params(cfg, seed=8)
     x = M.embed_sequence(batch, base, cfg)
-    sem0, pos0, tmp0 = (t.data for t in _ams_channels(x, batch, base.blocks[0], cfg))
+    sem0, pos0, tmp0 = _ams_channels(x, batch, base.blocks[0], cfg)
 
     # zeroing the temporal/positional biases must not touch the semantic channel
     zeroed = random_params(cfg, seed=8)
     zeroed.blocks[0].alpha[0].data[:] = 0.0
     zeroed.blocks[0].beta[0].data[:] = 0.0
-    sem1, pos1, tmp1 = (t.data for t in _ams_channels(x, batch, zeroed.blocks[0], cfg))
+    sem1, pos1, tmp1 = _ams_channels(x, batch, zeroed.blocks[0], cfg)
     np.testing.assert_array_equal(sem0, sem1)
     np.testing.assert_array_equal(pos1, np.zeros_like(pos1))
     np.testing.assert_array_equal(tmp1, np.zeros_like(tmp1))
@@ -381,7 +382,7 @@ def test_channel_separation():
     blind = random_params(cfg, seed=8)
     blind.blocks[0].w_q.data[:] = 0.0
     blind.blocks[0].w_k.data[:] = 0.0
-    _, pos2, tmp2 = (t.data for t in _ams_channels(x, batch, blind.blocks[0], cfg))
+    _, pos2, tmp2 = _ams_channels(x, batch, blind.blocks[0], cfg)
     np.testing.assert_array_equal(pos0, pos2)
     np.testing.assert_array_equal(tmp0, tmp2)
 
@@ -402,7 +403,7 @@ def test_semantic_scale_factor_is_configured_length():
         )
         x = M.embed_sequence(batch, params, cfg)
         sem, _, _ = _ams_channels(x, batch, params.blocks[0], cfg)
-        out[n] = sem.data[0, 0]
+        out[n] = sem[0, 0]
     np.testing.assert_array_equal(out[2] * 2.0, out[4] * 4.0)
 
 
