@@ -160,19 +160,17 @@ def _fixed_batch(cfg: ModelConfig, batch_size: int, seed: int) -> SequenceBatch:
     return SequenceBatch(items, ts, np.full(batch_size, cfg.n))
 
 
-def _step_time(params, cfg, batch, rng, repeats: int) -> float:
-    targets = next_item_targets(batch)
-    times = []
-    for _ in range(repeats + 1):
-        negs = next_item_negatives(targets, cfg, rng)
-        start = time.perf_counter()
-        with Tape() as tape:
-            loss = sampled_loss(forward_hidden(batch, params, cfg), params.item_emb, targets, negs)
-        backward(loss, tape)
-        times.append(time.perf_counter() - start)
-        for t in params.tensors():
-            t.grad = None
-    return float(np.median(times[1:]))  # first measurement doubles as warm-up
+def _step_seconds(params, cfg, batch, targets, rng) -> float:
+    """Wall time of one forward + backward step; negative sampling stays untimed."""
+    negs = next_item_negatives(targets, cfg, rng)
+    start = time.perf_counter()
+    with Tape() as tape:
+        loss = sampled_loss(forward_hidden(batch, params, cfg), params.item_emb, targets, negs)
+    backward(loss, tape)
+    elapsed = time.perf_counter() - start
+    for t in params.tensors():
+        t.grad = None
+    return elapsed
 
 
 def _linear_fit_r2(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -201,17 +199,31 @@ def scaling_probe(
         raise ValueError(f"scaling_probe: unknown axis {axis!r}")
     if list(values) != sorted(values):
         raise ValueError("scaling_probe: values must be ascending")
-    rows = []
+    if axis == "layers":
+        configs = [replace(cfg_template, layers=int(v)) for v in values]
+    else:
+        configs = [replace(cfg_template, d=int(v), d_h=int(v), d_ffn=2 * int(v)) for v in values]
+    probes = []
+    for cfg in configs:
+        batch = _fixed_batch(cfg, batch_size, seed)
+        probes.append((init_params(cfg, "full", seed), cfg, batch, next_item_targets(batch), np.random.default_rng(seed)))
+    times = np.empty((repeats, len(probes)))
     with single_blas_thread():
-        for v in values:
-            if axis == "layers":
-                cfg = replace(cfg_template, layers=int(v))
-            else:
-                cfg = replace(cfg_template, d=int(v), d_h=int(v), d_ffn=2 * int(v))
-            params = init_params(cfg, "full", seed)
-            batch = _fixed_batch(cfg, batch_size, seed)
-            rng = np.random.default_rng(seed)
-            rows.append(ProbeRow(value=int(v), param_count=param_count(cfg), step_time=_step_time(params, cfg, batch, rng, repeats)))
+        # Untimed: a step at the largest value first grows the allocator to its
+        # footprint, as in tps_benchmark, so a smaller value is not timed
+        # page-fault free while a larger one faults; then one step of each.
+        _step_seconds(*probes[-1])
+        for probe in probes:
+            _step_seconds(*probe)
+        # Round-robin over the values, so a slow stretch of a shared machine
+        # lands on every value instead of on one.
+        for r in range(repeats):
+            for i, probe in enumerate(probes):
+                times[r, i] = _step_seconds(*probe)
+    rows = [
+        ProbeRow(value=int(v), param_count=param_count(cfg), step_time=float(t))
+        for v, cfg, t in zip(values, configs, np.median(times, axis=0))
+    ]
     xs = np.array([r.value for r in rows], dtype=float)
     ys = np.array([r.step_time for r in rows])
     return ProbeResult(axis=axis, rows=rows, r_squared=_linear_fit_r2(xs, ys))

@@ -63,19 +63,26 @@ def evaluate(
     """Rank each instance's ground-truth target against the full catalog.
 
     The padding item is always excluded; additional ids may be excluded as
-    long as no instance's target is among them.
+    long as no instance's target is among them. Each batch is padded to its
+    longest history (at most n), and only the last position of each history
+    is computed in the last block.
     """
     if not instances:
         raise ValueError("evaluate: empty partition")
+    if batch_size < 1:
+        raise ValueError(f"evaluate: batch_size must be positive, got {batch_size}")
+    for inst in instances:
+        if len(inst.items) == 0:
+            raise ValueError(f"evaluate: user {inst.user} has an empty history")
     excluded = list(excluded)
     ranks = np.empty(len(instances), dtype=np.int64)
     for start in range(0, len(instances), batch_size):
         chunk = instances[start : start + batch_size]
         b = len(chunk)
-        batch = SequenceBatch.from_sequences([inst.items for inst in chunk], [inst.timestamps for inst in chunk], cfg.n)
+        width = min(max(len(inst.items) for inst in chunk), cfg.n)
+        batch = SequenceBatch.from_sequences([inst.items for inst in chunk], [inst.timestamps for inst in chunk], width)
         targets = np.array([inst.target for inst in chunk], dtype=np.int64)
-        hidden = forward_hidden(batch, params, cfg).data
-        last = hidden[np.arange(b), batch.valid_len - 1]
+        last = forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data[:, 0]
         logits = last @ params.item_emb.data.T
         keep = np.ones(cfg.vocab, dtype=bool)
         keep[0] = False

@@ -131,10 +131,16 @@ class SequenceBatch:
     def from_sequences(cls, items: Sequence, timestamps: Sequence, n: int) -> SequenceBatch:
         """One row per sequence: its last n events left-aligned, zero-padded to width n."""
         b = len(items)
+        if len(timestamps) != b:
+            raise ValueError(f"SequenceBatch.from_sequences: {b} item sequences but {len(timestamps)} timestamp sequences")
         rows = np.zeros((b, n), dtype=np.int64)
         ts = np.zeros((b, n), dtype=np.int64)
         lens = np.zeros(b, dtype=np.int64)
         for row, (seq_items, seq_ts) in enumerate(zip(items, timestamps)):
+            if len(seq_items) != len(seq_ts):
+                raise ValueError(
+                    f"SequenceBatch.from_sequences: sequence {row} has {len(seq_items)} items but {len(seq_ts)} timestamps"
+                )
             take = min(len(seq_items), n)
             rows[row, :take] = seq_items[-take:]
             ts[row, :take] = seq_ts[-take:]
@@ -296,11 +302,23 @@ def relative_time_bucket(delta_t: float, cfg: ModelConfig) -> int:
 
 @dataclass
 class AttnContext:
-    """Batch-level constants shared by every layer's attention."""
+    """Batch-level constants shared by every layer's attention, for query i and key j."""
 
     allowed: np.ndarray     # [B, n, n] bool; True where j <= i and j is a valid position
     bucket_idx: np.ndarray  # [B, n, n] time bucket of t_i - t_j (clipped at 0), narrowest unsigned dtype
     rel_idx: np.ndarray     # [n, n] index distance i - j (clipped at 0)
+
+    def at_rows(self, rows: np.ndarray | None) -> AttnContext:
+        """The context of query row rows[b] alone in each sequence b: every array
+        becomes [B, 1, n]. rows=None keeps every query row."""
+        if rows is None:
+            return self
+        seq = np.arange(len(rows))
+        return AttnContext(
+            allowed=self.allowed[seq, rows, None],
+            bucket_idx=self.bucket_idx[seq, rows, None],
+            rel_idx=self.rel_idx[rows, None],
+        )
 
 
 def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
@@ -337,8 +355,20 @@ def embed_sequence(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) 
     return T.mul(T.add(e, p), Tensor(valid[:, :, None]))
 
 
+def query_rows(x: Tensor, rows: np.ndarray | None) -> Tensor:
+    """Row rows[b] of each sequence b of x [B, n, d], as [B, 1, d]; rows=None keeps x."""
+    if rows is None:
+        return x
+    b, n, d = x.shape
+    return T.take_rows(T.reshape(x, (b * n, d)), (np.arange(b) * n + rows)[:, None])
+
+
+# Each attention half below reads keys and values at every position and, given
+# `rows`, computes queries (and the gate) at those rows only, returning [B, 1, ·].
+
+
 def channel_outputs(
-    xt: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool
+    xt: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool, rows: np.ndarray | None = None
 ) -> Tensor:
     """Attention output of the normalized input xt, heads concatenated per channel.
 
@@ -348,38 +378,47 @@ def channel_outputs(
     channels [semantic | positional | temporal]; HSTU (summed=True) adds them
     before masking, giving one.
     """
-    q = T.silu(T.matmul(xt, layer.w_q))
+    q = T.silu(T.matmul(query_rows(xt, rows), layer.w_q))
     k = T.silu(T.matmul(xt, layer.w_k))
     v = T.silu(T.matmul(xt, layer.w_v))
+    ctx = ctx.at_rows(rows)
     return T.silu_attention(
         q, k, v, layer.alpha, layer.beta, ctx.allowed, ctx.bucket_idx, ctx.rel_idx, 1.0 / cfg.n, summed
     )
 
 
-def _gated_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool) -> Tensor:
+def _gated_attention(
+    x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool, rows: np.ndarray | None
+) -> Tensor:
     xt = T.rms_norm(x, layer.attn_gain, cfg.rms_eps)
-    gate = T.silu(T.matmul(xt, layer.w_u))
-    stacked = channel_outputs(xt, ctx, layer, cfg, summed)
+    gate = T.silu(T.matmul(query_rows(xt, rows), layer.w_u))
+    stacked = channel_outputs(xt, ctx, layer, cfg, summed, rows)
     return T.mul(T.rms_norm(stacked, None, cfg.rms_eps), gate)
 
 
-def ams_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
+def ams_attention(
+    x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, rows: np.ndarray | None = None
+) -> Tensor:
     """Multi-channel attention: gated concat of semantic/positional/temporal channels."""
-    return _gated_attention(x, ctx, layer, cfg, summed=False)
+    return _gated_attention(x, ctx, layer, cfg, summed=False, rows=rows)
 
 
-def hstu_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
+def hstu_attention(
+    x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, rows: np.ndarray | None = None
+) -> Tensor:
     """Gated single SiLU channel whose weights add the time and position biases."""
-    return _gated_attention(x, ctx, layer, cfg, summed=True)
+    return _gated_attention(x, ctx, layer, cfg, summed=True, rows=rows)
 
 
-def softmax_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
+def softmax_attention(
+    x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, rows: np.ndarray | None = None
+) -> Tensor:
     """Pre-norm causal multi-head softmax attention; returns concatenated heads."""
     xt = T.rms_norm(x, layer.attn_gain, cfg.rms_eps)
-    q = T.matmul(xt, layer.w_q)
+    q = T.matmul(query_rows(xt, rows), layer.w_q)
     k = T.matmul(xt, layer.w_k)
     v = T.matmul(xt, layer.w_v)
-    return T.masked_softmax_attention(q, k, v, ctx.allowed, cfg.heads)
+    return T.masked_softmax_attention(q, k, v, ctx.at_rows(rows).allowed, cfg.heads)
 
 
 def stage_one(h: Tensor, x_prev: Tensor, layer: BlockParams) -> Tensor:
@@ -405,11 +444,13 @@ def relu_ffn(h: Tensor, x_prev: Tensor, layer: BlockParams, cfg: ModelConfig) ->
 ATTENTIONS = {"ams": ams_attention, "softmax": softmax_attention, "hstu": hstu_attention}
 
 
-def _block_applier(attention: str, ffn: str) -> Callable[[Tensor, AttnContext, BlockParams, ModelConfig], Tensor]:
+def _block_applier(attention: str, ffn: str) -> Callable[..., Tensor]:
     attend = ATTENTIONS[attention]
 
-    def apply(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
-        h = attend(x, ctx, layer, cfg)
+    def apply(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, rows: np.ndarray | None = None) -> Tensor:
+        """The block at every position of x, or at row rows[b] of each sequence b alone."""
+        h = attend(x, ctx, layer, cfg, rows)
+        x = query_rows(x, rows)
         # looked up by module-level name on each call, so a rebound mffn is seen
         if ffn == "mffn":
             return mffn(h, x, layer, cfg)
@@ -423,18 +464,32 @@ def _block_applier(attention: str, ffn: str) -> Callable[[Tensor, AttnContext, B
 BLOCK_APPLIERS = {kind: _block_applier(*layout) for kind, layout in VARIANTS.items()}
 
 
-def forward_hidden(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Hidden states after the embedding layer and all stacked blocks."""
+def forward_hidden(
+    batch: SequenceBatch, params: ModelParams, cfg: ModelConfig, rows: np.ndarray | None = None
+) -> Tensor:
+    """Hidden states after the embedding layer and all stacked blocks, [B, n, d].
+
+    Given rows (one position per sequence), only the hidden state at rows[b] of
+    each sequence b is returned, as [B, 1, d]: every block but the last runs at
+    all positions, the last computes its queries, gate and feed-forward at those
+    rows alone.
+    """
     try:
         apply = BLOCK_APPLIERS[params.kind]
     except KeyError:
         raise ValueError(f"unknown variant kind {params.kind!r}; expected one of {VARIANT_KINDS}") from None
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape != (batch.size,) or np.any(rows < 0) or np.any(rows >= batch.items.shape[1]):
+            raise ValueError(f"forward_hidden: rows must hold one position in [0, {batch.items.shape[1]}) per sequence")
     x = embed_sequence(batch, params, cfg)
-    if params.blocks:
-        ctx = build_attn_context(batch, cfg)
-        for blk in params.blocks:
-            x = apply(x, ctx, blk, cfg)
-    return x
+    if not params.blocks:
+        return query_rows(x, rows)
+    ctx = build_attn_context(batch, cfg)
+    *early, last = params.blocks
+    for blk in early:
+        x = apply(x, ctx, blk, cfg)
+    return apply(x, ctx, last, cfg, rows)
 
 
 def forward(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) -> Tensor:
@@ -477,8 +532,9 @@ def predict_next(
         raise ValueError("predict_next: history is empty")
     if not 1 <= k <= cfg.vocab - 1:
         raise ValueError(f"predict_next: k must lie in [1, {cfg.vocab - 1}]")
-    batch = SequenceBatch.from_sequences([items], [timestamps], cfg.n)
-    hidden = forward_hidden(batch, params, cfg).data[0, batch.valid_len[0] - 1]
+    # padding changes no hidden state, so the history is padded to its own width
+    batch = SequenceBatch.from_sequences([items], [timestamps], min(len(items), cfg.n))
+    hidden = forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data[0, 0]
     scores = params.item_emb.data[1:] @ hidden
     ids = np.arange(1, cfg.vocab)
     order = np.lexsort((ids, -scores))

@@ -473,10 +473,11 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
 
 # fused attention -------------------------------------------------------------
 #
-# Each head's attention weights are [B, n, n]. These ops build them one at a
-# time, apply them to V and free them; backward rebuilds them from q, k and
-# the biases, so nothing of size [B, n, n] stays on the tape. Head h is the
-# h-th equal slice of the last axis of q, k and v.
+# Each head's attention weights are [B, m, n] for m query rows and n keys
+# (m = n in training, m = 1 when only the ranked position is wanted). These
+# ops build them one at a time, apply them to V and free them; backward
+# rebuilds them from q, k and the biases, so nothing of size [B, n, n] stays
+# on the tape. Head h is the h-th equal slice of the last axis of q, k and v.
 
 
 def _head_slices(width: int, heads: int) -> list[slice]:

@@ -122,6 +122,12 @@ def test_evaluate_rejects_empty_and_excluded_target():
     inst = EvalInstance(1, np.array([1]), np.array([1]), target=2)
     with pytest.raises(ValueError):
         evaluate(params, [inst], ks=[10], cfg=cfg, excluded=[2])
+    empty = EvalInstance(42, np.array([], dtype=np.int64), np.array([], dtype=np.int64), target=2)
+    with pytest.raises(ValueError, match="user 42"):
+        evaluate(params, [inst, empty], ks=[10], cfg=cfg)
+    for batch_size in (0, -3):
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluate(params, [inst], ks=[10], cfg=cfg, batch_size=batch_size)
 
 
 def test_evaluate_truncates_long_contexts_to_recent_window():

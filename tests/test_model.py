@@ -42,6 +42,12 @@ def test_batch_invariants_enforced():
         SequenceBatch(np.array([[1, 2, 0]]), np.array([[5, 3, 0]]), np.array([2]))
     with pytest.raises(ValueError):  # nonzero padding timestamp
         SequenceBatch(np.array([[1, 0, 0]]), np.array([[5, 7, 0]]), np.array([1]))
+    with pytest.raises(ValueError, match="2 items but 3 timestamps"):
+        SequenceBatch.from_sequences([[3, 4]], [[10, 20, 30]], 4)
+    with pytest.raises(ValueError, match="3 items but 2 timestamps"):
+        SequenceBatch.from_sequences([[3, 4, 5]], [[10, 20]], 4)
+    with pytest.raises(ValueError, match="2 item sequences but 1 timestamp"):
+        SequenceBatch.from_sequences([[3], [4]], [[10]], 4)
 
 
 # embed_sequence ---------------------------------------------------------------
@@ -495,6 +501,8 @@ def test_predict_rejects_empty_history():
     params = random_params(cfg)
     with pytest.raises(ValueError):
         M.predict_next([], [], params, cfg, k=1)
+    with pytest.raises(ValueError, match="timestamps"):
+        M.predict_next([3, 4], [10, 20, 30], params, cfg, k=1)
 
 
 def test_predict_truncates_long_history_to_most_recent():
