@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .data import (
     DataError,
     DatasetSplit,
-    InteractionEvent,
+    InteractionLog,
     SyntheticSpec,
     batch_iterator,
     build_sequences,
@@ -36,13 +36,13 @@ from .model import (
 )
 from .poly import SimplifiedBlockSpec, SymbolicPoly, simplified_block_apply, verify_degree_bound
 from .tensor import Tape, Tensor, backward, grad_check
-from .train import TrainConfig, sample_negatives, train
+from .train import TrainConfig, train
 
 __all__ = [
     "__version__",
     "DataError",
     "DatasetSplit",
-    "InteractionEvent",
+    "InteractionLog",
     "SyntheticSpec",
     "batch_iterator",
     "build_sequences",
@@ -78,6 +78,5 @@ __all__ = [
     "backward",
     "grad_check",
     "TrainConfig",
-    "sample_negatives",
     "train",
 ]

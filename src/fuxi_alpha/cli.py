@@ -59,11 +59,10 @@ def load_split(cfg: dict):
             users=syn["users"], items=syn["items"], length=syn["length"], seed=syn["seed"],
             gap_rule=GAP_RULES[syn["rule"]](syn["items"], syn["prob"]),
         )
-        events = synthesize_dataset(spec)
-        remap = None
+        log, remap = synthesize_dataset(spec), None
     else:
-        events, remap = parse_interactions(data["path"], data["format"])
-    return split_leave_last(build_sequences(events, data["n"]), remap)
+        log, remap = parse_interactions(data["path"], data["format"])
+    return split_leave_last(build_sequences(log, data["n"]), remap)
 
 
 def _as_config_error(build, **kwargs):

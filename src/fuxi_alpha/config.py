@@ -3,9 +3,10 @@
 The model and train sections are the fields of `ModelConfig` and
 `TrainConfig` with their defaults. Overrides are written into the document
 before it is checked, so both go through one validator: unknown keys, wrong
-types and string values outside `CHOICES` are rejected (all offenders
-reported at once) and missing keys take the defaults. The fully resolved
-config is echoed into the output directory by the CLI for provenance.
+types, string values outside `CHOICES` and numbers outside `BOUNDS` are
+rejected (all offenders reported at once) and missing keys take the
+defaults. The fully resolved config is echoed into the output directory by
+the CLI for provenance.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ CHOICES: dict[str, tuple[str, ...]] = {
     "model.variant": VARIANT_KINDS,
     "eval.partition": ("test", "validation"),
     "bench.variants": VARIANT_KINDS,
+}
+
+
+# inclusive (low, high) bounds of a number, or of each element of a list of
+# numbers; None for no upper bound
+BOUNDS: dict[str, tuple[float, float | None]] = {
+    "data.n": (1, None),
+    "data.synthetic.prob": (0.0, 1.0),
+    "eval.ks": (1, None),
 }
 
 
@@ -156,6 +166,14 @@ def _write_override(document: dict, spec: str, problems: list[str]) -> None:
     node[name] = value
 
 
+def _named_values(resolved: dict, key: str) -> list[tuple[str, Any]]:
+    """(path, value) of the key's value, or of each element when it is a list."""
+    value: Any = resolved
+    for part in key.split("."):
+        value = value[part]
+    return [(f"{key}[{i}]", v) for i, v in enumerate(value)] if isinstance(value, list) else [(key, value)]
+
+
 def resolve_config(document: Any, overrides: Sequence[str] = ()) -> dict:
     """Defaults <- document <- overrides, with exhaustive validation."""
     problems: list[str] = []
@@ -165,12 +183,17 @@ def resolve_config(document: Any, overrides: Sequence[str] = ()) -> dict:
             _write_override(document, spec, problems)
     resolved = _check_value("", document, DEFAULTS, problems)
     for key, allowed in CHOICES.items():
-        value: Any = resolved
-        for part in key.split("."):
-            value = value[part]
-        named = [(f"{key}[{i}]", v) for i, v in enumerate(value)] if isinstance(value, list) else [(key, value)]
         problems += [
-            f"{path}: unknown value {v!r}; expected one of {list(allowed)}" for path, v in named if v not in allowed
+            f"{path}: unknown value {v!r}; expected one of {list(allowed)}"
+            for path, v in _named_values(resolved, key) if v not in allowed
+        ]
+    for key, (low, high) in BOUNDS.items():
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        problems += [
+            f"{path}: expected a value {span}, got {v!r}"
+            for path, v in _named_values(resolved, key)
+            # a value of the wrong type is already reported; NaN fails both comparisons
+            if isinstance(v, (int, float)) and not (v >= low and (high is None or v <= high))
         ]
     if problems:
         raise ConfigError(problems)

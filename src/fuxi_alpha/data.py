@@ -4,7 +4,7 @@ generator with planted temporal structure."""
 from __future__ import annotations
 
 import csv as _csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -19,12 +19,21 @@ class DataError(ValueError):
     """Malformed input data or an empty/degenerate dataset."""
 
 
-@dataclass(frozen=True, slots=True)
-class InteractionEvent:
-    user: int
-    item: int
-    timestamp: int
-    rating: float | None = None
+@dataclass(eq=False)
+class InteractionLog:
+    """An interaction log as three aligned int64 columns, one entry per event."""
+
+    user: np.ndarray
+    item: np.ndarray
+    timestamp: np.ndarray
+
+    def __post_init__(self):
+        self.user = np.asarray(self.user, dtype=np.int64)
+        self.item = np.asarray(self.item, dtype=np.int64)
+        self.timestamp = np.asarray(self.timestamp, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.user)
 
 
 @dataclass
@@ -32,13 +41,7 @@ class UserSequence:
     user: int
     items: np.ndarray       # int64, chronological
     timestamps: np.ndarray  # int64, non-decreasing
-    raw_length: int = 0     # interaction count before truncation
-
-    def __post_init__(self):
-        self.items = np.asarray(self.items, dtype=np.int64)
-        self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
-        if self.raw_length == 0:
-            self.raw_length = len(self.items)
+    raw_length: int         # interaction count before truncation
 
     def __len__(self) -> int:
         return len(self.items)
@@ -80,103 +83,101 @@ class DatasetSplit:
 # parsing ----------------------------------------------------------------------
 
 
-def _parse_movielens_line(line: str, ln: int) -> tuple[int, int, int, float]:
+def _parse_movielens_line(line: str, ln: int) -> tuple[int, int, int]:
     parts = line.split("::")
     if len(parts) != 4:
         raise DataError(f"line {ln}: expected 4 '::'-separated fields, got {len(parts)}")
     try:
         user, item = int(parts[0]), int(parts[1])
-        rating = float(parts[2])
+        float(parts[2])  # the rating is checked, not kept
         ts = int(parts[3])
     except ValueError as e:
         raise DataError(f"line {ln}: {e}") from None
-    return user, item, ts, rating
+    return user, item, ts
 
 
-def parse_interactions(
-    path: str | Path,
-    format: str,
-    event_filter: Callable[[InteractionEvent], bool] | None = None,
-) -> tuple[list[InteractionEvent], dict[int, int]]:
+def parse_interactions(path: str | Path, format: str) -> tuple[InteractionLog, dict[int, int]]:
     """Read an interaction log and densely remap ids; 0 stays reserved for padding.
 
-    Returns the remapped events in file order plus the original-item-id ->
-    dense-id table. `event_filter` (on raw events) supports datasets that need
-    a positive-behavior filter before sequence building.
+    The file must be UTF-8 text. Returns the remapped events in file order
+    plus the original-item-id -> dense-id table. Ratings are checked but not
+    kept.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
+    if not Path(path).is_file():
+        raise DataError(f"dataset file not found: {str(path)!r}")
     if format not in FORMATS:
         raise DataError(f"unknown format {format!r}; expected one of {FORMATS}")
 
-    raw: list[InteractionEvent] = []
-    with open(path, newline="") as fh:
-        if format == "movielens_dat":
-            for ln, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                user, item, ts, rating = _parse_movielens_line(line, ln)
-                raw.append(InteractionEvent(user, item, ts, rating))
-        else:
-            reader = _csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError("empty file")
-            cols = [c.strip().lower() for c in header]
-            if cols[:3] != ["user", "item", "timestamp"]:
-                raise DataError(f"line 1: expected header user,item,timestamp[,rating], got {header}")
-            has_rating = len(cols) > 3 and cols[3] == "rating"
-            for ln, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) < 3:
-                    raise DataError(f"line {ln}: expected at least 3 fields, got {len(row)}")
-                try:
-                    user, item, ts = int(row[0]), int(row[1]), int(row[2])
-                    rating = float(row[3]) if has_rating and len(row) > 3 and row[3] != "" else None
-                except ValueError as e:
-                    raise DataError(f"line {ln}: {e}") from None
-                raw.append(InteractionEvent(user, item, ts, rating))
+    users: list[int] = []
+    items: list[int] = []
+    stamps: list[int] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if format == "movielens_dat":
+                for ln, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    user, item, ts = _parse_movielens_line(line, ln)
+                    users.append(user)
+                    items.append(item)
+                    stamps.append(ts)
+            else:
+                reader = _csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    raise DataError("empty file")
+                cols = [c.strip().lower() for c in header]
+                if cols[:3] != ["user", "item", "timestamp"]:
+                    raise DataError(f"line 1: expected header user,item,timestamp[,rating], got {header}")
+                has_rating = len(cols) > 3 and cols[3] == "rating"
+                for ln, row in enumerate(reader, start=2):
+                    if not row:
+                        continue
+                    if len(row) < 3:
+                        raise DataError(f"line {ln}: expected at least 3 fields, got {len(row)}")
+                    try:
+                        user, item, ts = int(row[0]), int(row[1]), int(row[2])
+                        if has_rating and len(row) > 3 and row[3] != "":
+                            float(row[3])
+                    except ValueError as e:
+                        raise DataError(f"line {ln}: {e}") from None
+                    users.append(user)
+                    items.append(item)
+                    stamps.append(ts)
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path} is not UTF-8 text: {e}") from None
 
-    if event_filter is not None:
-        raw = [e for e in raw if event_filter(e)]
-    if not raw:
+    if not users:
         raise DataError(f"no events parsed from {path}")
-    if any(e.timestamp < 0 for e in raw):
+    try:
+        raw = InteractionLog(users, items, stamps)
+    except OverflowError:
+        raise DataError(f"{path}: an id or timestamp does not fit in 64 bits") from None
+    if (raw.timestamp < 0).any():
         raise DataError("negative timestamp encountered")
 
-    item_remap = {orig: i + 1 for i, orig in enumerate(sorted({e.item for e in raw}))}
-    user_remap = {orig: i + 1 for i, orig in enumerate(sorted({e.user for e in raw}))}
-    events = [
-        InteractionEvent(user_remap[e.user], item_remap[e.item], e.timestamp, e.rating)
-        for e in raw
-    ]
-    return events, item_remap
+    item_ids, item_col = np.unique(raw.item, return_inverse=True)
+    user_col = np.unique(raw.user, return_inverse=True)[1]
+    item_remap = dict(zip(item_ids.tolist(), range(1, len(item_ids) + 1)))
+    return InteractionLog(user_col + 1, item_col + 1, raw.timestamp), item_remap
 
 
 # sequence construction -----------------------------------------------------------
 
 
-def build_sequences(events: Sequence[InteractionEvent], n: int) -> list[UserSequence]:
-    """Per-user chronological sequences; ties keep file order; at most the last n kept."""
-    if not events:
+def build_sequences(log: InteractionLog, n: int) -> list[UserSequence]:
+    """Per-user chronological sequences in ascending user order; ties keep file
+    order; at most the last n events of each user are kept."""
+    if n < 1:
+        raise ValueError(f"build_sequences: n must be >= 1, got {n}")
+    if len(log) == 0:
         raise DataError("build_sequences: no events")
-    by_user: dict[int, list[tuple[int, int]]] = {}
-    for e in events:
-        by_user.setdefault(e.user, []).append((e.timestamp, e.item))
-    out = []
-    for user in sorted(by_user):
-        rows = by_user[user]
-        order = sorted(range(len(rows)), key=lambda i: rows[i][0])  # stable on ties
-        ts = np.array([rows[i][0] for i in order], dtype=np.int64)
-        items = np.array([rows[i][1] for i in order], dtype=np.int64)
-        raw_len = len(items)
-        if raw_len > n:
-            ts, items = ts[-n:], items[-n:]
-        out.append(UserSequence(user=user, items=items, timestamps=ts, raw_length=raw_len))
-    return out
+    order = np.lexsort((log.timestamp, log.user))  # a stable sort: ties keep file order
+    user, items, ts = log.user[order], log.item[order], log.timestamp[order]
+    ends = np.append(np.flatnonzero(user[1:] != user[:-1]) + 1, len(user)).tolist()
+    kept = [(s, max(s, e - n), e) for s, e in zip([0] + ends[:-1], ends)]
+    return [UserSequence(int(user[s]), items[k:e], ts[k:e], raw_length=e - s) for s, k, e in kept]
 
 
 def split_leave_last(
@@ -190,11 +191,9 @@ def split_leave_last(
     """
     train, val, test = [], [], []
     dropped = 0
-    items_seen: set[int] = set()
     interactions = 0
     for seq in sequences:
         interactions += seq.raw_length
-        items_seen.update(seq.items.tolist())
         if len(seq) < 3:
             dropped += 1
             continue
@@ -205,10 +204,10 @@ def split_leave_last(
         test.append(EvalInstance(seq.user, seq.items[:-1], seq.timestamps[:-1], int(seq.items[-1])))
     if not train:
         raise DataError("split_leave_last: no users with >= 3 interactions")
-    n_items = len(item_remap) if item_remap is not None else len(items_seen)
+    catalogue = item_remap if item_remap is not None else np.unique(np.concatenate([seq.items for seq in sequences]))
     stats = SplitStats(
         users=len(train),
-        items=n_items,
+        items=len(catalogue),
         interactions=interactions,
         mean_length=interactions / len(sequences),
         dropped_users=dropped,
@@ -284,27 +283,29 @@ class SyntheticSpec:
     gap_rule: GapRule
 
 
-def synthesize_dataset(spec: SyntheticSpec) -> list[InteractionEvent]:
-    """Deterministic event log whose next-item law follows the planted gap rule."""
+def synthesize_dataset(spec: SyntheticSpec) -> InteractionLog:
+    """Deterministic event log whose next-item law follows the planted gap rule;
+    users 1..users in order, `length` chronological events each."""
     if spec.users < 1 or spec.items < 2 or spec.length < 2:
         raise DataError("synthesize_dataset: degenerate spec (need users >= 1, items >= 2, length >= 2)")
     rng = np.random.default_rng(spec.seed)
     rule = spec.gap_rule
-    events: list[InteractionEvent] = []
-    for user in range(1, spec.users + 1):
+    items: list[int] = []
+    stamps: list[int] = []
+    for _ in range(spec.users):
         t = int(rng.integers(0, 1_000_000))
         current = int(rng.integers(1, spec.items + 1))
         prev_cls = int(rng.integers(rule.classes))
-        events.append(InteractionEvent(user, current, t))
+        items.append(current)
+        stamps.append(t)
         for _ in range(spec.length - 1):
-            probs = rule.next_dist(current, prev_cls)
-            nxt = 1 + int(rng.choice(spec.items, p=probs))
-            cls = int(rng.integers(rule.classes))
-            lo, hi = rule.gap_ranges[cls]
+            current = 1 + int(rng.choice(spec.items, p=rule.next_dist(current, prev_cls)))
+            prev_cls = int(rng.integers(rule.classes))
+            lo, hi = rule.gap_ranges[prev_cls]
             t += int(rng.integers(lo, hi + 1))
-            events.append(InteractionEvent(user, nxt, t))
-            current, prev_cls = nxt, cls
-    return events
+            items.append(current)
+            stamps.append(t)
+    return InteractionLog(np.repeat(np.arange(1, spec.users + 1), spec.length), items, stamps)
 
 
 # batching ---------------------------------------------------------------------------
@@ -330,13 +331,7 @@ def batch_iterator(
 def split_manifest(split: DatasetSplit) -> dict:
     """JSON-ready summary of a split, including the id remap table."""
     return {
-        "stats": {
-            "users": split.stats.users,
-            "items": split.stats.items,
-            "interactions": split.stats.interactions,
-            "mean_length": split.stats.mean_length,
-            "dropped_users": split.stats.dropped_users,
-        },
+        "stats": asdict(split.stats),
         "partitions": {
             "train": len(split.train),
             "validation": len(split.validation),

@@ -44,6 +44,8 @@ def compute_metrics(ranks: Sequence[int], ks: Sequence[int]) -> MetricsReport:
         raise ValueError("compute_metrics: no ranks")
     if np.any(ranks < 1):
         raise ValueError("compute_metrics: ranks must be >= 1")
+    if any(k < 1 for k in ks):
+        raise ValueError(f"compute_metrics: every k must be >= 1, got {list(ks)}")
     hr = {k: float(np.mean(ranks <= k)) for k in ks}
     ndcg = {
         k: float(np.mean(np.where(ranks <= k, 1.0 / np.log2(ranks + 1.0), 0.0))) for k in ks

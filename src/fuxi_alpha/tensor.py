@@ -20,7 +20,6 @@ __all__ = [
     "silu",
     "relu",
     "rms_norm",
-    "softmax",
     "logsumexp",
     "concat",
     "take",
@@ -286,20 +285,6 @@ def rms_norm(x: Tensor, gain: Tensor | None = None, eps: float = 1e-6) -> Tensor
 
     inputs = (x,) if gain is None else (x, gain)
     return _record(out, inputs, bwd)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Stabilized softmax over the last axis; rows sum to one."""
-    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / np.sum(e, axis=-1, keepdims=True)
-    out = Tensor(p)
-
-    def bwd(g: np.ndarray) -> None:
-        dot = np.sum(g * p, axis=-1, keepdims=True)
-        _accumulate(x, p * (g - dot), own=True)
-
-    return _record(out, (x,), bwd)
 
 
 def _masked_softmax_rows(x: np.ndarray, allowed: np.ndarray) -> np.ndarray:

@@ -87,9 +87,9 @@ def sample_negatives_batch(
     """Per-position negatives: uniform over [1, vocab) excluding the positive,
     distinct within each position's draw, independent across positions."""
     if n_neg < 1:
-        raise ValueError("sample_negatives: need at least one negative")
+        raise ValueError("sample_negatives_batch: need at least one negative")
     if n_neg > vocab - 2:
-        raise ValueError(f"sample_negatives: N={n_neg} too large for vocab {vocab} (max {vocab - 2})")
+        raise ValueError(f"sample_negatives_batch: N={n_neg} too large for vocab {vocab} (max {vocab - 2})")
     pos = np.asarray(positives, dtype=np.int64)
     flat = pos.ravel()
     rows = flat.size
@@ -119,13 +119,8 @@ def sample_negatives_batch(
             out[active] = sub
             active = active[row_bad]
         else:
-            raise RuntimeError("sample_negatives: resampling did not converge")
+            raise RuntimeError("sample_negatives_batch: resampling did not converge")
     return out.reshape(pos.shape + (n_neg,))
-
-
-def sample_negatives(positive: int, n_neg: int, vocab: int, rng: np.random.Generator) -> np.ndarray:
-    """Negatives for one position; see sample_negatives_batch."""
-    return sample_negatives_batch(np.array([positive]), n_neg, vocab, rng)[0]
 
 
 # training ----------------------------------------------------------------------

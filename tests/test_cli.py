@@ -2,12 +2,15 @@ import csv
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import pytest
 
 from fuxi_alpha.checkpoint import MAGIC
 from fuxi_alpha.cli import build_model_config, main
 from fuxi_alpha.config import resolve_config
+
+DATA = Path(__file__).parent / "data"
 
 
 def _fast_overrides(outdir, **extra):
@@ -209,6 +212,12 @@ ERROR_CASES = [
     ("unknown_partition", "eval", {"eval.partition": "tset"}, _unchanged, 2, "config"),
     ("unknown_format", "ingest", {"data.format": "xml"}, None, 2, "config"),
     ("unknown_rule", "ingest", {"data.synthetic.rule": "zigzag"}, None, 2, "config"),
+    ("nonpositive_n", "ingest", {"data.n": -3}, None, 2, "config"),
+    ("zero_k", "eval", {"eval.ks": "[0]"}, _unchanged, 2, "config"),
+    ("prob_above_one", "ingest", {"data.synthetic.prob": 1.5}, None, 2, "config"),
+    ("not_utf8", "ingest", {"data.format": "movielens_dat", "data.path": DATA / "not_utf8.dat"}, None, 3, "data"),
+    ("path_is_directory", "ingest", {"data.format": "csv", "data.path": DATA}, None, 3, "data"),
+    ("empty_path", "ingest", {"data.format": "movielens_dat"}, None, 3, "data"),
     ("vocab_mismatch", "eval", {"data.synthetic.items": 12}, _unchanged, 3, "data"),
     ("header_missing_key", "eval", {}, lambda header: header.pop("extra"), 3, "data"),
     ("header_unknown_config_field", "eval", {}, lambda header: header["config"].update(width=4), 3, "data"),

@@ -52,6 +52,8 @@ def test_metrics_reject_empty_and_bad_ranks():
         compute_metrics([], ks=[10])
     with pytest.raises(ValueError):
         compute_metrics([0, 2], ks=[10])
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        compute_metrics([1, 2], ks=[10, 0])
 
 
 def test_metrics_monotone_in_k_and_mrr_bound():

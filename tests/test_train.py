@@ -4,7 +4,7 @@ from conftest import tiny_config
 
 from fuxi_alpha.data import SyntheticSpec, build_sequences, split_leave_last, synthesize_dataset, two_class_gap_rule
 from fuxi_alpha.model import init_params
-from fuxi_alpha.train import TrainConfig, sample_negatives, sample_negatives_batch, train
+from fuxi_alpha.train import TrainConfig, sample_negatives_batch, train
 
 # chi2.isf(0.01, 97): frozen critical value for the uniformity test below
 CHI2_CRIT_DOF97_P01 = 132.30887667181258
@@ -99,8 +99,8 @@ def test_early_stopping_restores_best_params():
 def test_forced_negative_with_tiny_vocab():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        out = sample_negatives(positive=1, n_neg=1, vocab=3, rng=rng)
-        assert list(out) == [2]
+        out = sample_negatives_batch(np.array([1]), n_neg=1, vocab=3, rng=rng)
+        assert out.tolist() == [[2]]
 
 
 def test_negatives_exclude_positive_and_stay_in_range():
@@ -135,4 +135,4 @@ def test_negatives_chi_square_uniformity():
 def test_negatives_reject_oversized_n():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_negatives(positive=1, n_neg=4, vocab=5, rng=rng)
+        sample_negatives_batch(np.array([1]), n_neg=4, vocab=5, rng=rng)
