@@ -270,9 +270,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        document = json.loads(Path(args.config).read_text()) if args.config else {}
-    except FileNotFoundError:
-        _error_record("config", f"config file not found: {args.config}")
+        document = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    except (OSError, UnicodeDecodeError) as e:
+        _error_record("config", f"cannot read config file {args.config}: {e}")
         return 2
     except json.JSONDecodeError as e:
         _error_record("config", f"config file is not valid JSON: {e}")

@@ -73,8 +73,15 @@ CHOICES: dict[str, tuple[str, ...]] = {
 # numbers; None for no upper bound
 BOUNDS: dict[str, tuple[float, float | None]] = {
     "data.n": (1, None),
+    "data.synthetic.users": (1, None),
+    "data.synthetic.items": (2, None),
+    "data.synthetic.length": (2, None),
     "data.synthetic.prob": (0.0, 1.0),
     "eval.ks": (1, None),
+    "bench.seq_lengths": (2, None),
+    "bench.batch": (1, None),
+    "bench.users": (1, None),
+    "bench.items": (2, None),
 }
 
 
@@ -195,6 +202,8 @@ def resolve_config(document: Any, overrides: Sequence[str] = ()) -> dict:
             # a value of the wrong type is already reported; NaN fails both comparisons
             if isinstance(v, (int, float)) and not (v >= low and (high is None or v <= high))
         ]
+    if not resolved["bench"]["seq_lengths"]:
+        problems.append("bench.seq_lengths: expected at least one length")
     if problems:
         raise ConfigError(problems)
     return resolved

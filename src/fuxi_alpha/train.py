@@ -92,34 +92,18 @@ def sample_negatives_batch(
         raise ValueError(f"sample_negatives_batch: N={n_neg} too large for vocab {vocab} (max {vocab - 2})")
     pos = np.asarray(positives, dtype=np.int64)
     flat = pos.ravel()
-    rows = flat.size
-    if n_neg > (vocab - 2) * 0.6:
-        # dense draw: enumerate candidates and take a seeded partial shuffle
-        out = np.empty((rows, n_neg), dtype=np.int64)
-        for r in range(rows):
-            cands = np.concatenate([np.arange(1, flat[r]), np.arange(flat[r] + 1, vocab)])
-            out[r] = rng.permutation(cands)[:n_neg]
-    else:
-        out = rng.integers(1, vocab, size=(rows, n_neg))
-        active = np.arange(rows)  # rows that may still hold collisions
-        for _ in range(200):
-            sub = out[active]
-            bad = sub == flat[active, None]
-            order = np.argsort(sub, axis=1, kind="stable")
-            srt = np.take_along_axis(sub, order, axis=1)
-            dup_sorted = np.zeros_like(bad)
-            dup_sorted[:, 1:] = srt[:, 1:] == srt[:, :-1]
-            dup = np.zeros_like(bad)
-            np.put_along_axis(dup, order, dup_sorted, axis=1)
-            bad |= dup
-            row_bad = bad.any(axis=1)
-            if not row_bad.any():
-                break
-            sub[bad] = rng.integers(1, vocab, size=int(bad.sum()))
-            out[active] = sub
-            active = active[row_bad]
-        else:
-            raise RuntimeError("sample_negatives_batch: resampling did not converge")
+    # Floyd's algorithm (Bentley and Floyd, CACM 1987) over the vocab - 2
+    # candidates of every row at once: round j draws t in [0, j] and keeps it,
+    # or keeps j when t is already one of that row's picks; every N-subset is
+    # equally likely after the N rounds.
+    span = vocab - 2
+    picks = np.empty((n_neg, flat.size), dtype=np.int64)
+    for k, j in enumerate(range(span - n_neg, span)):
+        t = rng.integers(0, j + 1, size=flat.size)
+        picks[k] = np.where((picks[:k] == t).any(axis=0), j, t)
+    # candidate c is id c + 1, shifted past the row's positive
+    out = picks.T + 1
+    out += out >= flat[:, None]
     return out.reshape(pos.shape + (n_neg,))
 
 

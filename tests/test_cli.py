@@ -48,6 +48,16 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
     assert main(["ingest", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("path", [DATA, DATA / "not_utf8.dat"], ids=["directory", "not_utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, path):
+    assert main(["ingest", "--config", str(path), "--set", f"output.directory={tmp_path / 'run'}"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "config" and str(path) in record["message"]
+
+
 def test_missing_data_file_exits_3(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(
@@ -215,6 +225,14 @@ ERROR_CASES = [
     ("nonpositive_n", "ingest", {"data.n": -3}, None, 2, "config"),
     ("zero_k", "eval", {"eval.ks": "[0]"}, _unchanged, 2, "config"),
     ("prob_above_one", "ingest", {"data.synthetic.prob": 1.5}, None, 2, "config"),
+    ("zero_synthetic_users", "ingest", {"data.synthetic.users": 0}, None, 2, "config"),
+    ("one_synthetic_item", "ingest", {"data.synthetic.items": 1}, None, 2, "config"),
+    ("short_synthetic_length", "ingest", {"data.synthetic.length": 1}, None, 2, "config"),
+    ("zero_bench_users", "bench", {"bench.users": 0}, None, 2, "config"),
+    ("one_bench_item", "bench", {"bench.items": 1}, None, 2, "config"),
+    ("zero_bench_batch", "bench", {"bench.batch": 0}, None, 2, "config"),
+    ("short_bench_length", "bench", {"bench.seq_lengths": "[0]"}, None, 2, "config"),
+    ("empty_bench_lengths", "bench", {"bench.seq_lengths": "[]"}, None, 2, "config"),
     ("not_utf8", "ingest", {"data.format": "movielens_dat", "data.path": DATA / "not_utf8.dat"}, None, 3, "data"),
     ("path_is_directory", "ingest", {"data.format": "csv", "data.path": DATA}, None, 3, "data"),
     ("empty_path", "ingest", {"data.format": "movielens_dat"}, None, 3, "data"),

@@ -8,6 +8,8 @@ from fuxi_alpha.train import TrainConfig, sample_negatives_batch, train
 
 # chi2.isf(0.01, 97): frozen critical value for the uniformity test below
 CHI2_CRIT_DOF97_P01 = 132.30887667181258
+# chi2.isf(0.01, 9): the same for the joint (pair) uniformity test
+CHI2_CRIT_DOF9_P01 = 21.665994333461924
 
 
 def _toy_split(users=20, items=8, length=12, seed=0):
@@ -136,3 +138,28 @@ def test_negatives_reject_oversized_n():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         sample_negatives_batch(np.array([1]), n_neg=4, vocab=5, rng=rng)
+
+
+def test_negatives_joint_uniformity():
+    # each of the C(5, 2) = 10 pairs of the ids other than 3 in a 7-item vocab
+    rng = np.random.default_rng(4)
+    out = sample_negatives_batch(np.full(20_000, 3), 2, vocab=7, rng=rng)
+    pairs = np.sort(out, axis=1)
+    allowed = [1, 2, 4, 5, 6]
+    counts = np.array([
+        np.sum((pairs[:, 0] == a) & (pairs[:, 1] == b)) for i, a in enumerate(allowed) for b in allowed[i + 1:]
+    ])
+    assert counts.sum() == len(out)
+    expected = len(out) / counts.size
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert stat < CHI2_CRIT_DOF9_P01
+
+
+def test_negatives_take_every_candidate_at_full_width():
+    rng = np.random.default_rng(5)
+    vocab = 40
+    pos = rng.integers(1, vocab, size=5_000)
+    out = sample_negatives_batch(pos, vocab - 2, vocab=vocab, rng=rng)
+    ids = np.arange(1, vocab - 1)
+    expected = ids + (ids >= pos[:, None])
+    np.testing.assert_array_equal(np.sort(out, axis=1), expected)
