@@ -65,9 +65,11 @@ def evaluate(
     """Rank each instance's ground-truth target against the full catalog.
 
     The padding item is always excluded; additional ids may be excluded as
-    long as no instance's target is among them. Each batch is padded to its
-    longest history (at most n), and only the last position of each history
-    is computed in the last block.
+    long as no instance's target is among them. The instances are ranked in
+    chunks of batch_size in order of history length (stably), so that each
+    chunk, padded to its longest history (at most n), holds histories of
+    similar length; only the last position of each history is computed in
+    the last block. The ranks are reported in input order.
     """
     if not instances:
         raise ValueError("evaluate: empty partition")
@@ -78,8 +80,10 @@ def evaluate(
             raise ValueError(f"evaluate: user {inst.user} has an empty history")
     excluded = list(excluded)
     ranks = np.empty(len(instances), dtype=np.int64)
+    by_length = np.argsort([len(inst.items) for inst in instances], kind="stable")
     for start in range(0, len(instances), batch_size):
-        chunk = instances[start : start + batch_size]
+        picked = by_length[start : start + batch_size]
+        chunk = [instances[i] for i in picked]
         b = len(chunk)
         width = min(max(len(inst.items) for inst in chunk), cfg.n)
         batch = SequenceBatch.from_sequences([inst.items for inst in chunk], [inst.timestamps for inst in chunk], width)
@@ -94,7 +98,7 @@ def evaluate(
             raise ValueError("evaluate: an instance's target is excluded from ranking")
         tvals = logits[np.arange(b), targets]
         ge = (logits >= tvals[:, None]) & keep[None, :]
-        ranks[start : start + b] = ge.sum(axis=1)
+        ranks[picked] = ge.sum(axis=1)
     return compute_metrics(ranks, ks)
 
 

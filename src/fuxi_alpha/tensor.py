@@ -8,6 +8,7 @@ fixed evaluation order so repeated runs are bitwise identical.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -231,14 +232,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     # exp of a non-positive argument never overflows; z ends as 1 / (1 + e^-x)
-    # or e^x / (1 + e^x), built in place to keep one x-sized temporary
-    z = np.abs(x)
+    # or e^x / (1 + e^x), built in place in `out` with `scratch` as its one
+    # x-sized temporary (each allocated when not given). With z = e^-|x| <= 1,
+    # max(z, x >= 0) is the numerator: 1 where x >= 0, z elsewhere (a masked
+    # copyto gives the same bits at twice the cost of the whole function).
+    z = np.abs(x, out=out)
     np.negative(z, out=z)
     np.exp(z, out=z)
-    den = z + 1.0
-    np.copyto(z, 1.0, where=x >= 0.0)
+    den = np.add(z, 1.0, out=scratch)
+    np.maximum(z, x >= 0.0, out=z)
     z /= den
     return z
 
@@ -460,9 +464,19 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
 #
 # Each head's attention weights are [B, m, n] for m query rows and n keys
 # (m = n in training, m = 1 when only the ranked position is wanted). These
-# ops build them one at a time, apply them to V and free them; backward
-# rebuilds them from q, k and the biases, so nothing of size [B, n, n] stays
-# on the tape. Head h is the h-th equal slice of the last axis of q, k and v.
+# ops never build them whole. They walk the query rows in tiles of _TILE_ROWS
+# rows, and for each tile compute q·kᵀ, the weights, W·V and every gradient
+# over keys [0, kend) only, where kend is one past the last key that any row
+# of the tile may attend in any sequence, read from `allowed`. That one rule
+# skips the causal upper triangle, the trailing padding of the batch and the
+# keys a ranked row cannot see; a tile whose rows attend nothing is skipped and
+# its outputs and gradients stay zero. A tile's [B, t, kend] arrays are views
+# of a float64 workspace allocated once per call and reused across tiles and
+# heads. Backward rebuilds the weights from q, k and the biases, so nothing of
+# size [B, n, n] stays on the tape. Head h is the h-th equal slice of the last
+# axis of q, k and v.
+
+_TILE_ROWS = 64
 
 
 def _head_slices(width: int, heads: int) -> list[slice]:
@@ -470,16 +484,56 @@ def _head_slices(width: int, heads: int) -> list[slice]:
     return [slice(h * d_h, (h + 1) * d_h) for h in range(heads)]
 
 
+def _tiles(allowed: np.ndarray) -> list[tuple[slice, int]]:
+    """(rows, kend) for every tile of query rows that may attend some key."""
+    m, n = allowed.shape[-2:]
+    reach = allowed.reshape(-1, m, n).any(axis=0)  # row i of some sequence may attend key j
+    tiles = []
+    for r0 in range(0, m, _TILE_ROWS):
+        keys = np.flatnonzero(reach[r0 : r0 + _TILE_ROWS].any(axis=0))
+        if keys.size:
+            tiles.append((slice(r0, min(m, r0 + _TILE_ROWS)), int(keys[-1]) + 1))
+    return tiles
+
+
+def _workspace(q: Tensor, allowed: np.ndarray, slots: int) -> Callable[[int, slice, int], np.ndarray]:
+    """view(slot, rows, kend): float64 workspace slot `slot`, allocated here for
+    the largest tile, shaped as the weight map of the tile (rows, kend).
+
+    Each slot is its own array, not a slice of one block: glibc raises its
+    mmap and trim thresholds to the largest block freed, and with one block
+    the heap kept about 20 MB more at eval_serve's peak in half the runs.
+    """
+    lead = q.shape[:-2]
+    m, n = allowed.shape[-2:]
+    bufs = [np.empty(math.prod(lead) * min(m, _TILE_ROWS) * n) for _ in range(slots)]
+
+    def view(slot: int, rows: slice, kend: int) -> np.ndarray:
+        shape = lead + (rows.stop - rows.start, kend)
+        return bufs[slot][: math.prod(shape)].reshape(shape)
+
+    return view
+
+
 def _swapped_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """aᵀ·b over the last two axes."""
     return np.matmul(np.swapaxes(a, -1, -2), b)
 
 
-def _bias_grad(bias: Tensor, idx: np.ndarray, dw: np.ndarray) -> None:
-    """Scatter a weight-map gradient dw into the bias vector it gathered through idx."""
+def _gather(bias: Tensor, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """bias[idx], written to the start of the workspace view buf (idx may lack its leading axes).
+
+    The indices are in range by construction; mode="clip" lets np.take write
+    straight into buf, where the default mode would go through a buffer.
+    """
+    return np.take(bias.data, idx, out=buf.reshape(-1)[: idx.size].reshape(idx.shape), mode="clip")
+
+
+def _bias_grad(bias: Tensor, idx: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """The gradient of the bias vector that a weight map gathered through idx, given the map's gradient dw."""
     if idx.ndim < dw.ndim:  # one index map shared by every sequence
-        dw = dw.sum(axis=0)
-    _accumulate(bias, np.bincount(idx.ravel(), weights=dw.ravel(), minlength=bias.shape[0]), own=True)
+        dw = dw.sum(axis=tuple(range(dw.ndim - idx.ndim)))
+    return np.bincount(idx.ravel(), weights=dw.ravel(), minlength=bias.shape[0])
 
 
 def silu_attention(
@@ -505,73 +559,81 @@ def silu_attention(
     """
     width = v.shape[-1]
     head_cols = _head_slices(width, len(alpha))
-    out = np.empty(q.shape[:-1] + (1 if summed else 3, width))
+    out = np.zeros(q.shape[:-1] + (1 if summed else 3, width))
+    tiles = _tiles(allowed)
+    view = _workspace(q, allowed, slots=3)
     for h, cols in enumerate(head_cols):
-        vh = v.data[..., cols]
-        s = np.matmul(q.data[..., cols], np.swapaxes(k.data[..., cols], -1, -2))
-        s *= _sigmoid(s)
-        s *= inv_n
-        if summed:
-            s += alpha[h].data[bucket_idx]
-            s += beta[h].data[rel_idx]
-        s *= allowed
-        out[..., 0, cols] = np.matmul(s, vh)
-        del s
-        if not summed:
-            out[..., 1, cols] = np.matmul(beta[h].data[rel_idx] * allowed, vh)
-            out[..., 2, cols] = np.matmul(alpha[h].data[bucket_idx] * allowed, vh)
+        for rows, kend in tiles:
+            mask = allowed[..., rows, :kend]
+            bucket, rel = bucket_idx[..., rows, :kend], rel_idx[..., rows, :kend]
+            qt, kt, vt = q.data[..., rows, cols], k.data[..., :kend, cols], v.data[..., :kend, cols]
+            s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, rows, kend))
+            s *= _sigmoid(s, view(1, rows, kend), view(2, rows, kend))
+            s *= inv_n
+            if summed:
+                s += _gather(alpha[h], bucket, view(1, rows, kend))
+                s += _gather(beta[h], rel, view(1, rows, kend))
+            s *= mask
+            out[..., rows, 0, cols] = np.matmul(s, vt)
+            if not summed:
+                for c, bias, idx in ((1, beta[h], rel), (2, alpha[h], bucket)):
+                    np.multiply(_gather(bias, idx, view(1, rows, kend)), mask, out=s)
+                    out[..., rows, c, cols] = np.matmul(s, vt)
     result = Tensor(out.reshape(q.shape[:-1] + (-1,)))
 
     def bwd(g: np.ndarray) -> None:
         g = g.reshape(out.shape)
         dq, dk, dv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+        view = _workspace(q, allowed, slots=4)
         for h, cols in enumerate(head_cols):
-            qh, kh, vh = q.data[..., cols], k.data[..., cols], v.data[..., cols]
-            g_sem, *g_bias = (g[..., c, cols] for c in range(out.shape[-2]))
-            a, b = alpha[h], beta[h]
+            a, be = alpha[h], beta[h]
+            da, db = np.zeros(a.shape), np.zeros(be.shape)
+            for rows, kend in tiles:
+                mask = allowed[..., rows, :kend]
+                bucket, rel = bucket_idx[..., rows, :kend], rel_idx[..., rows, :kend]
+                qt, kt, vt = q.data[..., rows, cols], k.data[..., :kend, cols], v.data[..., :kend, cols]
+                g_sem, *g_bias = (g[..., rows, c, cols] for c in range(out.shape[-2]))
+                dv_t = dv[..., :kend, cols]
 
-            def weight_grad(gw: np.ndarray) -> np.ndarray:
-                """Gradient of a masked weight map whose output's gradient is gw."""
-                dw = np.matmul(gw, np.swapaxes(vh, -1, -2))
-                dw *= allowed
-                return dw
+                def weight_grad(gw: np.ndarray) -> np.ndarray:
+                    """Gradient of a masked weight map whose output's gradient is gw, in slot 0."""
+                    dw = np.matmul(gw, np.swapaxes(vt, -1, -2), out=view(0, rows, kend))
+                    dw *= mask
+                    return dw
 
-            dv_h = np.zeros(vh.shape)
-            if not summed:  # temporal, positional, then semantic, as a tape replay would
-                g_pos, g_tmp = g_bias
-                dv_h += _swapped_matmul(a.data[bucket_idx] * allowed, g_tmp)
-                dv_h += _swapped_matmul(b.data[rel_idx] * allowed, g_pos)
-                if a.requires_grad:
-                    _bias_grad(a, bucket_idx, weight_grad(g_tmp))
-                if b.requires_grad:
-                    _bias_grad(b, rel_idx, weight_grad(g_pos))
-            s = np.matmul(qh, np.swapaxes(kh, -1, -2))
-            sig = _sigmoid(s)
-            w = s * sig
-            w *= inv_n
-            if summed:
-                w += a.data[bucket_idx]
-                w += b.data[rel_idx]
-            w *= allowed
-            dv_h += _swapped_matmul(w, g_sem)
-            dv[..., cols] = dv_h
-            # w becomes SiLU'(s) = sigmoid(s)·(1 + s·(1 - sigmoid(s)))
-            np.subtract(1.0, sig, out=w)
-            w *= s
-            w += 1.0
-            w *= sig
-            del s, sig
-            ds = weight_grad(g_sem)
-            if summed:
-                if a.requires_grad:
-                    _bias_grad(a, bucket_idx, ds)
-                if b.requires_grad:
-                    _bias_grad(b, rel_idx, ds)
-            ds *= inv_n
-            ds *= w
-            del w
-            dq[..., cols] = np.matmul(ds, kh)
-            dk[..., cols] = _swapped_matmul(ds, qh)
+                if not summed:  # temporal, positional, then semantic, as a tape replay would
+                    g_pos, g_tmp = g_bias
+                    for bias, idx, gb, grad in ((a, bucket, g_tmp, da), (be, rel, g_pos, db)):
+                        w = np.multiply(_gather(bias, idx, view(3, rows, kend)), mask, out=view(0, rows, kend))
+                        dv_t += _swapped_matmul(w, gb)
+                        if bias.requires_grad:
+                            grad += _bias_grad(bias, idx, weight_grad(gb))
+                s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, rows, kend))
+                sig = _sigmoid(s, view(1, rows, kend), view(2, rows, kend))
+                w = np.multiply(s, sig, out=view(2, rows, kend))
+                w *= inv_n
+                if summed:
+                    w += _gather(a, bucket, view(3, rows, kend))
+                    w += _gather(be, rel, view(3, rows, kend))
+                w *= mask
+                dv_t += _swapped_matmul(w, g_sem)
+                # w becomes SiLU'(s) = sigmoid(s)·(1 + s·(1 - sigmoid(s)))
+                np.subtract(1.0, sig, out=w)
+                w *= s
+                w += 1.0
+                w *= sig
+                ds = weight_grad(g_sem)  # overwrites s
+                if summed:
+                    if a.requires_grad:
+                        da += _bias_grad(a, bucket, ds)
+                    if be.requires_grad:
+                        db += _bias_grad(be, rel, ds)
+                ds *= inv_n
+                ds *= w
+                dq[..., rows, cols] = np.matmul(ds, kt)
+                dk[..., :kend, cols] += _swapped_matmul(ds, qt)
+            _accumulate(a, da, own=True)
+            _accumulate(be, db, own=True)
         _accumulate(q, dq, own=True)
         _accumulate(k, dk, own=True)
         _accumulate(v, dv, own=True)
@@ -588,30 +650,34 @@ def masked_softmax_attention(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarra
     """
     head_cols = _head_slices(v.shape[-1], heads)
     inv_sqrt = 1.0 / np.sqrt(v.shape[-1] // heads)
+    tiles = _tiles(allowed)
 
-    def weights(cols: slice) -> np.ndarray:
-        s = np.matmul(q.data[..., cols], np.swapaxes(k.data[..., cols], -1, -2))
+    def weights(rows: slice, kend: int, cols: slice, out: np.ndarray) -> np.ndarray:
+        s = np.matmul(q.data[..., rows, cols], np.swapaxes(k.data[..., :kend, cols], -1, -2), out=out)
         s *= inv_sqrt
-        return _masked_softmax_rows(s, allowed)
+        return _masked_softmax_rows(s, allowed[..., rows, :kend])
 
-    out = np.empty(q.shape[:-1] + v.shape[-1:])
+    out = np.zeros(q.shape[:-1] + v.shape[-1:])
+    view = _workspace(q, allowed, slots=1)
     for cols in head_cols:
-        out[..., cols] = np.matmul(weights(cols), v.data[..., cols])
+        for rows, kend in tiles:
+            out[..., rows, cols] = np.matmul(weights(rows, kend, cols, view(0, rows, kend)), v.data[..., :kend, cols])
     result = Tensor(out)
 
     def bwd(g: np.ndarray) -> None:
         dq, dk, dv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+        view = _workspace(q, allowed, slots=3)
         for cols in head_cols:
-            gh = g[..., cols]
-            p = weights(cols)
-            dv[..., cols] = _swapped_matmul(p, gh)
-            ds = np.matmul(gh, np.swapaxes(v.data[..., cols], -1, -2))
-            ds -= np.sum(ds * p, axis=-1, keepdims=True)
-            ds *= p
-            ds *= inv_sqrt
-            del p
-            dq[..., cols] = np.matmul(ds, k.data[..., cols])
-            dk[..., cols] = _swapped_matmul(ds, q.data[..., cols])
+            for rows, kend in tiles:
+                gh = g[..., rows, cols]
+                p = weights(rows, kend, cols, view(0, rows, kend))
+                dv[..., :kend, cols] += _swapped_matmul(p, gh)
+                ds = np.matmul(gh, np.swapaxes(v.data[..., :kend, cols], -1, -2), out=view(1, rows, kend))
+                ds -= np.sum(np.multiply(ds, p, out=view(2, rows, kend)), axis=-1, keepdims=True)
+                ds *= p
+                ds *= inv_sqrt
+                dq[..., rows, cols] = np.matmul(ds, k.data[..., :kend, cols])
+                dk[..., :kend, cols] += _swapped_matmul(ds, q.data[..., rows, cols])
         _accumulate(q, dq, own=True)
         _accumulate(k, dk, own=True)
         _accumulate(v, dv, own=True)

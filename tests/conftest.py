@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from fuxi_alpha import tensor as T
 from fuxi_alpha.model import ModelConfig, ModelParams, SequenceBatch, init_params
+from fuxi_alpha.tensor import Tensor
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -176,3 +178,60 @@ def reference_hstu_hidden(items, ts, valid_len, params, cfg):
         normed = np.stack([_rms_row(attn[i], None, eps) for i in range(m)])
         x = (normed * gate) @ blk.w_o.data + x
     return x
+
+
+# Dense transcriptions of the fused attention ops from tape primitives: every
+# head's whole [B, m, n] weight maps, with gradients taken by the tape.
+
+
+def _exp(x: Tensor) -> Tensor:
+    out = Tensor(np.exp(x.data))
+    return T._record(out, (x,), lambda g: T._accumulate(x, g * out.data, own=True))
+
+
+def _reciprocal(x: Tensor) -> Tensor:
+    out = Tensor(1.0 / x.data)
+    return T._record(out, (x,), lambda g: T._accumulate(x, -g * out.data**2, own=True))
+
+
+def _head(x: Tensor, h: int, heads: int) -> Tensor:
+    """Head h's columns of x, as x times a 0/1 selection matrix (exact)."""
+    d_h = x.shape[-1] // heads
+    select = np.zeros((x.shape[-1], d_h))
+    select[h * d_h + np.arange(d_h), np.arange(d_h)] = 1.0
+    return T.matmul(x, Tensor(select))
+
+
+def dense_silu_attention(q, k, v, alpha, beta, allowed, bucket_idx, rel_idx, inv_n, summed):
+    """tensor.silu_attention, each head's weight maps built whole and masked."""
+    heads = len(alpha)
+    mask = Tensor(allowed.astype(np.float64))
+    channels = ([], [], [])
+    for h in range(heads):
+        qh, kh, vh = (_head(x, h, heads) for x in (q, k, v))
+        w = T.scale(T.silu(T.matmul(qh, T.swap_last(kh))), inv_n)
+        time_bias, pos_bias = T.take(alpha[h], bucket_idx), T.take(beta[h], rel_idx)
+        if summed:
+            w = T.add(T.add(w, time_bias), pos_bias)
+        channels[0].append(T.matmul(T.mul(w, mask), vh))
+        if not summed:
+            channels[1].append(T.matmul(T.mul(pos_bias, mask), vh))
+            channels[2].append(T.matmul(T.mul(time_bias, mask), vh))
+    return T.concat([out for channel in channels for out in channel], axis=-1)
+
+
+def dense_softmax_attention(q, k, v, allowed, heads):
+    """tensor.masked_softmax_attention, each head's weight map built whole."""
+    inv_sqrt = 1.0 / np.sqrt(v.shape[-1] // heads)
+    empty_rows = Tensor((~allowed.any(axis=-1, keepdims=True)).astype(np.float64))
+    outs = []
+    for h in range(heads):
+        qh, kh, vh = (_head(x, h, heads) for x in (q, k, v))
+        s = T.scale(T.matmul(qh, T.swap_last(kh)), inv_sqrt)
+        # shifted by each row's largest allowed score; -inf removes the disallowed entries
+        top = np.max(np.where(allowed, s.data, -np.inf), axis=-1, keepdims=True)
+        shift = np.where(allowed, -np.where(np.isfinite(top), top, 0.0), -np.inf)
+        e = _exp(T.add(s, Tensor(shift)))
+        total = T.add(T.tsum(e, axis=-1, keepdims=True), empty_rows)  # a row with no key gives 0 / 1
+        outs.append(T.matmul(T.mul(e, _reciprocal(total)), vh))
+    return T.concat(outs, axis=-1)

@@ -4,6 +4,7 @@ from conftest import random_params, tiny_config
 
 from fuxi_alpha.data import EvalInstance
 from fuxi_alpha.evaluate import compute_metrics, evaluate, metrics_records, rank_of_target
+from fuxi_alpha import model as M
 from fuxi_alpha.model import init_params
 
 
@@ -151,3 +152,41 @@ def test_metrics_records_layout():
     assert ("full", 4, 1, "hr", rep.hr[1]) in rows
     assert ("full", 4, 10, "ndcg", rep.ndcg[10]) in rows
     assert rows[-1][3] == "mrr"
+
+
+def _heavy_tailed_instances(cfg, count: int, seed: int) -> list[EvalInstance]:
+    """Histories of 1 to n + 3 events, most of them short, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    lengths = np.minimum(cfg.n + 3, 1 + (rng.pareto(1.0, size=count) * 2).astype(int))
+    instances = []
+    for u, length in enumerate(rng.permutation(lengths)):
+        items = rng.integers(1, cfg.vocab, size=length)
+        ts = np.cumsum(rng.integers(1, 30, size=length))
+        instances.append(EvalInstance(u, items, ts, target=int(rng.integers(1, cfg.vocab))))
+    return instances
+
+
+def test_evaluate_chunks_by_length_and_reports_ranks_in_input_order():
+    cfg = tiny_config(vocab=11, n=12, heads=2, d_h=2)
+    params = random_params(cfg, seed=13)
+    instances = _heavy_tailed_instances(cfg, 40, seed=14)
+    report = evaluate(params, instances, ks=[5], cfg=cfg, batch_size=7)
+    alone = [int(evaluate(params, [inst], ks=[5], cfg=cfg).ranks[0]) for inst in instances]
+    np.testing.assert_array_equal(report.ranks, alone)
+
+
+def test_evaluate_chunk_widths_do_not_decrease(monkeypatch):
+    cfg = tiny_config(vocab=11, n=12)
+    params = random_params(cfg, seed=15)
+    instances = _heavy_tailed_instances(cfg, 40, seed=16)
+    widths = []
+    build = M.build_attn_context
+
+    def spy(batch, cfg):
+        widths.append(batch.items.shape[1])
+        return build(batch, cfg)
+
+    monkeypatch.setattr(M, "build_attn_context", spy)
+    evaluate(params, instances, ks=[5], cfg=cfg, batch_size=6)
+    assert len(widths) == 7
+    assert widths == sorted(widths) and widths[0] < widths[-1] == cfg.n

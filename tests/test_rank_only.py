@@ -101,4 +101,4 @@ def test_evaluate_pads_each_batch_to_its_longest_history(monkeypatch):
     widths = []
     _spy(monkeypatch, M, "build_attn_context", lambda batch, cfg: widths.append(batch.items.shape))
     evaluate(params, instances, ks=[5], cfg=cfg, batch_size=2)
-    assert widths == [(2, 5), (2, 12)]
+    assert widths == [(2, 4), (2, 12)]  # chunked in order of length: [2, 4], then [5, 30]
