@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -38,7 +39,15 @@ def save_checkpoint(path: str | Path, params: ModelParams, cfg: ModelConfig, ext
         chunks.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     body = b"".join(chunks)
     digest = hashlib.sha256(body).digest()
-    Path(path).write_bytes(body + digest)
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body + digest)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)  # a crash before this rename leaves the previous file whole
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig, dict]:

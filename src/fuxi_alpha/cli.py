@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ from .data import (
 from .evaluate import evaluate, metrics_records, write_metrics_csv
 from .model import ModelConfig, SequenceBatch, forward_hidden, init_params, sampled_loss
 from .poly import generic_block_spec, verify_degree_bound
-from .train import TrainConfig, next_item_negatives, train
+from .train import TrainConfig, next_item_negatives, next_item_targets, train
 
 COMMANDS = ("ingest", "train", "eval", "ablate", "bench", "analyze", "gradcheck")
 
@@ -213,7 +214,7 @@ def cmd_gradcheck(cfg: dict, outdir: Path) -> int:
         items = np.array([[1 + seed % 6, 2, 5, 3]], dtype=np.int64)
         ts = np.array([[3, 9, 12, 40]], dtype=np.int64)
         batch = SequenceBatch(items, ts, np.array([4]))
-        targets = np.array([[2, 5, 3, 0]], dtype=np.int64)
+        targets = next_item_targets(batch)
         negs = next_item_negatives(targets, tiny, rng)
         err = T.grad_check_params(
             lambda: sampled_loss(forward_hidden(batch, params, tiny), params.item_emb, targets, negs),
@@ -287,8 +288,16 @@ def main(argv=None) -> int:
     outdir = Path(cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     lock = outdir / ".lock"
+    # the lock holds its run's pid; a lock naming an ended process (a killed run) is reclaimed
     try:
-        lock_fd = open(lock, "x")
+        os.kill(int(lock.read_text()), 0)
+    except ProcessLookupError:
+        lock.unlink(missing_ok=True)
+    except (OSError, ValueError, OverflowError):
+        pass  # no lock, a live holder, or content that is not a pid: the open below decides
+    try:
+        with open(lock, "x") as fh:
+            fh.write(str(os.getpid()))
     except FileExistsError:
         _error_record("config", f"output directory {outdir} is locked by another run")
         return 2
@@ -306,7 +315,6 @@ def main(argv=None) -> int:
         _error_record("numeric", str(e))
         return 4
     finally:
-        lock_fd.close()
         lock.unlink(missing_ok=True)
 
 

@@ -498,26 +498,23 @@ def forward(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) -> Tens
     return T.matmul(hidden, T.swap_last(params.item_emb))
 
 
-def sampled_softmax_loss(pos_scores: Tensor, neg_scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over unmasked positions of -log(exp(s+) / (exp(s+) + sum exp(s-)))."""
-    if neg_scores.shape[-1] < 1:
-        raise ValueError("sampled_softmax_loss: need at least one negative score")
-    mask = np.asarray(mask, dtype=np.float64)
-    total = mask.sum()
-    if total == 0:
-        raise ValueError("sampled_softmax_loss: all positions are masked")
-    b, n = pos_scores.shape
-    all_scores = T.concat([T.reshape(pos_scores, (b, n, 1)), neg_scores], axis=-1)
-    per_pos = T.add(T.logsumexp(all_scores), T.scale(pos_scores, -1.0))
-    return T.scale(T.mul(per_pos, Tensor(mask)).sum(), 1.0 / total)
+def sampled_softmax_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
+    """Mean over P rows of logsumexp([s+ | s-]) - s+, from the positive scores
+    [P, 1] and the negative scores [P, N]."""
+    if pos_scores.shape[0] < 1 or neg_scores.shape[-1] < 1:
+        raise ValueError(f"sampled_softmax_loss: need a position and a negative, got [P, N] = {neg_scores.shape}")
+    all_scores = T.concat([pos_scores, neg_scores], axis=-1)
+    per_pos = T.add(T.logsumexp(all_scores), T.scale(T.reshape(pos_scores, (-1,)), -1.0))
+    return T.tmean(per_pos)
 
 
 def sampled_loss(hidden: Tensor, item_emb: Tensor, targets: np.ndarray, negs: np.ndarray) -> Tensor:
-    """Sampled-softmax loss of hidden states [B, n, d] scored against the target
-    ids [B, n] and the negative ids [B, n, N]; positions with target 0 are masked."""
-    pos = T.reshape(T.rows_dot(hidden, item_emb, targets[..., None]), targets.shape)
-    neg = T.rows_dot(hidden, item_emb, negs)
-    return sampled_softmax_loss(pos, neg, targets > 0)
+    """Sampled-softmax loss at the P positions of hidden [B, n, d] whose target id
+    in targets [B, n] is non-zero, in row-major order, against their negatives [P, N]."""
+    scored = np.flatnonzero(targets > 0)
+    h = T.take_rows(T.reshape(hidden, (-1, hidden.shape[-1])), scored)
+    pos = T.rows_dot(h, item_emb, targets.reshape(-1, 1)[scored])
+    return sampled_softmax_loss(pos, T.rows_dot(h, item_emb, negs))
 
 
 def predict_next(

@@ -64,10 +64,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    @property
-    def consumed(self) -> bool:
-        return self._consumed
-
 
 _TAPE_STACK: list[Tape] = []
 
@@ -101,9 +97,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -414,29 +407,22 @@ def take_rows(table: Tensor, idx: np.ndarray) -> Tensor:
 def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
     """Score rows of x against gathered table rows without materializing the gather.
 
-    out[..., k] = x[..., :] . table[idx[..., k], :]. idx shares x's leading
-    shape plus a trailing candidate axis. Work is chunked so peak memory
-    stays bounded even for large candidate counts.
+    out[p, k] = x[p, :] . table[idx[p, k], :] for x [P, d] and idx [P, K]. Work
+    is chunked so peak memory stays bounded even for large candidate counts.
     """
     if table.ndim != 2:
         raise ShapeError(f"rows_dot: table must be 2-D, got {table.shape}")
-    if idx.shape[:-1] != x.shape[:-1]:
+    if x.ndim != 2 or idx.ndim != 2 or idx.shape[0] != x.shape[0]:
         raise ShapeError(f"rows_dot: index shape {idx.shape} does not match x shape {x.shape}")
-    d = x.shape[-1]
-    k = idx.shape[-1]
-    rows = int(np.prod(x.shape[:-1], dtype=np.int64)) if x.ndim > 1 else 1
-    xf = x.data.reshape(rows, d)
-    idf = idx.reshape(rows, k)
-    out_flat = np.empty((rows, k))
+    rows, d = x.shape
+    k = idx.shape[1]
+    scores = np.empty((rows, k))
     chunk = max(1, _CHUNK_ELEMS // max(1, k * d))
     for s in range(0, rows, chunk):
-        e = min(rows, s + chunk)
-        gathered = table.data[idf[s:e]]
-        out_flat[s:e] = np.einsum("rd,rkd->rk", xf[s:e], gathered)
-    out = Tensor(out_flat.reshape(idx.shape))
+        scores[s : s + chunk] = np.einsum("rd,rkd->rk", x.data[s : s + chunk], table.data[idx[s : s + chunk]])
+    out = Tensor(scores)
 
     def bwd(g: np.ndarray) -> None:
-        gf = g.reshape(rows, k)
         want_x = x.requires_grad
         want_t = table.requires_grad
         if want_x and x.grad is None:
@@ -444,17 +430,14 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
         if want_t and table.grad is None:
             table.grad = np.zeros_like(table.data)
         if want_x:
-            xg = x.grad.reshape(rows, d)
             for s in range(0, rows, chunk):
-                e = min(rows, s + chunk)
-                gathered = table.data[idf[s:e]]
-                xg[s:e] += np.einsum("rk,rkd->rd", gf[s:e], gathered)
+                x.grad[s : s + chunk] += np.einsum("rk,rkd->rd", g[s : s + chunk], table.data[idx[s : s + chunk]])
         if want_t:
             # columnwise scatter avoids materializing the rows x k x d outer product
             v = table.shape[0]
-            flat_idx = idf.ravel()
+            flat_idx = idx.ravel()
             for j in range(d):
-                w = (gf * xf[:, j : j + 1]).ravel()
+                w = (g * x.data[:, j : j + 1]).ravel()
                 table.grad[:, j] += np.bincount(flat_idx, weights=w, minlength=v)
 
     return _record(out, (x, table), bwd)

@@ -84,27 +84,27 @@ class AdamW:
 def sample_negatives_batch(
     positives: np.ndarray, n_neg: int, vocab: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-position negatives: uniform over [1, vocab) excluding the positive,
-    distinct within each position's draw, independent across positions."""
+    """n_neg negatives for each of the positives [P], as [P, n_neg]: uniform over
+    [1, vocab) excluding that row's positive, distinct within a row, independent
+    across rows."""
     if n_neg < 1:
         raise ValueError("sample_negatives_batch: need at least one negative")
     if n_neg > vocab - 2:
         raise ValueError(f"sample_negatives_batch: N={n_neg} too large for vocab {vocab} (max {vocab - 2})")
     pos = np.asarray(positives, dtype=np.int64)
-    flat = pos.ravel()
     # Floyd's algorithm (Bentley and Floyd, CACM 1987) over the vocab - 2
     # candidates of every row at once: round j draws t in [0, j] and keeps it,
     # or keeps j when t is already one of that row's picks; every N-subset is
     # equally likely after the N rounds.
     span = vocab - 2
-    picks = np.empty((n_neg, flat.size), dtype=np.int64)
+    picks = np.empty((n_neg, pos.size), dtype=np.int64)
     for k, j in enumerate(range(span - n_neg, span)):
-        t = rng.integers(0, j + 1, size=flat.size)
+        t = rng.integers(0, j + 1, size=pos.size)
         picks[k] = np.where((picks[:k] == t).any(axis=0), j, t)
     # candidate c is id c + 1, shifted past the row's positive
     out = picks.T + 1
-    out += out >= flat[:, None]
-    return out.reshape(pos.shape + (n_neg,))
+    out += out >= pos[:, None]
+    return out
 
 
 # training ----------------------------------------------------------------------
@@ -126,8 +126,9 @@ def next_item_targets(batch) -> np.ndarray:
 
 
 def next_item_negatives(targets: np.ndarray, cfg: ModelConfig, rng: np.random.Generator) -> np.ndarray:
-    """cfg.negatives sampled ids per position, excluding that position's target."""
-    return sample_negatives_batch(np.where(targets > 0, targets, 1), cfg.negatives, cfg.vocab, rng)
+    """cfg.negatives sampled ids for each position that has a target, in row-major
+    order ([P, N]); no row holds its own position's target."""
+    return sample_negatives_batch(targets[targets > 0], cfg.negatives, cfg.vocab, rng)
 
 
 def train_step(

@@ -41,7 +41,7 @@ from fuxi_alpha.model import (
     sampled_loss,
 )
 from fuxi_alpha.poly import generic_block_spec, verify_degree_bound
-from fuxi_alpha.train import TrainConfig, sample_negatives_batch, train
+from fuxi_alpha.train import TrainConfig, next_item_negatives, next_item_targets, train
 
 ML1M_PATH = Path(os.environ.get("FUXI_ML1M", "data/ml-1m/ratings.dat"))
 ML1M_EPOCHS = int(os.environ.get("FUXI_ML1M_EPOCHS", "15"))
@@ -74,9 +74,8 @@ def test_criterion_1_gradient_suite():
             items[i, :length] = rng.integers(1, cfg.vocab, size=length)
             ts[i, :length] = np.cumsum(rng.integers(1, 60, size=length))
         batch = SequenceBatch(items, ts, lens)
-        targets = np.zeros_like(items)
-        targets[:, :-1] = items[:, 1:]
-        negs = sample_negatives_batch(np.where(targets > 0, targets, 1), cfg.negatives, cfg.vocab, rng)
+        targets = next_item_targets(batch)
+        negs = next_item_negatives(targets, cfg, rng)
 
         def loss_fn():
             return sampled_loss(forward_hidden(batch, params, cfg), params.item_emb, targets, negs)

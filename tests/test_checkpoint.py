@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from conftest import random_params, tiny_config
@@ -47,3 +49,20 @@ def test_rejects_non_checkpoint_file(tmp_path):
     path.write_bytes(b"not a checkpoint at all, way too short?" * 3)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_failed_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, random_params(cfg, seed=4), cfg)
+    before = path.read_bytes()
+
+    def crash(src, dst):
+        assert os.path.getsize(src) == len(before)  # the new file was written in full
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="simulated"):
+        save_checkpoint(path, random_params(cfg, seed=5), cfg)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]

@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +80,18 @@ def test_locked_output_directory_exits_2(tmp_path):
     (out / ".lock").unlink()
     assert main(["ingest"] + _fast_overrides(out)) == 0
     assert not (out / ".lock").exists()  # released after the run
+
+
+def test_lock_of_an_ended_run_is_reclaimed(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / ".lock").write_text(str(os.getpid()))  # a live holder keeps the lock
+    assert main(["ingest"] + _fast_overrides(out)) == 2
+    ended = subprocess.Popen([sys.executable, "-c", "pass"])
+    ended.wait()
+    (out / ".lock").write_text(str(ended.pid))
+    assert main(["ingest"] + _fast_overrides(out)) == 0
+    assert not (out / ".lock").exists()
 
 
 def test_ingest_writes_manifest(tmp_path):

@@ -7,6 +7,8 @@ from conftest import random_batch, random_params, reference_logits, tiny_config
 from fuxi_alpha import model as M
 from fuxi_alpha import tensor as T
 from fuxi_alpha.model import ModelConfig, SequenceBatch, Tensor
+from fuxi_alpha.tensor import Tape, backward
+from fuxi_alpha.train import next_item_negatives, sample_negatives_batch
 
 
 def _sigmoid(z):
@@ -418,36 +420,52 @@ def test_semantic_scale_factor_is_configured_length():
 
 def test_loss_equal_scores_closed_form():
     for n_neg in (1, 4, 128):
-        pos = Tensor(np.full((2, 3), 0.37))
-        neg = Tensor(np.full((2, 3, n_neg), 0.37))
-        mask = np.ones((2, 3))
-        loss = M.sampled_softmax_loss(pos, neg, mask)
+        pos = Tensor(np.full((6, 1), 0.37))
+        neg = Tensor(np.full((6, n_neg), 0.37))
+        loss = M.sampled_softmax_loss(pos, neg)
         assert abs(loss.item() - math.log(n_neg + 1)) < 1e-12
 
 
 def test_loss_dominant_positive_approaches_zero():
-    pos = Tensor(np.full((1, 2), 50.0))
-    neg = Tensor(np.zeros((1, 2, 5)))
-    loss = M.sampled_softmax_loss(pos, neg, np.ones((1, 2)))
+    pos = Tensor(np.full((2, 1), 50.0))
+    neg = Tensor(np.zeros((2, 5)))
+    loss = M.sampled_softmax_loss(pos, neg)
     assert loss.item() < 1e-10
 
 
-def test_loss_rejects_all_masked_and_no_negatives():
-    pos = Tensor(np.zeros((1, 2)))
+def test_loss_rejects_no_positions_and_no_negatives():
     with pytest.raises(ValueError):
-        M.sampled_softmax_loss(pos, Tensor(np.zeros((1, 2, 3))), np.zeros((1, 2)))
+        M.sampled_softmax_loss(Tensor(np.zeros((0, 1))), Tensor(np.zeros((0, 3))))
     with pytest.raises(ValueError):
-        M.sampled_softmax_loss(pos, Tensor(np.zeros((1, 2, 0))), np.ones((1, 2)))
+        M.sampled_softmax_loss(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 0))))
 
 
-def test_loss_ignores_masked_positions():
-    pos = Tensor(np.array([[1.0, 99.0]]))
-    neg = Tensor(np.array([[[0.0, 0.0], [5.0, 5.0]]]))
-    masked = M.sampled_softmax_loss(pos, neg, np.array([[1.0, 0.0]])).item()
-    solo_pos = Tensor(np.array([[1.0]]))
-    solo_neg = Tensor(np.array([[[0.0, 0.0]]]))
-    solo = M.sampled_softmax_loss(solo_pos, solo_neg, np.array([[1.0]])).item()
-    assert abs(masked - solo) < 1e-12
+def test_padding_never_reaches_the_loss_head():
+    # padding columns (target 0) appended to hidden and targets, with large
+    # hidden values there, leave the loss and the gradients bitwise unchanged
+    rng = np.random.default_rng(5)
+    b, n, d, vocab, pad = 3, 6, 4, 30, 4
+    item_emb = Tensor(rng.normal(size=(vocab, d)), requires_grad=True)
+    hidden = rng.normal(size=(b, n, d))
+    targets = rng.integers(1, vocab, size=(b, n))
+    targets[1, 2:] = 0
+    targets[:, -1] = 0
+    negs = sample_negatives_batch(targets[targets > 0], 7, vocab, rng)
+    padded_hidden = np.concatenate([hidden, rng.normal(0.0, 1e3, size=(b, pad, d))], axis=1)
+    padded_targets = np.concatenate([targets, np.zeros((b, pad), dtype=np.int64)], axis=1)
+    runs = []
+    for h, t in ((hidden, targets), (padded_hidden, padded_targets)):
+        h = Tensor(h, requires_grad=True)
+        with Tape() as tape:
+            loss = M.sampled_loss(h, item_emb, t, negs)
+        backward(loss, tape)
+        runs.append((loss.item(), item_emb.grad, h.grad))
+        item_emb.grad = None
+    (loss, emb_grad, h_grad), (padded_loss, padded_emb_grad, padded_h_grad) = runs
+    assert padded_loss == loss
+    np.testing.assert_array_equal(padded_emb_grad, emb_grad)
+    np.testing.assert_array_equal(padded_h_grad[:, :n], h_grad)
+    assert not padded_h_grad[:, n:].any() and not h_grad[targets == 0].any()
 
 
 # predict_next -----------------------------------------------------------------------
@@ -571,9 +589,8 @@ def test_grad_check_through_tiny_model():
     cfg = tiny_config()
     params = random_params(cfg, seed=0)
     batch = random_batch(cfg, 2, seed=0)
-    rng = np.random.default_rng(0)
     targets = np.where(batch.items > 0, (batch.items % (cfg.vocab - 1)) + 1, 0)
-    negs = rng.integers(1, cfg.vocab, size=(2, cfg.n, 2))
+    negs = next_item_negatives(targets, cfg, np.random.default_rng(0))
 
     def loss_fn():
         return M.sampled_loss(M.forward_hidden(batch, params, cfg), params.item_emb, targets, negs)

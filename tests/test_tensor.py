@@ -239,9 +239,30 @@ def test_grad_accumulates_across_uses():
 
 def test_rows_dot_matches_dense_gather():
     rng = np.random.default_rng(9)
-    x = Tensor(rng.normal(size=(3, 4, 5)))
+    x = Tensor(rng.normal(size=(12, 5)))
     table = Tensor(rng.normal(size=(7, 5)))
-    idx = rng.integers(0, 7, size=(3, 4, 6))
+    idx = rng.integers(0, 7, size=(12, 6))
     out = T.rows_dot(x, table, idx).data
-    expected = np.einsum("bnd,bnkd->bnk", x.data, table.data[idx])
+    expected = np.einsum("pd,pkd->pk", x.data, table.data[idx])
     np.testing.assert_allclose(out, expected, atol=1e-12)
+    with pytest.raises(T.ShapeError):  # rows are [P, d], candidates [P, K]
+        T.rows_dot(Tensor(x.data.reshape(3, 4, 5)), table, idx.reshape(3, 4, 6))
+
+
+def test_rows_dot_chunks_match_one_chunk(monkeypatch):
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
+    table = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+    idx = rng.integers(0, 7, size=(12, 6))
+    weights = Tensor(rng.normal(size=(12, 6)))
+    runs = []
+    for elems in (T._CHUNK_ELEMS, 5 * 6 * 5):  # one chunk; chunks of 5 rows, the last partial
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", elems)
+        with Tape() as tape:
+            out = T.rows_dot(x, table, idx)
+            loss = T.mul(out, weights).sum()
+        backward(loss, tape)
+        runs.append((out.data, x.grad, table.grad))
+        x.grad = table.grad = None
+    for whole, chunked in zip(*runs):
+        np.testing.assert_array_equal(chunked, whole)

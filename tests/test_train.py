@@ -3,8 +3,8 @@ import pytest
 from conftest import tiny_config
 
 from fuxi_alpha.data import SyntheticSpec, build_sequences, split_leave_last, synthesize_dataset, two_class_gap_rule
-from fuxi_alpha.model import init_params
-from fuxi_alpha.train import TrainConfig, sample_negatives_batch, train
+from fuxi_alpha.model import ModelConfig, SequenceBatch, init_params
+from fuxi_alpha.train import TrainConfig, next_item_negatives, next_item_targets, sample_negatives_batch, train
 
 # chi2.isf(0.01, 97): frozen critical value for the uniformity test below
 CHI2_CRIT_DOF97_P01 = 132.30887667181258
@@ -163,3 +163,23 @@ def test_negatives_take_every_candidate_at_full_width():
     ids = np.arange(1, vocab - 1)
     expected = ids + (ids >= pos[:, None])
     np.testing.assert_array_equal(np.sort(out, axis=1), expected)
+
+
+def test_next_item_negatives_one_row_per_target():
+    # N = vocab - 2 leaves each row exactly the ids other than its own target,
+    # so a row paired with the wrong position would hold that position's target
+    cfg = ModelConfig(vocab=12, n=6, negatives=10)
+    items = np.array([[3, 5, 7, 0, 0, 0], [2, 2, 9, 4, 11, 1], [8, 0, 0, 0, 0, 0]])
+    ts = np.where(items > 0, np.arange(1, 7), 0)
+    targets = next_item_targets(SequenceBatch(items, ts, (items > 0).sum(axis=1)))
+    wanted = targets[targets > 0]
+    assert wanted.tolist() == [5, 7, 2, 9, 4, 11, 1]
+    negs = next_item_negatives(targets, cfg, np.random.default_rng(6))
+    assert negs.shape == (wanted.size, cfg.negatives)
+    assert not (negs == wanted[:, None]).any()
+    ids = np.arange(1, cfg.vocab)
+    for row, target in zip(negs, wanted):
+        assert sorted(row.tolist()) == ids[ids != target].tolist()
+    # the draws are exactly the sampler's for the targets alone, in row-major order
+    again = sample_negatives_batch(wanted, cfg.negatives, cfg.vocab, np.random.default_rng(6))
+    np.testing.assert_array_equal(negs, again)
