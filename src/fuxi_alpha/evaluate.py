@@ -88,7 +88,7 @@ def evaluate(
         width = min(max(len(inst.items) for inst in chunk), cfg.n)
         batch = SequenceBatch.from_sequences([inst.items for inst in chunk], [inst.timestamps for inst in chunk], width)
         targets = np.array([inst.target for inst in chunk], dtype=np.int64)
-        last = forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data[:, 0]
+        last = forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data
         logits = last @ params.item_emb.data.T
         keep = np.ones(cfg.vocab, dtype=bool)
         keep[0] = False

@@ -117,8 +117,7 @@ class SequenceBatch:
         b, n = self.items.shape
         if self.timestamps.shape != (b, n) or self.valid_len.shape != (b,):
             raise ValueError("SequenceBatch: inconsistent array shapes")
-        pos = np.arange(n)
-        valid = pos[None, :] < self.valid_len[:, None]
+        valid = self.valid
         if not np.array_equal(self.items > 0, valid):
             raise ValueError("SequenceBatch: items must be nonzero exactly on the valid prefix")
         if np.any(self.timestamps[~valid] != 0):
@@ -150,6 +149,11 @@ class SequenceBatch:
     @property
     def size(self) -> int:
         return self.items.shape[0]
+
+    @property
+    def valid(self) -> np.ndarray:
+        """bool [B, n]: True on each row's valid prefix."""
+        return np.arange(self.items.shape[1])[None, :] < self.valid_len[:, None]
 
 
 @dataclass
@@ -302,38 +306,65 @@ def relative_time_bucket(delta_t: float, cfg: ModelConfig) -> int:
 
 @dataclass
 class AttnContext:
-    """Batch-level constants shared by every layer's attention, for query i and key j."""
+    """Batch-level constants shared by every layer's attention, for query i and key j.
 
-    allowed: np.ndarray     # [B, n, n] bool; True where j <= i and j is a valid position
-    bucket_idx: np.ndarray  # [B, n, n] time bucket of t_i - t_j (clipped at 0), narrowest unsigned dtype
-    rel_idx: np.ndarray     # [n, n] index distance i - j (clipped at 0)
+    Activations are packed: a [T, ·] activation holds the batch's T valid
+    positions in row-major order, and `keys` names where each sits in the
+    flattened [B, n] grid. The attention ops read the grid shapes from `allowed`.
+    """
+
+    allowed: np.ndarray     # [B, m, n] bool; True where j <= i and j is a valid position
+    bucket_idx: np.ndarray  # [B, m, n] time bucket of t_i - t_j (clipped at 0) where j < i, else 0; narrowest unsigned dtype
+    rel_idx: np.ndarray     # [m, n], or [B, m, n], index distance i - j (clipped at 0)
+    keys: np.ndarray        # [T] flat positions of the packed rows in the [B, n] key grid
+    queries: np.ndarray     # flat positions of the packed query rows in the [B, m] query grid
 
     def at_rows(self, rows: np.ndarray | None) -> AttnContext:
-        """The context of query row rows[b] alone in each sequence b: every array
-        becomes [B, 1, n]. rows=None keeps every query row."""
+        """The context of the packed rows `rows` alone, rows[b] a position of
+        sequence b: every array becomes [B, 1, n]. rows=None keeps every query row."""
         if rows is None:
             return self
-        seq = np.arange(len(rows))
+        seq, pos = np.divmod(self.keys[rows], self.allowed.shape[-1])
         return AttnContext(
-            allowed=self.allowed[seq, rows, None],
-            bucket_idx=self.bucket_idx[seq, rows, None],
-            rel_idx=self.rel_idx[rows, None],
+            allowed=self.allowed[seq, pos, None],
+            bucket_idx=self.bucket_idx[seq, pos, None],
+            rel_idx=self.rel_idx[pos, None],
+            keys=self.keys,
+            queries=seq,
         )
+
+
+# query rows per block of `build_attn_context`'s bucketing, as entries of [B, rows, n]
+_BUCKET_BLOCK = 1 << 16
 
 
 def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
     b, n = batch.items.shape
-    pos = np.arange(n)
-    tri = pos[:, None] >= pos[None, :]
-    col_valid = pos[None, None, :] < batch.valid_len[:, None, None]
-    # one row at a time, so bucketing's float and int64 temporaries are [n, n]
-    bucket_idx = np.empty((b, n, n), dtype=np.min_scalar_type(cfg.n_buckets - 1))
-    for row, ts in enumerate(batch.timestamps):
-        bucket_idx[row] = bucket_indices(np.maximum(ts[:, None] - ts[None, :], 0), cfg)
+    pos = np.arange(n, dtype=np.min_scalar_type(-n))
+    rel = np.subtract.outer(pos, pos)
+    np.maximum(rel, 0, out=rel)
+    # Only keys j < query i need a bucket: the diagonal has t_i - t_j = 0,
+    # which is bucket 0, and no entry above it is allowed. The query rows go
+    # in blocks over the keys before the block's last row, so bucketing's
+    # float and int64 temporaries stay block-sized and about half the [n, n]
+    # map is never bucketed; the block's entries on and above the diagonal
+    # are set back to 0.
+    ts = batch.timestamps
+    bucket_idx = np.zeros((b, n, n), dtype=np.min_scalar_type(cfg.n_buckets - 1))
+    step = max(1, _BUCKET_BLOCK // max(1, b * n))
+    for r0 in range(1, n, step):
+        r1 = min(n, r0 + step)
+        block = bucket_indices(np.maximum(ts[:, r0:r1, None] - ts[:, None, : r1 - 1], 0), cfg)
+        block[:, pos[None, : r1 - 1] >= pos[r0:r1, None]] = 0
+        bucket_idx[:, r0:r1, : r1 - 1] = block
+    valid = batch.valid
+    keys = np.flatnonzero(valid)
     return AttnContext(
-        allowed=tri[None, :, :] & col_valid,
+        allowed=(pos[:, None] >= pos[None, :])[None, :, :] & valid[:, None, :],
         bucket_idx=bucket_idx,
-        rel_idx=np.maximum(pos[:, None] - pos[None, :], 0),
+        rel_idx=rel,
+        keys=keys,
+        queries=keys,
     )
 
 
@@ -341,7 +372,8 @@ def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
 
 
 def embed_sequence(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Item embedding plus positional embedding on the valid prefix, zeros at padding."""
+    """Item embedding plus positional embedding at the batch's T valid
+    positions, packed in row-major order as [T, d]."""
     if batch.items.max(initial=0) >= cfg.vocab:
         raise ValueError(
             f"embed_sequence: item id {int(batch.items.max())} out of range for vocab {cfg.vocab}"
@@ -349,22 +381,20 @@ def embed_sequence(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) 
     n = batch.items.shape[1]
     if n > cfg.n:
         raise ValueError(f"embed_sequence: sequence length {n} exceeds configured n={cfg.n}")
-    valid = (np.arange(n)[None, :] < batch.valid_len[:, None]).astype(np.float64)
-    e = T.take_rows(params.item_emb, batch.items)
-    p = T.take_rows(params.pos_emb, np.broadcast_to(np.arange(n), batch.items.shape))
-    return T.mul(T.add(e, p), Tensor(valid[:, :, None]))
+    valid = batch.valid
+    e = T.take_rows(params.item_emb, batch.items[valid])
+    p = T.take_rows(params.pos_emb, np.nonzero(valid)[1])
+    return T.add(e, p)
 
 
 def query_rows(x: Tensor, rows: np.ndarray | None) -> Tensor:
-    """Row rows[b] of each sequence b of x [B, n, d], as [B, 1, d]; rows=None keeps x."""
-    if rows is None:
-        return x
-    b, n, d = x.shape
-    return T.take_rows(T.reshape(x, (b * n, d)), (np.arange(b) * n + rows)[:, None])
+    """The packed rows `rows` of x [T, d], as [len(rows), d]; rows=None keeps x."""
+    return x if rows is None else T.take_rows(x, rows)
 
 
 # Each attention half below reads keys and values at every position and, given
-# `rows`, computes queries (and the gate) at those rows only, returning [B, 1, ·].
+# `rows` (packed row ids, one per sequence), computes queries (and the gate) at
+# those rows only, returning [B, ·].
 
 
 def channel_outputs(
@@ -383,7 +413,8 @@ def channel_outputs(
     v = T.silu(T.matmul(xt, layer.w_v))
     ctx = ctx.at_rows(rows)
     return T.silu_attention(
-        q, k, v, layer.alpha, layer.beta, ctx.allowed, ctx.bucket_idx, ctx.rel_idx, 1.0 / cfg.n, summed
+        q, k, v, layer.alpha, layer.beta, ctx.queries, ctx.keys, ctx.allowed, ctx.bucket_idx, ctx.rel_idx,
+        1.0 / cfg.n, summed,
     )
 
 
@@ -418,7 +449,8 @@ def softmax_attention(
     q = T.matmul(query_rows(xt, rows), layer.w_q)
     k = T.matmul(xt, layer.w_k)
     v = T.matmul(xt, layer.w_v)
-    return T.masked_softmax_attention(q, k, v, ctx.at_rows(rows).allowed, cfg.heads)
+    ctx = ctx.at_rows(rows)
+    return T.masked_softmax_attention(q, k, v, ctx.queries, ctx.keys, ctx.allowed, cfg.heads)
 
 
 def stage_one(h: Tensor, x_prev: Tensor, layer: BlockParams) -> Tensor:
@@ -448,7 +480,7 @@ def _block_applier(attention: str, ffn: str) -> Callable[..., Tensor]:
     attend = ATTENTIONS[attention]
 
     def apply(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, rows: np.ndarray | None = None) -> Tensor:
-        """The block at every position of x, or at row rows[b] of each sequence b alone."""
+        """The block at every packed row of x, or at the packed rows `rows` alone, one per sequence."""
         h = attend(x, ctx, layer, cfg, rows)
         x = query_rows(x, rows)
         # looked up by module-level name on each call, so a rebound mffn is seen
@@ -467,12 +499,13 @@ BLOCK_APPLIERS = {kind: _block_applier(*layout) for kind, layout in VARIANTS.ite
 def forward_hidden(
     batch: SequenceBatch, params: ModelParams, cfg: ModelConfig, rows: np.ndarray | None = None
 ) -> Tensor:
-    """Hidden states after the embedding layer and all stacked blocks, [B, n, d].
+    """Hidden states after the embedding layer and all stacked blocks at the
+    batch's T valid positions, packed in row-major order as [T, d].
 
-    Given rows (one position per sequence), only the hidden state at rows[b] of
-    each sequence b is returned, as [B, 1, d]: every block but the last runs at
-    all positions, the last computes its queries, gate and feed-forward at those
-    rows alone.
+    Given rows (one valid position per sequence), only the hidden state at
+    rows[b] of each sequence b is returned, as [B, d]: every block but the last
+    runs at all positions, the last computes its queries, gate and feed-forward
+    at those rows alone.
     """
     try:
         apply = BLOCK_APPLIERS[params.kind]
@@ -480,8 +513,9 @@ def forward_hidden(
         raise ValueError(f"unknown variant kind {params.kind!r}; expected one of {VARIANT_KINDS}") from None
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.shape != (batch.size,) or np.any(rows < 0) or np.any(rows >= batch.items.shape[1]):
-            raise ValueError(f"forward_hidden: rows must hold one position in [0, {batch.items.shape[1]}) per sequence")
+        if rows.shape != (batch.size,) or np.any(rows < 0) or np.any(rows >= batch.valid_len):
+            raise ValueError("forward_hidden: rows must hold one valid position per sequence, in [0, valid_len)")
+        rows = rows + np.cumsum(batch.valid_len) - batch.valid_len  # packed row ids
     x = embed_sequence(batch, params, cfg)
     if not params.blocks:
         return query_rows(x, rows)
@@ -493,9 +527,14 @@ def forward_hidden(
 
 
 def forward(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Pre-softmax scores over the catalog at every position: hidden @ E^T."""
+    """Pre-softmax scores over the catalog at every position, [B, n, vocab]:
+    hidden @ E^T at valid positions, zero at padding."""
     hidden = forward_hidden(batch, params, cfg)
-    return T.matmul(hidden, T.swap_last(params.item_emb))
+    valid = batch.valid
+    slot = np.zeros(valid.shape, dtype=np.int64)  # 0 reads the zero row, r + 1 packed row r
+    slot[valid] = np.arange(1, hidden.shape[0] + 1)
+    padded = T.take_rows(T.concat([Tensor(np.zeros((1, cfg.d))), hidden], axis=0), slot)
+    return T.matmul(padded, T.swap_last(params.item_emb))
 
 
 def sampled_softmax_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
@@ -509,10 +548,11 @@ def sampled_softmax_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
 
 
 def sampled_loss(hidden: Tensor, item_emb: Tensor, targets: np.ndarray, negs: np.ndarray) -> Tensor:
-    """Sampled-softmax loss at the P positions of hidden [B, n, d] whose target id
-    in targets [B, n] is non-zero, in row-major order, against their negatives [P, N]."""
+    """Sampled-softmax loss at the P positions of hidden [..., d] whose target id
+    in targets [...] is non-zero, in row-major order, against their negatives [P, N]."""
     scored = np.flatnonzero(targets > 0)
-    h = T.take_rows(T.reshape(hidden, (-1, hidden.shape[-1])), scored)
+    rows = hidden if hidden.ndim == 2 else T.reshape(hidden, (-1, hidden.shape[-1]))
+    h = T.take_rows(rows, scored)
     pos = T.rows_dot(h, item_emb, targets.reshape(-1, 1)[scored])
     return sampled_softmax_loss(pos, T.rows_dot(h, item_emb, negs))
 
@@ -531,7 +571,7 @@ def predict_next(
         raise ValueError(f"predict_next: k must lie in [1, {cfg.vocab - 1}]")
     # padding changes no hidden state, so the history is padded to its own width
     batch = SequenceBatch.from_sequences([items], [timestamps], min(len(items), cfg.n))
-    hidden = forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data[0, 0]
+    hidden = forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data[0]
     scores = params.item_emb.data[1:] @ hidden
     ids = np.arange(1, cfg.vocab)
     order = np.lexsort((ids, -scores))

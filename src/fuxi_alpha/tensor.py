@@ -225,30 +225,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    # exp of a non-positive argument never overflows; z ends as 1 / (1 + e^-x)
-    # or e^x / (1 + e^x), built in place in `out` with `scratch` as its one
-    # x-sized temporary (each allocated when not given). With z = e^-|x| <= 1,
-    # max(z, x >= 0) is the numerator: 1 where x >= 0, z elsewhere (a masked
-    # copyto gives the same bits at twice the cost of the whole function).
-    z = np.abs(x, out=out)
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    den = np.add(z, 1.0, out=scratch)
-    np.maximum(z, x >= 0.0, out=z)
-    z /= den
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # 0.5·(1 + tanh(x/2)) equals 1 / (1 + e^-x) and never overflows; it is
+    # built in place in `out` (allocated when not given), with no temporary
+    z = np.multiply(x, 0.5, out=out)
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
     return z
 
 
 def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x), the gating nonlinearity used throughout the model."""
-    s = _sigmoid(x.data)
-    out = Tensor(x.data * s)
+    """x * sigmoid(x), the gating nonlinearity used throughout the model.
+
+    Only x is kept for the backward pass, which recomputes the sigmoid."""
+    out = _sigmoid(x.data)
+    out *= x.data
+    result = Tensor(out)
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate(x, g * (s * (1.0 + x.data * (1.0 - s))), own=True)
+        # SiLU'(x) = sigmoid(x)·(1 + x·(1 - sigmoid(x)))
+        s = _sigmoid(x.data)
+        dx = np.subtract(1.0, s)
+        dx *= x.data
+        dx += 1.0
+        dx *= s
+        dx *= g
+        _accumulate(x, dx, own=True)
 
-    return _record(out, (x,), bwd)
+    return _record(result, (x,), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -458,8 +463,41 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
 # heads. Backward rebuilds the weights from q, k and the biases, so nothing of
 # size [B, n, n] stays on the tape. Head h is the h-th equal slice of the last
 # axis of q, k and v.
+#
+# q, k and v arrive packed: q [Tq, w] holds the query rows at the flat
+# positions q_at of the [B, m] query grid, k and v [T, w] the keys at the flat
+# positions kv_at of the [B, n] key grid, where allowed is [B, m, n]. The ops
+# lay them out on their grids, zero elsewhere, only while they run (a full
+# grid is a view of the packed rows), return their output packed as q, and
+# keep only the packed operands on the tape.
 
 _TILE_ROWS = 64
+
+
+def _grid(x: np.ndarray, at: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
+    """The packed rows x [T, w] at the flat positions `at` of the grid, as
+    grid + [w] with zero rows elsewhere; for a full grid, a view of x."""
+    if x.ndim != 2 or x.shape[0] != len(at):
+        raise ShapeError(f"packed rows {x.shape} do not match {len(at)} grid positions")
+    size = math.prod(grid)
+    if len(at) == size:
+        return x.reshape(grid + x.shape[1:])
+    out = np.zeros((size,) + x.shape[1:])
+    out[at] = x
+    return out.reshape(grid + x.shape[1:])
+
+
+def _packed(x: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The rows of the grid array x [..., w] at the flat positions `at`, as
+    [T, w]; for a full grid, a view of x."""
+    flat = x.reshape(-1, x.shape[-1])
+    return flat if len(at) == flat.shape[0] else flat[at]
+
+
+def _grids(q: Tensor, k: Tensor, v: Tensor, q_at: np.ndarray, kv_at: np.ndarray, allowed: np.ndarray):
+    """q on the query grid [..., m], and k and v on the key grid [..., n], of allowed [..., m, n]."""
+    kv_grid = allowed.shape[:-2] + allowed.shape[-1:]
+    return _grid(q.data, q_at, allowed.shape[:-1]), _grid(k.data, kv_at, kv_grid), _grid(v.data, kv_at, kv_grid)
 
 
 def _head_slices(width: int, heads: int) -> list[slice]:
@@ -479,7 +517,7 @@ def _tiles(allowed: np.ndarray) -> list[tuple[slice, int]]:
     return tiles
 
 
-def _workspace(q: Tensor, allowed: np.ndarray, slots: int) -> Callable[[int, slice, int], np.ndarray]:
+def _workspace(allowed: np.ndarray, slots: int) -> Callable[[int, slice, int], np.ndarray]:
     """view(slot, rows, kend): float64 workspace slot `slot`, allocated here for
     the largest tile, shaped as the weight map of the tile (rows, kend).
 
@@ -487,7 +525,7 @@ def _workspace(q: Tensor, allowed: np.ndarray, slots: int) -> Callable[[int, sli
     mmap and trim thresholds to the largest block freed, and with one block
     the heap kept about 20 MB more at eval_serve's peak in half the runs.
     """
-    lead = q.shape[:-2]
+    lead = allowed.shape[:-2]
     m, n = allowed.shape[-2:]
     bufs = [np.empty(math.prod(lead) * min(m, _TILE_ROWS) * n) for _ in range(slots)]
 
@@ -525,6 +563,8 @@ def silu_attention(
     v: Tensor,
     alpha: Sequence[Tensor],
     beta: Sequence[Tensor],
+    q_at: np.ndarray,
+    kv_at: np.ndarray,
     allowed: np.ndarray,
     bucket_idx: np.ndarray,
     rel_idx: np.ndarray,
@@ -538,20 +578,23 @@ def silu_attention(
     alpha[h][bucket_idx[b, i, j]], each zero where `allowed` is False.
     summed=False applies the three to V separately and returns the channels
     [semantic | positional | temporal]; summed=True applies their sum and
-    returns one channel. Heads are concatenated within each channel.
+    returns one channel. Heads are concatenated within each channel. q, k and
+    v are packed at q_at and kv_at (see above); the output is packed as q.
     """
+    qg, kg, vg = _grids(q, k, v, q_at, kv_at, allowed)
     width = v.shape[-1]
     head_cols = _head_slices(width, len(alpha))
-    out = np.zeros(q.shape[:-1] + (1 if summed else 3, width))
+    out_shape = qg.shape[:-1] + (1 if summed else 3, width)
     tiles = _tiles(allowed)
-    view = _workspace(q, allowed, slots=3)
+    out = np.zeros(out_shape)
+    view = _workspace(allowed, slots=2)
     for h, cols in enumerate(head_cols):
         for rows, kend in tiles:
             mask = allowed[..., rows, :kend]
             bucket, rel = bucket_idx[..., rows, :kend], rel_idx[..., rows, :kend]
-            qt, kt, vt = q.data[..., rows, cols], k.data[..., :kend, cols], v.data[..., :kend, cols]
+            qt, kt, vt = qg[..., rows, cols], kg[..., :kend, cols], vg[..., :kend, cols]
             s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, rows, kend))
-            s *= _sigmoid(s, view(1, rows, kend), view(2, rows, kend))
+            s *= _sigmoid(s, view(1, rows, kend))
             s *= inv_n
             if summed:
                 s += _gather(alpha[h], bucket, view(1, rows, kend))
@@ -562,20 +605,21 @@ def silu_attention(
                 for c, bias, idx in ((1, beta[h], rel), (2, alpha[h], bucket)):
                     np.multiply(_gather(bias, idx, view(1, rows, kend)), mask, out=s)
                     out[..., rows, c, cols] = np.matmul(s, vt)
-    result = Tensor(out.reshape(q.shape[:-1] + (-1,)))
+    result = Tensor(_packed(out.reshape(qg.shape[:-1] + (-1,)), q_at))
 
     def bwd(g: np.ndarray) -> None:
-        g = g.reshape(out.shape)
-        dq, dk, dv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
-        view = _workspace(q, allowed, slots=4)
+        qg, kg, vg = _grids(q, k, v, q_at, kv_at, allowed)
+        g = _grid(g, q_at, qg.shape[:-1]).reshape(out_shape)
+        dq, dk, dv = np.zeros(qg.shape), np.zeros(kg.shape), np.zeros(vg.shape)
+        view = _workspace(allowed, slots=4)
         for h, cols in enumerate(head_cols):
             a, be = alpha[h], beta[h]
             da, db = np.zeros(a.shape), np.zeros(be.shape)
             for rows, kend in tiles:
                 mask = allowed[..., rows, :kend]
                 bucket, rel = bucket_idx[..., rows, :kend], rel_idx[..., rows, :kend]
-                qt, kt, vt = q.data[..., rows, cols], k.data[..., :kend, cols], v.data[..., :kend, cols]
-                g_sem, *g_bias = (g[..., rows, c, cols] for c in range(out.shape[-2]))
+                qt, kt, vt = qg[..., rows, cols], kg[..., :kend, cols], vg[..., :kend, cols]
+                g_sem, *g_bias = (g[..., rows, c, cols] for c in range(out_shape[-2]))
                 dv_t = dv[..., :kend, cols]
 
                 def weight_grad(gw: np.ndarray) -> np.ndarray:
@@ -592,7 +636,7 @@ def silu_attention(
                         if bias.requires_grad:
                             grad += _bias_grad(bias, idx, weight_grad(gb))
                 s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, rows, kend))
-                sig = _sigmoid(s, view(1, rows, kend), view(2, rows, kend))
+                sig = _sigmoid(s, view(1, rows, kend))
                 w = np.multiply(s, sig, out=view(2, rows, kend))
                 w *= inv_n
                 if summed:
@@ -617,53 +661,60 @@ def silu_attention(
                 dk[..., :kend, cols] += _swapped_matmul(ds, qt)
             _accumulate(a, da, own=True)
             _accumulate(be, db, own=True)
-        _accumulate(q, dq, own=True)
-        _accumulate(k, dk, own=True)
-        _accumulate(v, dv, own=True)
+        _accumulate(q, _packed(dq, q_at), own=True)
+        _accumulate(k, _packed(dk, kv_at), own=True)
+        _accumulate(v, _packed(dv, kv_at), own=True)
 
     return _record(result, (q, k, v, *alpha, *beta), bwd)
 
 
-def masked_softmax_attention(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray, heads: int) -> Tensor:
+def masked_softmax_attention(
+    q: Tensor, k: Tensor, v: Tensor, q_at: np.ndarray, kv_at: np.ndarray, allowed: np.ndarray, heads: int
+) -> Tensor:
     """Multi-head scaled dot-product softmax attention restricted to `allowed`.
 
     Head h's weights are the softmax of q_h·k_hᵀ / sqrt(d_h) over the allowed
     entries of each row, zero elsewhere and in a row with none allowed; its
-    output is those weights times v_h, and the heads are concatenated.
+    output is those weights times v_h, and the heads are concatenated. q, k
+    and v are packed at q_at and kv_at (see above); the output is packed as q.
     """
+    qg, kg, vg = _grids(q, k, v, q_at, kv_at, allowed)
     head_cols = _head_slices(v.shape[-1], heads)
     inv_sqrt = 1.0 / np.sqrt(v.shape[-1] // heads)
     tiles = _tiles(allowed)
 
-    def weights(rows: slice, kend: int, cols: slice, out: np.ndarray) -> np.ndarray:
-        s = np.matmul(q.data[..., rows, cols], np.swapaxes(k.data[..., :kend, cols], -1, -2), out=out)
+    def weights(qg: np.ndarray, kg: np.ndarray, rows: slice, kend: int, cols: slice, out: np.ndarray) -> np.ndarray:
+        s = np.matmul(qg[..., rows, cols], np.swapaxes(kg[..., :kend, cols], -1, -2), out=out)
         s *= inv_sqrt
         return _masked_softmax_rows(s, allowed[..., rows, :kend])
 
-    out = np.zeros(q.shape[:-1] + v.shape[-1:])
-    view = _workspace(q, allowed, slots=1)
+    out = np.zeros(qg.shape[:-1] + v.shape[-1:])
+    view = _workspace(allowed, slots=1)
     for cols in head_cols:
         for rows, kend in tiles:
-            out[..., rows, cols] = np.matmul(weights(rows, kend, cols, view(0, rows, kend)), v.data[..., :kend, cols])
-    result = Tensor(out)
+            p = weights(qg, kg, rows, kend, cols, view(0, rows, kend))
+            out[..., rows, cols] = np.matmul(p, vg[..., :kend, cols])
+    result = Tensor(_packed(out, q_at))
 
     def bwd(g: np.ndarray) -> None:
-        dq, dk, dv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
-        view = _workspace(q, allowed, slots=3)
+        qg, kg, vg = _grids(q, k, v, q_at, kv_at, allowed)
+        g = _grid(g, q_at, qg.shape[:-1])
+        dq, dk, dv = np.zeros(qg.shape), np.zeros(kg.shape), np.zeros(vg.shape)
+        view = _workspace(allowed, slots=3)
         for cols in head_cols:
             for rows, kend in tiles:
                 gh = g[..., rows, cols]
-                p = weights(rows, kend, cols, view(0, rows, kend))
+                p = weights(qg, kg, rows, kend, cols, view(0, rows, kend))
                 dv[..., :kend, cols] += _swapped_matmul(p, gh)
-                ds = np.matmul(gh, np.swapaxes(v.data[..., :kend, cols], -1, -2), out=view(1, rows, kend))
+                ds = np.matmul(gh, np.swapaxes(vg[..., :kend, cols], -1, -2), out=view(1, rows, kend))
                 ds -= np.sum(np.multiply(ds, p, out=view(2, rows, kend)), axis=-1, keepdims=True)
                 ds *= p
                 ds *= inv_sqrt
-                dq[..., rows, cols] = np.matmul(ds, k.data[..., :kend, cols])
-                dk[..., :kend, cols] += _swapped_matmul(ds, q.data[..., rows, cols])
-        _accumulate(q, dq, own=True)
-        _accumulate(k, dk, own=True)
-        _accumulate(v, dv, own=True)
+                dq[..., rows, cols] = np.matmul(ds, kg[..., :kend, cols])
+                dk[..., :kend, cols] += _swapped_matmul(ds, qg[..., rows, cols])
+        _accumulate(q, _packed(dq, q_at), own=True)
+        _accumulate(k, _packed(dk, kv_at), own=True)
+        _accumulate(v, _packed(dv, kv_at), own=True)
 
     return _record(result, (q, k, v), bwd)
 

@@ -119,15 +119,16 @@ class TrainResult:
 
 
 def next_item_targets(batch) -> np.ndarray:
-    """Each position's next item within its batch row; 0 where none follows."""
+    """The next item of each of the batch's T valid positions, packed in
+    row-major order as [T]; 0 at each sequence's last position."""
     targets = np.zeros_like(batch.items)
     targets[:, :-1] = batch.items[:, 1:]
-    return targets
+    return targets[batch.valid]
 
 
 def next_item_negatives(targets: np.ndarray, cfg: ModelConfig, rng: np.random.Generator) -> np.ndarray:
-    """cfg.negatives sampled ids for each position that has a target, in row-major
-    order ([P, N]); no row holds its own position's target."""
+    """cfg.negatives sampled ids for each position that has a target, in the
+    order of targets ([P, N]); no row holds its own position's target."""
     return sample_negatives_batch(targets[targets > 0], cfg.negatives, cfg.vocab, rng)
 
 

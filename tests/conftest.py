@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from fuxi_alpha import tensor as T
@@ -181,7 +183,25 @@ def reference_hstu_hidden(items, ts, valid_len, params, cfg):
 
 
 # Dense transcriptions of the fused attention ops from tape primitives: every
-# head's whole [B, m, n] weight maps, with gradients taken by the tape.
+# head's whole [B, m, n] weight maps, with gradients taken by the tape. Like
+# the ops, they take packed q, k and v at flat grid positions and return their
+# output packed; the layout goes through tape gathers.
+
+
+def _on_grid(x: Tensor, at: np.ndarray, grid: tuple) -> Tensor:
+    """The packed rows x at the flat positions `at` of the grid, zero rows elsewhere."""
+    slot = np.zeros(math.prod(grid), dtype=np.int64)
+    slot[at] = np.arange(1, len(at) + 1)
+    return T.take_rows(T.concat([Tensor(np.zeros((1, x.shape[-1]))), x], axis=0), slot.reshape(grid))
+
+
+def _packed(x: Tensor, at: np.ndarray) -> Tensor:
+    return T.take_rows(T.reshape(x, (-1, x.shape[-1])), at)
+
+
+def _grids(q, k, v, q_at, kv_at, allowed):
+    q_grid, kv_grid = allowed.shape[:-1], allowed.shape[:-2] + allowed.shape[-1:]
+    return _on_grid(q, q_at, q_grid), _on_grid(k, kv_at, kv_grid), _on_grid(v, kv_at, kv_grid)
 
 
 def _exp(x: Tensor) -> Tensor:
@@ -202,8 +222,9 @@ def _head(x: Tensor, h: int, heads: int) -> Tensor:
     return T.matmul(x, Tensor(select))
 
 
-def dense_silu_attention(q, k, v, alpha, beta, allowed, bucket_idx, rel_idx, inv_n, summed):
+def dense_silu_attention(q, k, v, alpha, beta, q_at, kv_at, allowed, bucket_idx, rel_idx, inv_n, summed):
     """tensor.silu_attention, each head's weight maps built whole and masked."""
+    q, k, v = _grids(q, k, v, q_at, kv_at, allowed)
     heads = len(alpha)
     mask = Tensor(allowed.astype(np.float64))
     channels = ([], [], [])
@@ -217,11 +238,12 @@ def dense_silu_attention(q, k, v, alpha, beta, allowed, bucket_idx, rel_idx, inv
         if not summed:
             channels[1].append(T.matmul(T.mul(pos_bias, mask), vh))
             channels[2].append(T.matmul(T.mul(time_bias, mask), vh))
-    return T.concat([out for channel in channels for out in channel], axis=-1)
+    return _packed(T.concat([out for channel in channels for out in channel], axis=-1), q_at)
 
 
-def dense_softmax_attention(q, k, v, allowed, heads):
+def dense_softmax_attention(q, k, v, q_at, kv_at, allowed, heads):
     """tensor.masked_softmax_attention, each head's weight map built whole."""
+    q, k, v = _grids(q, k, v, q_at, kv_at, allowed)
     inv_sqrt = 1.0 / np.sqrt(v.shape[-1] // heads)
     empty_rows = Tensor((~allowed.any(axis=-1, keepdims=True)).astype(np.float64))
     outs = []
@@ -234,4 +256,4 @@ def dense_softmax_attention(q, k, v, allowed, heads):
         e = _exp(T.add(s, Tensor(shift)))
         total = T.add(T.tsum(e, axis=-1, keepdims=True), empty_rows)  # a row with no key gives 0 / 1
         outs.append(T.matmul(T.mul(e, _reciprocal(total)), vh))
-    return T.concat(outs, axis=-1)
+    return _packed(T.concat(outs, axis=-1), q_at)

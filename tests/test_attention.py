@@ -34,16 +34,25 @@ def _padded_context(n: int, n_buckets: int, seed: int) -> M.AttnContext:
     return M.build_attn_context(SequenceBatch(items, ts, lens), cfg)
 
 
-def _operands(heads: int, n: int = 5, d_h: int = 3, n_buckets: int = 6, seed: int = 0):
+def _pack(x: np.ndarray, ctx: M.AttnContext) -> np.ndarray:
+    """The rows of the [2, n, ·] grid array x at the context's valid positions, np.flatnonzero of the valid mask."""
+    return x.reshape(-1, x.shape[-1])[ctx.keys]
+
+
+def _operands(heads: int, ctx: M.AttnContext, d_h: int = 3, n_buckets: int = 6, seed: int = 0):
+    """Random q, k, v drawn on the [2, n] grid and packed at ctx's valid positions, and the biases."""
+    n = ctx.allowed.shape[-1]
     rng = np.random.default_rng(seed)
-    q, k, v = (Tensor(rng.normal(size=(2, n, heads * d_h))) for _ in range(3))
+    q, k, v = (Tensor(_pack(rng.normal(size=(2, n, heads * d_h)), ctx)) for _ in range(3))
     alpha = [Tensor(rng.normal(size=n_buckets)) for _ in range(heads)]
     beta = [Tensor(rng.normal(size=n)) for _ in range(heads)]
     return q, k, v, alpha, beta
 
 
 def _silu_loss(q, k, v, alpha, beta, ctx, summed, weights):
-    out = T.silu_attention(q, k, v, alpha, beta, ctx.allowed, ctx.bucket_idx, ctx.rel_idx, 1.0 / 5, summed)
+    out = T.silu_attention(
+        q, k, v, alpha, beta, ctx.queries, ctx.keys, ctx.allowed, ctx.bucket_idx, ctx.rel_idx, 1.0 / 5, summed
+    )
     return T.mul(out, weights).sum()
 
 
@@ -51,9 +60,9 @@ def _silu_loss(q, k, v, alpha, beta, ctx, summed, weights):
 @pytest.mark.parametrize("summed", [False, True], ids=["ams", "hstu"])
 def test_silu_attention_grad_check(heads, summed):
     ctx = _padded_context(5, 6, seed=heads)
-    q, k, v, alpha, beta = _operands(heads, seed=10 + heads)
+    q, k, v, alpha, beta = _operands(heads, ctx, seed=10 + heads)
     channels = 1 if summed else 3
-    weights = Tensor(np.random.default_rng(3).normal(size=(2, 5, channels * q.shape[-1])))
+    weights = Tensor(_pack(np.random.default_rng(3).normal(size=(2, 5, channels * q.shape[-1])), ctx))
     err = T.grad_check_params(
         lambda: _silu_loss(q, k, v, alpha, beta, ctx, summed, weights), [q, k, v, *alpha, *beta]
     )
@@ -63,10 +72,13 @@ def test_silu_attention_grad_check(heads, summed):
 @pytest.mark.parametrize("heads", [1, 2])
 def test_masked_softmax_attention_grad_check(heads):
     ctx = _padded_context(5, 6, seed=heads)
-    q, k, v, _, _ = _operands(heads, seed=20 + heads)
-    weights = Tensor(np.random.default_rng(4).normal(size=(2, 5, q.shape[-1])))
+    q, k, v, _, _ = _operands(heads, ctx, seed=20 + heads)
+    weights = Tensor(_pack(np.random.default_rng(4).normal(size=(2, 5, q.shape[-1])), ctx))
     err = T.grad_check_params(
-        lambda: T.mul(T.masked_softmax_attention(q, k, v, ctx.allowed, heads), weights).sum(), [q, k, v]
+        lambda: T.mul(
+            T.masked_softmax_attention(q, k, v, ctx.queries, ctx.keys, ctx.allowed, heads), weights
+        ).sum(),
+        [q, k, v],
     )
     assert err < 1e-7
 
@@ -76,12 +88,12 @@ def test_frozen_time_bias_gets_no_grad(summed):
     ctx = _padded_context(5, 6, seed=1)
     grads = {}
     for frozen in (False, True):
-        q, k, v, alpha, beta = _operands(2, seed=30)
+        q, k, v, alpha, beta = _operands(2, ctx, seed=30)
         for t in (q, k, v, *alpha, *beta):
             t.requires_grad = True
         for a in alpha:
             a.requires_grad = not frozen
-        weights = Tensor(np.random.default_rng(5).normal(size=(2, 5, (1 if summed else 3) * 6)))
+        weights = Tensor(_pack(np.random.default_rng(5).normal(size=(2, 5, (1 if summed else 3) * 6)), ctx))
         with Tape() as tape:
             loss = _silu_loss(q, k, v, alpha, beta, ctx, summed, weights)
         T.backward(loss, tape)
@@ -97,6 +109,35 @@ def test_context_keeps_one_bool_mask_and_narrow_buckets():
     assert ctx.allowed.dtype == np.bool_
     assert ctx.bucket_idx.dtype == np.uint8
     assert not any(isinstance(value, Tensor) for value in vars(ctx).values())
+
+
+@pytest.mark.parametrize("b, n, block", [(5, 9, 1 << 16), (5, 9, 3 * 5 * 9), (3, 70, 1)])
+def test_context_matches_the_dense_formula(monkeypatch, b, n, block):
+    # bucketing all query rows at once, in blocks of three rows (the last one
+    # partial) or one row at a time; large gaps reach the log-spaced and the
+    # clamped buckets
+    monkeypatch.setattr(M, "_BUCKET_BLOCK", block)
+    for seed in range(3):
+        cfg = ModelConfig(vocab=9, d=4, d_h=4, n=n, n_buckets=16, negatives=2, max_time_span=5000)
+        rng = np.random.default_rng(seed)
+        lens = rng.integers(0, n + 1, size=b)
+        items = np.zeros((b, n), dtype=np.int64)
+        ts = np.zeros((b, n), dtype=np.int64)
+        for row, length in enumerate(lens):
+            items[row, :length] = rng.integers(1, cfg.vocab, size=length)
+            ts[row, :length] = np.cumsum(rng.integers(0, 400, size=length))
+        batch = SequenceBatch(items, ts, lens)
+        ctx = M.build_attn_context(batch, cfg)
+        pos = np.arange(n)
+        valid = pos[None, :] < lens[:, None]
+        allowed = (pos[:, None] >= pos[None, :])[None] & valid[:, None, :]
+        np.testing.assert_array_equal(ctx.allowed, allowed)
+        dense = M.bucket_indices(np.maximum(ts[:, :, None] - ts[:, None, :], 0), cfg)
+        np.testing.assert_array_equal(ctx.bucket_idx[allowed], dense[allowed])
+        causal = pos[:, None] >= pos[None, :]
+        np.testing.assert_array_equal(ctx.rel_idx[causal], (pos[:, None] - pos[None, :])[causal])
+        np.testing.assert_array_equal(ctx.keys, np.flatnonzero(valid))
+        np.testing.assert_array_equal(ctx.queries, ctx.keys)
 
 
 def _step_batch(cfg: ModelConfig, b: int, seed: int = 0) -> SequenceBatch:
@@ -126,7 +167,7 @@ def test_desk_shaped_step_tape_length():
     negs = next_item_negatives(targets, cfg, np.random.default_rng(0))
     with Tape() as tape:
         M.sampled_loss(M.forward_hidden(batch, params, cfg), params.item_emb, targets, negs)
-    assert len(tape) == 57
+    assert len(tape) == 55
 
 
 def test_train_step_peak_memory_is_a_few_attention_maps():
@@ -163,14 +204,15 @@ def small_tiles(monkeypatch):
     monkeypatch.setattr(T, "_TILE_ROWS", SMALL_TILE)
 
 
-def _ops(kind: str, heads: int, allowed: np.ndarray, bucket_idx: np.ndarray, rel_idx: np.ndarray):
+def _ops(kind: str, heads: int, ctx: M.AttnContext):
     """(tiled op, its dense transcription), each a function of (q, k, v, alpha, beta)."""
+    layout = (ctx.queries, ctx.keys, ctx.allowed)
     if kind == "softmax":
         return (
-            lambda q, k, v, alpha, beta: T.masked_softmax_attention(q, k, v, allowed, heads),
-            lambda q, k, v, alpha, beta: dense_softmax_attention(q, k, v, allowed, heads),
+            lambda q, k, v, alpha, beta: T.masked_softmax_attention(q, k, v, *layout, heads),
+            lambda q, k, v, alpha, beta: dense_softmax_attention(q, k, v, *layout, heads),
         )
-    args = (allowed, bucket_idx, rel_idx, 1.0 / TILED_N, kind == "hstu")
+    args = (*layout, ctx.bucket_idx, ctx.rel_idx, 1.0 / TILED_N, kind == "hstu")
     return (
         lambda q, k, v, alpha, beta: T.silu_attention(q, k, v, alpha, beta, *args),
         lambda q, k, v, alpha, beta: dense_silu_attention(q, k, v, alpha, beta, *args),
@@ -202,12 +244,12 @@ def _assert_close(got, want, rel=1e-12):
 @pytest.mark.parametrize("path", ["all_rows", "rows"])
 def test_tiled_ops_match_dense_transcription(small_tiles, kind, heads, path):
     ctx = _padded_context(TILED_N, 6, seed=heads)
-    q, k, v, alpha, beta = _operands(heads, n=TILED_N, seed=40 + heads)
+    q, k, v, alpha, beta = _operands(heads, ctx, seed=40 + heads)
     if path == "rows":  # one arbitrary query row per sequence, as the ranked position is
-        rows = np.array([7, 1])
+        rows = np.array([7, TILED_N + 1])  # packed: position 7 of the first sequence, 1 of the second
         ctx = ctx.at_rows(rows)
-        q = Tensor(q.data[np.arange(2), rows][:, None])
-    tiled, dense = _ops(kind, heads, ctx.allowed, ctx.bucket_idx, ctx.rel_idx)
+        q = Tensor(q.data[rows])
+    tiled, dense = _ops(kind, heads, ctx)
     operands = (q, k, v, alpha, beta)
     _assert_close(_output_and_grads(tiled, operands), _output_and_grads(dense, operands))
 
@@ -217,24 +259,25 @@ def test_rows_that_attend_no_key_give_zeros(small_tiles, kind):
     # the first four rows attend nothing: the first tile is skipped whole and
     # the second starts with such a row
     ctx = _padded_context(TILED_N, 6, seed=2)
-    allowed = ctx.allowed.copy()
-    allowed[:, :4] = False
-    operands = _operands(2, n=TILED_N, seed=50)
-    tiled, dense = _ops(kind, 2, allowed, ctx.bucket_idx, ctx.rel_idx)
+    ctx.allowed = ctx.allowed.copy()
+    ctx.allowed[:, :4] = False
+    operands = _operands(2, ctx, seed=50)
+    tiled, dense = _ops(kind, 2, ctx)
     got = _output_and_grads(tiled, operands)
     _assert_close(got, _output_and_grads(dense, operands))
     out, dq = got[0], got[1]
-    np.testing.assert_array_equal(out[:, :4], 0.0)
-    np.testing.assert_array_equal(dq[:, :4], 0.0)
+    first = ctx.keys % TILED_N < 4  # the packed rows at positions 0-3
+    np.testing.assert_array_equal(out[first], 0.0)
+    np.testing.assert_array_equal(dq[first], 0.0)
 
 
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("summed", [False, True], ids=["ams", "hstu"])
 def test_silu_attention_grad_check_across_tiles(small_tiles, heads, summed):
     ctx = _padded_context(TILED_N, 6, seed=heads)
-    q, k, v, alpha, beta = _operands(heads, n=TILED_N, seed=60 + heads)
+    q, k, v, alpha, beta = _operands(heads, ctx, seed=60 + heads)
     channels = 1 if summed else 3
-    weights = Tensor(np.random.default_rng(7).normal(size=(2, TILED_N, channels * q.shape[-1])))
+    weights = Tensor(_pack(np.random.default_rng(7).normal(size=(2, TILED_N, channels * q.shape[-1])), ctx))
     err = T.grad_check_params(
         lambda: _silu_loss(q, k, v, alpha, beta, ctx, summed, weights), [q, k, v, *alpha, *beta]
     )
@@ -244,10 +287,13 @@ def test_silu_attention_grad_check_across_tiles(small_tiles, heads, summed):
 @pytest.mark.parametrize("heads", [1, 2])
 def test_masked_softmax_attention_grad_check_across_tiles(small_tiles, heads):
     ctx = _padded_context(TILED_N, 6, seed=heads)
-    q, k, v, _, _ = _operands(heads, n=TILED_N, seed=70 + heads)
-    weights = Tensor(np.random.default_rng(8).normal(size=(2, TILED_N, q.shape[-1])))
+    q, k, v, _, _ = _operands(heads, ctx, seed=70 + heads)
+    weights = Tensor(_pack(np.random.default_rng(8).normal(size=(2, TILED_N, q.shape[-1])), ctx))
     err = T.grad_check_params(
-        lambda: T.mul(T.masked_softmax_attention(q, k, v, ctx.allowed, heads), weights).sum(), [q, k, v]
+        lambda: T.mul(
+            T.masked_softmax_attention(q, k, v, ctx.queries, ctx.keys, ctx.allowed, heads), weights
+        ).sum(),
+        [q, k, v],
     )
     assert err < 1e-7
 
@@ -268,11 +314,12 @@ def test_forward_hidden_matches_loop_transcription_across_tiles(kind, reference)
         [np.cumsum(rng.integers(1, 50, size=length)) for length in lengths],
         n,
     )
-    hidden = M.forward_hidden(batch, params, cfg).data
-    last = M.forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data[:, 0]
-    for row, length in enumerate(batch.valid_len):
+    hidden = M.forward_hidden(batch, params, cfg).data  # packed: each sequence's valid rows in turn
+    last = M.forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data
+    starts = np.cumsum(batch.valid_len) - batch.valid_len
+    for row, (start, length) in enumerate(zip(starts, batch.valid_len)):
         want = reference(batch.items[row], batch.timestamps[row], length, params, cfg)
-        np.testing.assert_allclose(hidden[row, :length], want[:length], atol=1e-9)
+        np.testing.assert_allclose(hidden[start : start + length], want[:length], atol=1e-9)
         np.testing.assert_allclose(last[row], want[length - 1], atol=1e-9)
 
 
@@ -286,10 +333,10 @@ def test_op_peak_memory_is_below_one_attention_map(kind):
     items = rng.integers(1, cfg.vocab, size=(b, n))
     ts = np.cumsum(rng.integers(1, 5000, size=(b, n)), axis=1)
     ctx = M.build_attn_context(SequenceBatch(items, ts, np.full(b, n)), cfg)
-    q, k, v = (Tensor(rng.normal(size=(b, n, 16)), requires_grad=True) for _ in range(3))
+    q, k, v = (Tensor(rng.normal(size=(b * n, 16)), requires_grad=True) for _ in range(3))  # full rows, packed
     alpha = [Tensor(rng.normal(size=cfg.n_buckets), requires_grad=True)]
     beta = [Tensor(rng.normal(size=n), requires_grad=True)]
-    op, _ = _ops(kind, 1, ctx.allowed, ctx.bucket_idx, ctx.rel_idx)
+    op, _ = _ops(kind, 1, ctx)
     tracemalloc.start()
     try:
         with Tape() as tape:

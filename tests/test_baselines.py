@@ -58,7 +58,7 @@ def test_vanilla_zero_weights_pass_input_through():
         t.data[:] = 0.0
     batch = random_batch(cfg, 2, seed=3)
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(2, cfg.n, cfg.d)))
+    x = Tensor(rng.normal(size=(batch.valid_len.sum(), cfg.d)))
     out = _block(M.BLOCK_APPLIERS["vanilla"], x, batch, blk, cfg)
     np.testing.assert_array_equal(out.data, x.data)
 
@@ -90,8 +90,8 @@ def test_vanilla_scalar_transcription():
     blk.w_1.data = np.array([[1.3]])
     blk.w_2.data = np.array([[-0.8]])
     batch = SequenceBatch(np.array([[1, 2]]), np.array([[5, 9]]), np.array([2]))
-    x = Tensor(np.array([[[0.9], [-0.7]]]))
-    out = _block(M.BLOCK_APPLIERS["vanilla"], x, batch, blk, cfg).data[0]
+    x = Tensor(np.array([[0.9], [-0.7]]))
+    out = _block(M.BLOCK_APPLIERS["vanilla"], x, batch, blk, cfg).data
 
     eps = cfg.rms_eps
     xt = [xi / math.sqrt(xi * xi + eps) * 1.2 for xi in (0.9, -0.7)]
@@ -119,7 +119,7 @@ def test_hstu_reduces_to_semantic_channel_when_biases_zero():
     full = random_params(cfg, kind="full", seed=99)
     for name in ("w_q", "w_k", "w_v", "attn_gain"):
         getattr(full.blocks[0], name).data = getattr(hstu.blocks[0], name).data.copy()
-    x = Tensor(np.random.default_rng(0).normal(size=(2, cfg.n, cfg.d)))
+    x = Tensor(np.random.default_rng(0).normal(size=(batch.valid_len.sum(), cfg.d)))
     ctx = M.build_attn_context(batch, cfg)
     xt = T.rms_norm(x, hstu.blocks[0].attn_gain, cfg.rms_eps)
     hstu_out = M.channel_outputs(xt, ctx, hstu.blocks[0], cfg, summed=True).data
@@ -131,7 +131,7 @@ def test_hstu_zero_input_gives_zero_output_before_residual():
     cfg = tiny_config()
     params = random_params(cfg, kind="hstu_like", seed=1)
     batch = random_batch(cfg, 2, seed=1)
-    x = Tensor(np.zeros((2, cfg.n, cfg.d)))
+    x = Tensor(np.zeros((batch.valid_len.sum(), cfg.d)))
     out = _block(M.BLOCK_APPLIERS["hstu_like"], x, batch, params.blocks[0], cfg)
     # gate silu(0) = 0 annihilates the attention path; residual carries the zeros
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
@@ -153,8 +153,8 @@ def test_hstu_scalar_transcription():
     blk.alpha[0].data = np.array([0.2, -0.1, 0.4, 0.3])
     blk.beta[0].data = np.array([0.6, -0.7])
     batch = SequenceBatch(np.array([[1, 2]]), np.array([[5, 9]]), np.array([2]))
-    x = Tensor(np.array([[[0.9], [-0.7]]]))
-    out = _block(M.BLOCK_APPLIERS["hstu_like"], x, batch, blk, cfg).data[0]
+    x = Tensor(np.array([[0.9], [-0.7]]))
+    out = _block(M.BLOCK_APPLIERS["hstu_like"], x, batch, blk, cfg).data
 
     eps = cfg.rms_eps
     xt = [xi / math.sqrt(xi * xi + eps) * 1.2 for xi in (0.9, -0.7)]

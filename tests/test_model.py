@@ -64,8 +64,9 @@ def test_embed_all_padding_rows_are_zero():
         np.array([2, 0]),
     )
     out = M.embed_sequence(batch, params, cfg).data
-    np.testing.assert_array_equal(out[1], np.zeros((4, cfg.d)))
-    np.testing.assert_array_equal(out[0, 2:], np.zeros((2, cfg.d)))
+    # packed: the padding of either row has no row at all, so only the two valid positions remain
+    expected = params.item_emb.data[[1, 2]] + params.pos_emb.data[[0, 1]]
+    np.testing.assert_array_equal(out, expected)
 
 
 def test_embed_first_row_is_item_plus_position():
@@ -76,7 +77,7 @@ def test_embed_first_row_is_item_plus_position():
     )
     out = M.embed_sequence(batch, params, cfg).data
     expected = params.item_emb.data[3] + params.pos_emb.data[0]
-    np.testing.assert_array_equal(out[0, 0], expected)
+    np.testing.assert_array_equal(out[0], expected)
 
 
 def test_embed_matches_table_lookup_oracle():
@@ -86,13 +87,13 @@ def test_embed_matches_table_lookup_oracle():
     ts = np.array([[1, 4, 0], [2, 2, 9]])
     lens = np.array([2, 3])
     out = M.embed_sequence(SequenceBatch(items, ts, lens), params, cfg).data
+    assert out.shape == (lens.sum(), cfg.d)  # one packed row per valid position, none for padding
+    row = 0
     for b in range(2):
-        for j in range(3):
-            if j < lens[b]:
-                expected = params.item_emb.data[items[b, j]] + params.pos_emb.data[j]
-            else:
-                expected = np.zeros(cfg.d)
-            np.testing.assert_array_equal(out[b, j], expected)
+        for j in range(lens[b]):
+            expected = params.item_emb.data[items[b, j]] + params.pos_emb.data[j]
+            np.testing.assert_array_equal(out[row], expected)
+            row += 1
 
 
 def test_embed_rejects_out_of_range_id():
@@ -162,7 +163,7 @@ def test_ams_zero_input_gives_zero_output():
     cfg = tiny_config()
     params = random_params(cfg)
     batch = random_batch(cfg, 2, seed=1)
-    x = Tensor(np.zeros((2, cfg.n, cfg.d)))
+    x = Tensor(np.zeros((batch.valid_len.sum(), cfg.d)))
     out = _ams(x, batch, params.blocks[0], cfg)
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
@@ -188,7 +189,7 @@ def test_ams_scalar_transcription():
 
     batch = SequenceBatch(np.array([[1, 2]]), np.array([[5, 9]]), np.array([2]))
     x = M.embed_sequence(batch, params, cfg)
-    out = _ams(x, batch, blk, cfg).data[0]
+    out = _ams(x, batch, blk, cfg).data
 
     eps = cfg.rms_eps
     x0, x1 = 0.8 + 0.1, -0.5 - 0.2
@@ -221,7 +222,7 @@ def test_ams_causal_bitwise():
     xb = M.embed_sequence(SequenceBatch(items_b, ts, lens), params, cfg)
     out_a = _ams(xa, SequenceBatch(items_a, ts, lens), params.blocks[0], cfg).data
     out_b = _ams(xb, SequenceBatch(items_b, ts, lens), params.blocks[0], cfg).data
-    np.testing.assert_array_equal(out_a[0, :3], out_b[0, :3])
+    np.testing.assert_array_equal(out_a[:3], out_b[:3])
 
 
 # mffn ---------------------------------------------------------------------------
@@ -281,7 +282,8 @@ def test_forward_no_blocks_is_embedding_times_emb_transpose():
     batch = random_batch(cfg, 3, seed=5)
     logits = M.forward(batch, params, cfg).data
     x0 = M.embed_sequence(batch, params, cfg).data
-    np.testing.assert_array_equal(logits, x0 @ params.item_emb.data.T)
+    np.testing.assert_array_equal(logits[batch.valid], x0 @ params.item_emb.data.T)
+    np.testing.assert_array_equal(logits[~batch.valid], 0.0)
 
 
 def test_forward_causal_bitwise():
@@ -411,7 +413,7 @@ def test_semantic_scale_factor_is_configured_length():
         )
         x = M.embed_sequence(batch, params, cfg)
         sem, _, _ = _ams_channels(x, batch, params.blocks[0], cfg)
-        out[n] = sem[0, 0]
+        out[n] = sem[0]
     np.testing.assert_array_equal(out[2] * 2.0, out[4] * 4.0)
 
 
@@ -589,7 +591,7 @@ def test_grad_check_through_tiny_model():
     cfg = tiny_config()
     params = random_params(cfg, seed=0)
     batch = random_batch(cfg, 2, seed=0)
-    targets = np.where(batch.items > 0, (batch.items % (cfg.vocab - 1)) + 1, 0)
+    targets = ((batch.items % (cfg.vocab - 1)) + 1)[batch.valid]  # packed, as next_item_targets
     negs = next_item_negatives(targets, cfg, np.random.default_rng(0))
 
     def loss_fn():

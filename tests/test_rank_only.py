@@ -26,18 +26,20 @@ def test_query_rows_match_the_all_rows_path(kind, heads, layers):
     items, ts = _history(rng, 3 * cfg.n, cfg.vocab)
     long = SequenceBatch.from_sequences([items], [ts], cfg.n)  # a history longer than n, cut to its last n
     for batch in (padded, long):
-        full = M.forward_hidden(batch, params, cfg).data
-        for rows in (batch.valid_len - 1, rng.integers(0, cfg.n, size=batch.size)):
+        full = M.forward_hidden(batch, params, cfg).data  # packed: each sequence's valid rows in turn
+        starts = np.cumsum(batch.valid_len) - batch.valid_len
+        for rows in (batch.valid_len - 1, rng.integers(0, batch.valid_len)):  # random rows in each valid prefix
             picked = M.forward_hidden(batch, params, cfg, rows=rows).data
-            assert picked.shape == (batch.size, 1, cfg.d)
-            np.testing.assert_allclose(picked[:, 0], full[np.arange(batch.size), rows], rtol=0, atol=1e-12)
+            assert picked.shape == (batch.size, cfg.d)
+            np.testing.assert_allclose(picked, full[starts + rows], rtol=0, atol=1e-12)
 
 
 def test_forward_hidden_rejects_rows_outside_the_batch():
     cfg = tiny_config()
     params = random_params(cfg)
-    batch = random_batch(cfg, 2)
-    for rows in ([-1, 0], [0, cfg.n], [0], [[0, 1]]):
+    batch = SequenceBatch.from_sequences([[1, 2, 3, 4], [5, 6]], [[1, 2, 3, 4], [5, 6]], cfg.n)
+    # [0, 2] names a row in the second sequence's padding
+    for rows in ([-1, 0], [0, cfg.n], [0], [[0, 1]], [0, 2]):
         with pytest.raises(ValueError, match="rows"):
             M.forward_hidden(batch, params, cfg, rows=np.array(rows))
 
@@ -90,7 +92,7 @@ def test_predict_next_runs_at_history_width_with_one_query_row(monkeypatch, kind
     M.predict_next(items, ts, params, cfg, k=3)
     assert widths == [(1, 10)]
     width = cfg.channel_width
-    assert shapes == [((1, 10, width), (1, 10, width)), ((1, 1, width), (1, 10, width))]
+    assert shapes == [((10, width), (10, width)), ((1, width), (10, width))]
 
 
 def test_evaluate_pads_each_batch_to_its_longest_history(monkeypatch):

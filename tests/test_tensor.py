@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,31 @@ def test_silu_values():
     assert abs(T.silu(Tensor([50.0])).data[0] - 50.0) < 1e-12
 
 
+def test_sigmoid_matches_the_logistic_formula():
+    x = np.linspace(-40.0, 40.0, 100_001)
+    want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert np.abs(T._sigmoid(x) - want).max() <= 1e-15
+    assert np.abs(T.silu(Tensor(x)).data - x * want).max() <= 1e-14
+
+
+def test_silu_keeps_only_its_input_for_backward():
+    # the output is the one new array a silu node holds; its sigmoid is
+    # recomputed in backward
+    x = Tensor(np.random.default_rng(0).normal(size=100_000), requires_grad=True)
+    with Tape() as tape:
+        tracemalloc.start()
+        try:
+            out = T.silu(x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        loss = T.tsum(out)
+    assert held < 1.5 * x.data.nbytes
+    T.backward(loss, tape)
+    s = 1.0 / (1.0 + np.exp(-x.data))
+    np.testing.assert_allclose(x.grad, s * (1.0 + x.data * (1.0 - s)), rtol=0, atol=1e-15)
+
+
 def test_silu_no_overflow_for_extreme_inputs():
     out = T.silu(Tensor([-800.0, 800.0, 0.0]))
     assert np.all(np.isfinite(out.data))
@@ -92,7 +118,7 @@ def test_masked_softmax_zeroes_disallowed_and_handles_empty_rows():
     q = Tensor(np.array([[np.sqrt(3.0), 0.0, 0.0]] * 2))
     k = Tensor(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
     allowed = np.array([[True, True, False], [False, False, False]])
-    p = T.masked_softmax_attention(q, k, Tensor(np.eye(3)), allowed, heads=1).data
+    p = T.masked_softmax_attention(q, k, Tensor(np.eye(3)), np.arange(2), np.arange(3), allowed, heads=1).data
     assert p[0, 2] == 0.0
     np.testing.assert_allclose(p[0, :2].sum(), 1.0, atol=1e-12)
     np.testing.assert_array_equal(p[1], np.zeros(3))
@@ -195,6 +221,7 @@ def _gradcheck_cases(rng):
     ridx = rng.integers(0, 5, size=(4, 2))
     xq = Tensor(rng.normal(size=(4, 3)))
     cand = rng.integers(0, 5, size=(4, 3))
+    rows4 = np.arange(4)  # every row of a full 4-row grid
     return [
         (lambda: T.matmul(a, b).sum(), [a, b]),
         (lambda: T.silu(c).sum(), [c]),
@@ -208,7 +235,7 @@ def _gradcheck_cases(rng):
         (lambda: T.mul(T.rows_dot(xq, table, cand), T.rows_dot(xq, table, cand)).sum(), [xq, table]),
         (lambda: T.add(T.mul(a, c), a).mean(), [a, c]),
         (lambda: a.mean(axis=0).sum(), [a]),
-        (lambda: T.mul(T.masked_softmax_attention(a, c, c, np.tril(np.ones((4, 4), dtype=bool)), 2), a).sum(), [a, c]),
+        (lambda: T.mul(T.masked_softmax_attention(a, c, c, rows4, rows4, np.tril(np.ones((4, 4), dtype=bool)), 2), a).sum(), [a, c]),
     ]
 
 
