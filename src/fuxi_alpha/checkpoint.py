@@ -1,4 +1,5 @@
-"""Checkpoint file: JSON manifest + raw little-endian float64 arrays + sha256.
+"""Checkpoint file: JSON manifest + raw little-endian float64 arrays + sha256,
+and the atomic writer every run artifact goes through.
 
 Layout: magic, u32 header length, header JSON (config, variant kind, array
 table), the arrays in table order, then a 32-byte sha256 of everything
@@ -7,12 +8,15 @@ before it.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +27,29 @@ MAGIC = b"FXCK\x01\x00"
 
 class CheckpointError(ValueError):
     """Corrupt or structurally invalid checkpoint file."""
+
+
+def write_atomic(path: str | Path, data: bytes | str) -> None:
+    """Write data (str as UTF-8) to path through a synced temporary file and a
+    rename, so a crash mid-write leaves the previous file whole."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """A CSV file of the header and rows, written atomically."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue())
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, cfg: ModelConfig, extra: dict | None = None) -> None:
@@ -38,16 +65,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, cfg: ModelConfig, ext
     for _, t in named:
         chunks.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     body = b"".join(chunks)
-    digest = hashlib.sha256(body).digest()
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(body + digest)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)  # a crash before this rename leaves the previous file whole
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(path, body + hashlib.sha256(body).digest())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig, dict]:

@@ -11,9 +11,8 @@ loss.csv, metrics.csv, bench.csv, analysis.csv, gradcheck.txt). Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
+import fcntl
 import json
-import os
 import platform
 import sys
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .bench import _openblas_thread_setters, scaling_probe, tps_benchmark
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic, write_csv
 from .config import ConfigError, resolve_config
 from .data import (
     GAP_RULES,
@@ -36,7 +35,7 @@ from .data import (
     synthesize_dataset,
     uniform_gap_rule,
 )
-from .evaluate import evaluate, metrics_records, write_metrics_csv
+from .evaluate import evaluate, metrics_records
 from .model import ModelConfig, SequenceBatch, forward_hidden, init_params, sampled_loss
 from .poly import generic_block_spec, verify_degree_bound
 from .train import TrainConfig, next_item_negatives, next_item_targets, train
@@ -88,17 +87,14 @@ def build_train_config(cfg: dict) -> TrainConfig:
 
 def cmd_ingest(cfg: dict, outdir: Path) -> int:
     split = load_split(cfg)
-    (outdir / "split.manifest").write_text(json.dumps(split_manifest(split), indent=2))
+    write_atomic(outdir / "split.manifest", json.dumps(split_manifest(split), indent=2))
     return 0
 
 
 def _write_loss_csv(path: Path, result) -> None:
     val = dict(result.val_history)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss", "val_ndcg10"])
-        for epoch, loss in enumerate(result.loss_history):
-            writer.writerow([epoch, repr(loss), repr(val[epoch]) if epoch in val else ""])
+    rows = [[epoch, repr(loss), repr(val[epoch]) if epoch in val else ""] for epoch, loss in enumerate(result.loss_history)]
+    write_csv(path, ["epoch", "mean_loss", "val_ndcg10"], rows)
 
 
 def cmd_train(cfg: dict, outdir: Path) -> int:
@@ -123,7 +119,7 @@ def cmd_eval(cfg: dict, outdir: Path) -> int:
     partition = split.test if cfg["eval"]["partition"] == "test" else split.validation
     report = evaluate(params, partition, cfg["eval"]["ks"], mcfg)
     rows = metrics_records(report, extra.get("variant", params.kind), "final")
-    write_metrics_csv(outdir / "metrics.csv", rows)
+    write_csv(outdir / "metrics.csv", ["variant", "epoch", "k", "metric", "value"], rows)
     return 0
 
 
@@ -143,10 +139,7 @@ def cmd_ablate(cfg: dict, outdir: Path) -> int:
             + [repr(report.ndcg[k]) for k in ks]
             + [repr(report.mrr)]
         )
-    with open(outdir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(outdir / "metrics.csv", header, rows)
     return 0
 
 
@@ -161,12 +154,12 @@ def cmd_bench(cfg: dict, outdir: Path) -> int:
     dataset = build_sequences(synthesize_dataset(spec), n=max(lengths))
     template = build_model_config(cfg, vocab=items + 1)
     machine = platform.node() or platform.machine()
-    with open(outdir / "bench.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "seq_len", "metric", "value", "machine"])
-        for kind in b["variants"]:
-            for rec in tps_benchmark(kind, template, lengths, b["batch"], dataset):
-                writer.writerow([rec.variant, rec.seq_len, "tps", repr(rec.tps), machine])
+    rows = [
+        [rec.variant, rec.seq_len, "tps", repr(rec.tps), machine]
+        for kind in b["variants"]
+        for rec in tps_benchmark(kind, template, lengths, b["batch"], dataset)
+    ]
+    write_csv(outdir / "bench.csv", ["variant", "seq_len", "metric", "value", "machine"], rows)
     return 0
 
 
@@ -192,10 +185,7 @@ def cmd_analyze(cfg: dict, outdir: Path) -> int:
             rows.append([f"scaling_{axis}", row.value, "param_count", row.param_count, machine])
             rows.append([f"scaling_{axis}", row.value, "step_time", repr(row.step_time), machine])
         rows.append([f"scaling_{axis}", "", "r_squared", repr(probe.r_squared), machine])
-    with open(outdir / "analysis.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe", "value", "metric", "result", "machine"])
-        writer.writerows(rows)
+    write_csv(outdir / "analysis.csv", ["probe", "value", "metric", "result", "machine"], rows)
     if not all_hold:
         raise RuntimeError("analyze: polynomial degree oracle failed")
     return 0
@@ -224,7 +214,7 @@ def cmd_gradcheck(cfg: dict, outdir: Path) -> int:
         worst = max(worst, err)
         lines.append(f"seed {seed}: max relative error {err:.3e}")
     lines.append(f"max over seeds: {worst:.3e} (tolerance {GRADCHECK_TOLERANCE:.0e})")
-    (outdir / "gradcheck.txt").write_text("\n".join(lines) + "\n")
+    write_atomic(outdir / "gradcheck.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     if worst >= GRADCHECK_TOLERANCE:
         raise RuntimeError(f"gradcheck: max relative error {worst:.3e} exceeds {GRADCHECK_TOLERANCE}")
@@ -244,7 +234,7 @@ DISPATCH = {
 
 def _write_provenance(cfg: dict, outdir: Path, command: str, overrides) -> None:
     blas = _openblas_thread_setters()
-    (outdir / "resolved_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
+    write_atomic(outdir / "resolved_config.json", json.dumps(cfg, indent=2, sort_keys=True))
     manifest = {
         "command": command,
         "overrides": list(overrides),
@@ -257,7 +247,7 @@ def _write_provenance(cfg: dict, outdir: Path, command: str, overrides) -> None:
         "platform": platform.platform(),
         "machine": platform.node() or platform.machine(),
     }
-    (outdir / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_atomic(outdir / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def main(argv=None) -> int:
@@ -287,18 +277,14 @@ def main(argv=None) -> int:
 
     outdir = Path(cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
-    lock = outdir / ".lock"
-    # the lock holds its run's pid; a lock naming an ended process (a killed run) is reclaimed
+    # The kernel holds the lock for as long as this process keeps .lock open
+    # and drops it when the process ends, however it ends. The file stays:
+    # unlinking it would let a second run lock a new file of the same name.
+    lock = open(outdir / ".lock", "a")
     try:
-        os.kill(int(lock.read_text()), 0)
-    except ProcessLookupError:
-        lock.unlink(missing_ok=True)
-    except (OSError, ValueError, OverflowError):
-        pass  # no lock, a live holder, or content that is not a pid: the open below decides
-    try:
-        with open(lock, "x") as fh:
-            fh.write(str(os.getpid()))
-    except FileExistsError:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        lock.close()
         _error_record("config", f"output directory {outdir} is locked by another run")
         return 2
 
@@ -315,7 +301,7 @@ def main(argv=None) -> int:
         _error_record("numeric", str(e))
         return 4
     finally:
-        lock.unlink(missing_ok=True)
+        lock.close()
 
 
 if __name__ == "__main__":

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -111,9 +109,3 @@ def metrics_records(report: MetricsReport, variant: str, epoch: int | str) -> li
     rows.append((variant, epoch, "", "mrr", report.mrr))
     return rows
 
-
-def write_metrics_csv(path: str | Path, rows: Iterable[tuple]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "epoch", "k", "metric", "value"])
-        writer.writerows(rows)

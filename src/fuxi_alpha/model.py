@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import AttnContext, Tensor
 
 # kind -> (attention, ffn); see the module docstring
 VARIANTS = {
@@ -303,42 +303,12 @@ def relative_time_bucket(delta_t: float, cfg: ModelConfig) -> int:
 
 # attention context ------------------------------------------------------------
 
-
-@dataclass
-class AttnContext:
-    """Batch-level constants shared by every layer's attention, for query i and key j.
-
-    Activations are packed: a [T, ·] activation holds the batch's T valid
-    positions in row-major order, and `keys` names where each sits in the
-    flattened [B, n] grid. The attention ops read the grid shapes from `allowed`.
-    """
-
-    allowed: np.ndarray     # [B, m, n] bool; True where j <= i and j is a valid position
-    bucket_idx: np.ndarray  # [B, m, n] time bucket of t_i - t_j (clipped at 0) where j < i, else 0; narrowest unsigned dtype
-    rel_idx: np.ndarray     # [m, n], or [B, m, n], index distance i - j (clipped at 0)
-    keys: np.ndarray        # [T] flat positions of the packed rows in the [B, n] key grid
-    queries: np.ndarray     # flat positions of the packed query rows in the [B, m] query grid
-
-    def at_rows(self, rows: np.ndarray | None) -> AttnContext:
-        """The context of the packed rows `rows` alone, rows[b] a position of
-        sequence b: every array becomes [B, 1, n]. rows=None keeps every query row."""
-        if rows is None:
-            return self
-        seq, pos = np.divmod(self.keys[rows], self.allowed.shape[-1])
-        return AttnContext(
-            allowed=self.allowed[seq, pos, None],
-            bucket_idx=self.bucket_idx[seq, pos, None],
-            rel_idx=self.rel_idx[pos, None],
-            keys=self.keys,
-            queries=seq,
-        )
-
-
 # query rows per block of `build_attn_context`'s bucketing, as entries of [B, rows, n]
 _BUCKET_BLOCK = 1 << 16
 
 
 def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
+    """The batch's attention layout (`tensor.AttnContext`), with every valid position a query row."""
     b, n = batch.items.shape
     pos = np.arange(n, dtype=np.min_scalar_type(-n))
     rel = np.subtract.outer(pos, pos)
@@ -387,19 +357,12 @@ def embed_sequence(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) 
     return T.add(e, p)
 
 
-def query_rows(x: Tensor, rows: np.ndarray | None) -> Tensor:
-    """The packed rows `rows` of x [T, d], as [len(rows), d]; rows=None keeps x."""
-    return x if rows is None else T.take_rows(x, rows)
+# Each attention half below reads keys and values at every packed row and
+# computes its queries (and the gate) at ctx's query rows only: it returns
+# [T, ·] for every row, or [B, ·] after ctx.at_rows.
 
 
-# Each attention half below reads keys and values at every position and, given
-# `rows` (packed row ids, one per sequence), computes queries (and the gate) at
-# those rows only, returning [B, ·].
-
-
-def channel_outputs(
-    xt: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool, rows: np.ndarray | None = None
-) -> Tensor:
+def channel_outputs(xt: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool) -> Tensor:
     """Attention output of the normalized input xt, heads concatenated per channel.
 
     Each head scores (1/n)·SiLU(q·kᵀ) and reads the learned position (beta) and
@@ -408,49 +371,36 @@ def channel_outputs(
     channels [semantic | positional | temporal]; HSTU (summed=True) adds them
     before masking, giving one.
     """
-    q = T.silu(T.matmul(query_rows(xt, rows), layer.w_q))
+    q = T.silu(T.matmul(ctx.query(xt), layer.w_q))
     k = T.silu(T.matmul(xt, layer.w_k))
     v = T.silu(T.matmul(xt, layer.w_v))
-    ctx = ctx.at_rows(rows)
-    return T.silu_attention(
-        q, k, v, layer.alpha, layer.beta, ctx.queries, ctx.keys, ctx.allowed, ctx.bucket_idx, ctx.rel_idx,
-        1.0 / cfg.n, summed,
-    )
+    return T.silu_attention(q, k, v, layer.alpha, layer.beta, ctx, 1.0 / cfg.n, summed)
 
 
-def _gated_attention(
-    x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool, rows: np.ndarray | None
-) -> Tensor:
+def _gated_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, summed: bool) -> Tensor:
     xt = T.rms_norm(x, layer.attn_gain, cfg.rms_eps)
-    gate = T.silu(T.matmul(query_rows(xt, rows), layer.w_u))
-    stacked = channel_outputs(xt, ctx, layer, cfg, summed, rows)
+    gate = T.silu(T.matmul(ctx.query(xt), layer.w_u))
+    stacked = channel_outputs(xt, ctx, layer, cfg, summed)
     return T.mul(T.rms_norm(stacked, None, cfg.rms_eps), gate)
 
 
-def ams_attention(
-    x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, rows: np.ndarray | None = None
-) -> Tensor:
+def ams_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
     """Multi-channel attention: gated concat of semantic/positional/temporal channels."""
-    return _gated_attention(x, ctx, layer, cfg, summed=False, rows=rows)
+    return _gated_attention(x, ctx, layer, cfg, summed=False)
 
 
-def hstu_attention(
-    x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, rows: np.ndarray | None = None
-) -> Tensor:
+def hstu_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
     """Gated single SiLU channel whose weights add the time and position biases."""
-    return _gated_attention(x, ctx, layer, cfg, summed=True, rows=rows)
+    return _gated_attention(x, ctx, layer, cfg, summed=True)
 
 
-def softmax_attention(
-    x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, rows: np.ndarray | None = None
-) -> Tensor:
+def softmax_attention(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
     """Pre-norm causal multi-head softmax attention; returns concatenated heads."""
     xt = T.rms_norm(x, layer.attn_gain, cfg.rms_eps)
-    q = T.matmul(query_rows(xt, rows), layer.w_q)
+    q = T.matmul(ctx.query(xt), layer.w_q)
     k = T.matmul(xt, layer.w_k)
     v = T.matmul(xt, layer.w_v)
-    ctx = ctx.at_rows(rows)
-    return T.masked_softmax_attention(q, k, v, ctx.queries, ctx.keys, ctx.allowed, cfg.heads)
+    return T.masked_softmax_attention(q, k, v, ctx, cfg.heads)
 
 
 def stage_one(h: Tensor, x_prev: Tensor, layer: BlockParams) -> Tensor:
@@ -479,10 +429,10 @@ ATTENTIONS = {"ams": ams_attention, "softmax": softmax_attention, "hstu": hstu_a
 def _block_applier(attention: str, ffn: str) -> Callable[..., Tensor]:
     attend = ATTENTIONS[attention]
 
-    def apply(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig, rows: np.ndarray | None = None) -> Tensor:
-        """The block at every packed row of x, or at the packed rows `rows` alone, one per sequence."""
-        h = attend(x, ctx, layer, cfg, rows)
-        x = query_rows(x, rows)
+    def apply(x: Tensor, ctx: AttnContext, layer: BlockParams, cfg: ModelConfig) -> Tensor:
+        """The block at ctx's query rows of the packed x: every row, or one per sequence."""
+        h = attend(x, ctx, layer, cfg)
+        x = ctx.query(x)
         # looked up by module-level name on each call, so a rebound mffn is seen
         if ffn == "mffn":
             return mffn(h, x, layer, cfg)
@@ -515,15 +465,14 @@ def forward_hidden(
         rows = np.asarray(rows, dtype=np.int64)
         if rows.shape != (batch.size,) or np.any(rows < 0) or np.any(rows >= batch.valid_len):
             raise ValueError("forward_hidden: rows must hold one valid position per sequence, in [0, valid_len)")
-        rows = rows + np.cumsum(batch.valid_len) - batch.valid_len  # packed row ids
     x = embed_sequence(batch, params, cfg)
-    if not params.blocks:
-        return query_rows(x, rows)
     ctx = build_attn_context(batch, cfg)
+    if not params.blocks:
+        return ctx.at_rows(rows).query(x)
     *early, last = params.blocks
     for blk in early:
         x = apply(x, ctx, blk, cfg)
-    return apply(x, ctx, last, cfg, rows)
+    return apply(x, ctx.at_rows(rows), last, cfg)
 
 
 def forward(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) -> Tensor:
@@ -548,12 +497,11 @@ def sampled_softmax_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
 
 
 def sampled_loss(hidden: Tensor, item_emb: Tensor, targets: np.ndarray, negs: np.ndarray) -> Tensor:
-    """Sampled-softmax loss at the P positions of hidden [..., d] whose target id
-    in targets [...] is non-zero, in row-major order, against their negatives [P, N]."""
+    """Sampled-softmax loss at the P packed rows of hidden [T, d] whose target
+    id in targets [T] is non-zero, in order, against their negatives [P, N]."""
     scored = np.flatnonzero(targets > 0)
-    rows = hidden if hidden.ndim == 2 else T.reshape(hidden, (-1, hidden.shape[-1]))
-    h = T.take_rows(rows, scored)
-    pos = T.rows_dot(h, item_emb, targets.reshape(-1, 1)[scored])
+    h = T.take_rows(hidden, scored)
+    pos = T.rows_dot(h, item_emb, targets[scored, None])
     return sampled_softmax_loss(pos, T.rows_dot(h, item_emb, negs))
 
 

@@ -9,6 +9,7 @@ fixed evaluation order so repeated runs are bitwise identical.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -17,6 +18,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeError",
+    "AttnContext",
     "matmul",
     "silu",
     "relu",
@@ -464,12 +466,52 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
 # size [B, n, n] stays on the tape. Head h is the h-th equal slice of the last
 # axis of q, k and v.
 #
-# q, k and v arrive packed: q [Tq, w] holds the query rows at the flat
-# positions q_at of the [B, m] query grid, k and v [T, w] the keys at the flat
-# positions kv_at of the [B, n] key grid, where allowed is [B, m, n]. The ops
-# lay them out on their grids, zero elsewhere, only while they run (a full
-# grid is a view of the packed rows), return their output packed as q, and
-# keep only the packed operands on the tape.
+# Both ops take their layout from one AttnContext. q, k and v arrive packed:
+# q [Tq, w] holds the query rows at the flat positions ctx.queries of the
+# [B, m] query grid, k and v [T, w] the keys at the flat positions ctx.keys of
+# the [B, n] key grid. The ops lay them out on their grids, zero elsewhere,
+# only while they run (a full grid is a view of the packed rows), return their
+# output packed as q, and keep only the packed operands on the tape.
+
+
+@dataclass
+class AttnContext:
+    """A batch's causal attention layout, shared by every layer and every
+    channel, for query i and key j.
+
+    Activations are packed: a [T, ·] activation holds the batch's T valid
+    positions in row-major order, and `keys` names where each sits in the
+    flattened [B, n] key grid. The query rows are every packed row
+    (rows=None), or one row per sequence after `at_rows`.
+    """
+
+    allowed: np.ndarray     # [B, m, n] bool; True where j <= i and j is a valid position
+    bucket_idx: np.ndarray  # [B, m, n] time bucket of t_i - t_j (clipped at 0) where j < i, else 0; narrowest unsigned dtype
+    rel_idx: np.ndarray     # [m, n], or [B, m, n], index distance i - j (clipped at 0)
+    keys: np.ndarray        # [T] flat positions of the packed rows in the [B, n] key grid
+    queries: np.ndarray     # flat positions of the query rows in the [B, m] query grid
+    rows: np.ndarray | None = None  # packed ids of the query rows among the T; None for every row
+
+    def at_rows(self, positions: np.ndarray | None) -> AttnContext:
+        """The context of one query row per sequence, at the valid position
+        positions[b] of sequence b: every array becomes [B, 1, n] and `rows`
+        holds the rows' packed ids. positions=None keeps every query row."""
+        if positions is None:
+            return self
+        seq = np.arange(len(positions))
+        return AttnContext(
+            allowed=self.allowed[seq, positions, None],
+            bucket_idx=self.bucket_idx[seq, positions, None],
+            rel_idx=self.rel_idx[positions, None],
+            keys=self.keys,
+            queries=seq,
+            rows=np.searchsorted(self.keys, seq * self.allowed.shape[-1] + positions),
+        )
+
+    def query(self, x: Tensor) -> Tensor:
+        """The query rows of the packed x [T, ·]: x itself, or its rows at `rows`."""
+        return x if self.rows is None else take_rows(x, self.rows)
+
 
 _TILE_ROWS = 64
 
@@ -494,10 +536,11 @@ def _packed(x: np.ndarray, at: np.ndarray) -> np.ndarray:
     return flat if len(at) == flat.shape[0] else flat[at]
 
 
-def _grids(q: Tensor, k: Tensor, v: Tensor, q_at: np.ndarray, kv_at: np.ndarray, allowed: np.ndarray):
-    """q on the query grid [..., m], and k and v on the key grid [..., n], of allowed [..., m, n]."""
-    kv_grid = allowed.shape[:-2] + allowed.shape[-1:]
-    return _grid(q.data, q_at, allowed.shape[:-1]), _grid(k.data, kv_at, kv_grid), _grid(v.data, kv_at, kv_grid)
+def _grids(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext):
+    """q on the query grid [..., m], and k and v on the key grid [..., n], of ctx.allowed [..., m, n]."""
+    shape = ctx.allowed.shape
+    kv_grid = shape[:-2] + shape[-1:]
+    return _grid(q.data, ctx.queries, shape[:-1]), _grid(k.data, ctx.keys, kv_grid), _grid(v.data, ctx.keys, kv_grid)
 
 
 def _head_slices(width: int, heads: int) -> list[slice]:
@@ -563,25 +606,22 @@ def silu_attention(
     v: Tensor,
     alpha: Sequence[Tensor],
     beta: Sequence[Tensor],
-    q_at: np.ndarray,
-    kv_at: np.ndarray,
-    allowed: np.ndarray,
-    bucket_idx: np.ndarray,
-    rel_idx: np.ndarray,
+    ctx: AttnContext,
     inv_n: float,
     summed: bool,
 ) -> Tensor:
     """Causal SiLU attention with learned time and position biases, one head per alpha.
 
     Head h weighs value j at query i by the semantic score SiLU(q_i·k_j)·inv_n,
-    the position bias beta[h][rel_idx[i, j]] and the time bias
-    alpha[h][bucket_idx[b, i, j]], each zero where `allowed` is False.
+    the position bias beta[h][ctx.rel_idx[i, j]] and the time bias
+    alpha[h][ctx.bucket_idx[b, i, j]], each zero where ctx.allowed is False.
     summed=False applies the three to V separately and returns the channels
     [semantic | positional | temporal]; summed=True applies their sum and
     returns one channel. Heads are concatenated within each channel. q, k and
-    v are packed at q_at and kv_at (see above); the output is packed as q.
+    v are packed as ctx lays out (see above); the output is packed as q.
     """
-    qg, kg, vg = _grids(q, k, v, q_at, kv_at, allowed)
+    allowed, bucket_idx, rel_idx = ctx.allowed, ctx.bucket_idx, ctx.rel_idx
+    qg, kg, vg = _grids(q, k, v, ctx)
     width = v.shape[-1]
     head_cols = _head_slices(width, len(alpha))
     out_shape = qg.shape[:-1] + (1 if summed else 3, width)
@@ -605,11 +645,11 @@ def silu_attention(
                 for c, bias, idx in ((1, beta[h], rel), (2, alpha[h], bucket)):
                     np.multiply(_gather(bias, idx, view(1, rows, kend)), mask, out=s)
                     out[..., rows, c, cols] = np.matmul(s, vt)
-    result = Tensor(_packed(out.reshape(qg.shape[:-1] + (-1,)), q_at))
+    result = Tensor(_packed(out.reshape(qg.shape[:-1] + (-1,)), ctx.queries))
 
     def bwd(g: np.ndarray) -> None:
-        qg, kg, vg = _grids(q, k, v, q_at, kv_at, allowed)
-        g = _grid(g, q_at, qg.shape[:-1]).reshape(out_shape)
+        qg, kg, vg = _grids(q, k, v, ctx)
+        g = _grid(g, ctx.queries, qg.shape[:-1]).reshape(out_shape)
         dq, dk, dv = np.zeros(qg.shape), np.zeros(kg.shape), np.zeros(vg.shape)
         view = _workspace(allowed, slots=4)
         for h, cols in enumerate(head_cols):
@@ -661,24 +701,23 @@ def silu_attention(
                 dk[..., :kend, cols] += _swapped_matmul(ds, qt)
             _accumulate(a, da, own=True)
             _accumulate(be, db, own=True)
-        _accumulate(q, _packed(dq, q_at), own=True)
-        _accumulate(k, _packed(dk, kv_at), own=True)
-        _accumulate(v, _packed(dv, kv_at), own=True)
+        _accumulate(q, _packed(dq, ctx.queries), own=True)
+        _accumulate(k, _packed(dk, ctx.keys), own=True)
+        _accumulate(v, _packed(dv, ctx.keys), own=True)
 
     return _record(result, (q, k, v, *alpha, *beta), bwd)
 
 
-def masked_softmax_attention(
-    q: Tensor, k: Tensor, v: Tensor, q_at: np.ndarray, kv_at: np.ndarray, allowed: np.ndarray, heads: int
-) -> Tensor:
-    """Multi-head scaled dot-product softmax attention restricted to `allowed`.
+def masked_softmax_attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int) -> Tensor:
+    """Multi-head scaled dot-product softmax attention restricted to ctx.allowed.
 
     Head h's weights are the softmax of q_h·k_hᵀ / sqrt(d_h) over the allowed
     entries of each row, zero elsewhere and in a row with none allowed; its
     output is those weights times v_h, and the heads are concatenated. q, k
-    and v are packed at q_at and kv_at (see above); the output is packed as q.
+    and v are packed as ctx lays out (see above); the output is packed as q.
     """
-    qg, kg, vg = _grids(q, k, v, q_at, kv_at, allowed)
+    allowed = ctx.allowed
+    qg, kg, vg = _grids(q, k, v, ctx)
     head_cols = _head_slices(v.shape[-1], heads)
     inv_sqrt = 1.0 / np.sqrt(v.shape[-1] // heads)
     tiles = _tiles(allowed)
@@ -694,11 +733,11 @@ def masked_softmax_attention(
         for rows, kend in tiles:
             p = weights(qg, kg, rows, kend, cols, view(0, rows, kend))
             out[..., rows, cols] = np.matmul(p, vg[..., :kend, cols])
-    result = Tensor(_packed(out, q_at))
+    result = Tensor(_packed(out, ctx.queries))
 
     def bwd(g: np.ndarray) -> None:
-        qg, kg, vg = _grids(q, k, v, q_at, kv_at, allowed)
-        g = _grid(g, q_at, qg.shape[:-1])
+        qg, kg, vg = _grids(q, k, v, ctx)
+        g = _grid(g, ctx.queries, qg.shape[:-1])
         dq, dk, dv = np.zeros(qg.shape), np.zeros(kg.shape), np.zeros(vg.shape)
         view = _workspace(allowed, slots=3)
         for cols in head_cols:
@@ -712,9 +751,9 @@ def masked_softmax_attention(
                 ds *= inv_sqrt
                 dq[..., rows, cols] = np.matmul(ds, kg[..., :kend, cols])
                 dk[..., :kend, cols] += _swapped_matmul(ds, qg[..., rows, cols])
-        _accumulate(q, _packed(dq, q_at), own=True)
-        _accumulate(k, _packed(dk, kv_at), own=True)
-        _accumulate(v, _packed(dv, kv_at), own=True)
+        _accumulate(q, _packed(dq, ctx.queries), own=True)
+        _accumulate(k, _packed(dk, ctx.keys), own=True)
+        _accumulate(v, _packed(dv, ctx.keys), own=True)
 
     return _record(result, (q, k, v), bwd)
 

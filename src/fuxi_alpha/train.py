@@ -164,20 +164,11 @@ def train(
     split: DatasetSplit,
     train_cfg: TrainConfig,
     model_cfg: ModelConfig,
-    freeze_temporal: bool = False,
     initial_params: ModelParams | None = None,
 ) -> TrainResult:
-    """Fit the variant `kind` on the split's training partition.
-
-    freeze_temporal zeroes the time-bucket biases and keeps them fixed, which
-    turns the temporal channel off while leaving the architecture unchanged.
-    """
+    """Fit the variant `kind` on the split's training partition, from
+    initial_params if given; a parameter with requires_grad=False stays fixed."""
     params = initial_params if initial_params is not None else init_params(model_cfg, kind, train_cfg.seed)
-    if freeze_temporal:
-        for blk in params.blocks:
-            for a in blk.alpha:
-                a.data[:] = 0.0
-                a.requires_grad = False
     opt = AdamW(params.named(), train_cfg)
     neg_rng = np.random.default_rng(train_cfg.seed + 1)
     result = TrainResult(params=params)

@@ -18,6 +18,16 @@ def tiny_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
+def freeze_temporal(params: ModelParams) -> ModelParams:
+    """params with every time-bucket bias zeroed and fixed (requires_grad=False,
+    so AdamW skips it): the temporal channel off, the architecture unchanged."""
+    for blk in params.blocks:
+        for a in blk.alpha:
+            a.data[:] = 0.0
+            a.requires_grad = False
+    return params
+
+
 def random_params(cfg: ModelConfig, kind: str = "full", seed: int = 0) -> ModelParams:
     """Init then overwrite every tensor with lively random values (alpha/beta included)."""
     params = init_params(cfg, kind, seed)
@@ -199,9 +209,9 @@ def _packed(x: Tensor, at: np.ndarray) -> Tensor:
     return T.take_rows(T.reshape(x, (-1, x.shape[-1])), at)
 
 
-def _grids(q, k, v, q_at, kv_at, allowed):
-    q_grid, kv_grid = allowed.shape[:-1], allowed.shape[:-2] + allowed.shape[-1:]
-    return _on_grid(q, q_at, q_grid), _on_grid(k, kv_at, kv_grid), _on_grid(v, kv_at, kv_grid)
+def _grids(q, k, v, ctx):
+    q_grid, kv_grid = ctx.allowed.shape[:-1], ctx.allowed.shape[:-2] + ctx.allowed.shape[-1:]
+    return _on_grid(q, ctx.queries, q_grid), _on_grid(k, ctx.keys, kv_grid), _on_grid(v, ctx.keys, kv_grid)
 
 
 def _exp(x: Tensor) -> Tensor:
@@ -222,28 +232,29 @@ def _head(x: Tensor, h: int, heads: int) -> Tensor:
     return T.matmul(x, Tensor(select))
 
 
-def dense_silu_attention(q, k, v, alpha, beta, q_at, kv_at, allowed, bucket_idx, rel_idx, inv_n, summed):
+def dense_silu_attention(q, k, v, alpha, beta, ctx, inv_n, summed):
     """tensor.silu_attention, each head's weight maps built whole and masked."""
-    q, k, v = _grids(q, k, v, q_at, kv_at, allowed)
+    q, k, v = _grids(q, k, v, ctx)
     heads = len(alpha)
-    mask = Tensor(allowed.astype(np.float64))
+    mask = Tensor(ctx.allowed.astype(np.float64))
     channels = ([], [], [])
     for h in range(heads):
         qh, kh, vh = (_head(x, h, heads) for x in (q, k, v))
         w = T.scale(T.silu(T.matmul(qh, T.swap_last(kh))), inv_n)
-        time_bias, pos_bias = T.take(alpha[h], bucket_idx), T.take(beta[h], rel_idx)
+        time_bias, pos_bias = T.take(alpha[h], ctx.bucket_idx), T.take(beta[h], ctx.rel_idx)
         if summed:
             w = T.add(T.add(w, time_bias), pos_bias)
         channels[0].append(T.matmul(T.mul(w, mask), vh))
         if not summed:
             channels[1].append(T.matmul(T.mul(pos_bias, mask), vh))
             channels[2].append(T.matmul(T.mul(time_bias, mask), vh))
-    return _packed(T.concat([out for channel in channels for out in channel], axis=-1), q_at)
+    return _packed(T.concat([out for channel in channels for out in channel], axis=-1), ctx.queries)
 
 
-def dense_softmax_attention(q, k, v, q_at, kv_at, allowed, heads):
+def dense_softmax_attention(q, k, v, ctx, heads):
     """tensor.masked_softmax_attention, each head's weight map built whole."""
-    q, k, v = _grids(q, k, v, q_at, kv_at, allowed)
+    q, k, v = _grids(q, k, v, ctx)
+    allowed = ctx.allowed
     inv_sqrt = 1.0 / np.sqrt(v.shape[-1] // heads)
     empty_rows = Tensor((~allowed.any(axis=-1, keepdims=True)).astype(np.float64))
     outs = []
@@ -256,4 +267,4 @@ def dense_softmax_attention(q, k, v, q_at, kv_at, allowed, heads):
         e = _exp(T.add(s, Tensor(shift)))
         total = T.add(T.tsum(e, axis=-1, keepdims=True), empty_rows)  # a row with no key gives 0 / 1
         outs.append(T.matmul(T.mul(e, _reciprocal(total)), vh))
-    return _packed(T.concat(outs, axis=-1), q_at)
+    return _packed(T.concat(outs, axis=-1), ctx.queries)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_params
+from conftest import freeze_temporal, random_params
 
 from fuxi_alpha import tensor as T
 from fuxi_alpha.bench import tps_benchmark
@@ -270,7 +270,8 @@ def test_criterion_7_temporal_channel_beats_frozen_alpha():
                 lr=1e-2, weight_decay=0.01, epochs=70, batch_size=32, seed=seed,
                 eval_every=2, patience=1000,  # full budget, best-on-validation restore
             )
-            result = train("full", split, tcfg, cfg, freeze_temporal=freeze)
+            start = freeze_temporal(init_params(cfg, "full", seed)) if freeze else None
+            result = train("full", split, tcfg, cfg, initial_params=start)
             scores[label] = evaluate(result.params, split.test, [10], cfg).ndcg[10]
         wins += scores["full"] > scores["frozen"]
         detail.append(f"seed {seed}: {scores['full']:.3f} vs {scores['frozen']:.3f}")

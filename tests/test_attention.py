@@ -50,10 +50,7 @@ def _operands(heads: int, ctx: M.AttnContext, d_h: int = 3, n_buckets: int = 6, 
 
 
 def _silu_loss(q, k, v, alpha, beta, ctx, summed, weights):
-    out = T.silu_attention(
-        q, k, v, alpha, beta, ctx.queries, ctx.keys, ctx.allowed, ctx.bucket_idx, ctx.rel_idx, 1.0 / 5, summed
-    )
-    return T.mul(out, weights).sum()
+    return T.mul(T.silu_attention(q, k, v, alpha, beta, ctx, 1.0 / 5, summed), weights).sum()
 
 
 @pytest.mark.parametrize("heads", [1, 2])
@@ -75,10 +72,7 @@ def test_masked_softmax_attention_grad_check(heads):
     q, k, v, _, _ = _operands(heads, ctx, seed=20 + heads)
     weights = Tensor(_pack(np.random.default_rng(4).normal(size=(2, 5, q.shape[-1])), ctx))
     err = T.grad_check_params(
-        lambda: T.mul(
-            T.masked_softmax_attention(q, k, v, ctx.queries, ctx.keys, ctx.allowed, heads), weights
-        ).sum(),
-        [q, k, v],
+        lambda: T.mul(T.masked_softmax_attention(q, k, v, ctx, heads), weights).sum(), [q, k, v]
     )
     assert err < 1e-7
 
@@ -138,6 +132,36 @@ def test_context_matches_the_dense_formula(monkeypatch, b, n, block):
         np.testing.assert_array_equal(ctx.rel_idx[causal], (pos[:, None] - pos[None, :])[causal])
         np.testing.assert_array_equal(ctx.keys, np.flatnonzero(valid))
         np.testing.assert_array_equal(ctx.queries, ctx.keys)
+        assert ctx.rows is None
+
+
+def test_at_rows_picks_one_query_row_per_sequence():
+    # random padded batches; one position drawn in each sequence's valid prefix
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        b, n = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+        cfg = ModelConfig(vocab=9, d=4, d_h=4, n=n, n_buckets=16, negatives=2, max_time_span=5000)
+        lens = rng.integers(1, n + 1, size=b)
+        items = np.where(np.arange(n) < lens[:, None], rng.integers(1, cfg.vocab, size=(b, n)), 0)
+        ts = np.where(np.arange(n) < lens[:, None], np.cumsum(rng.integers(0, 400, size=(b, n)), axis=1), 0)
+        ctx = M.build_attn_context(SequenceBatch(items, ts, lens), cfg)
+        assert ctx.at_rows(None) is ctx
+        positions = rng.integers(0, lens)
+        picked = ctx.at_rows(positions)
+        np.testing.assert_array_equal(picked.rows, np.cumsum(lens) - lens + positions)
+        seq = np.arange(b)
+        for got, want in (
+            (picked.allowed, ctx.allowed[seq, positions]),
+            (picked.bucket_idx, ctx.bucket_idx[seq, positions]),
+            (picked.rel_idx, ctx.rel_idx[positions]),
+        ):
+            assert got.shape == (b, 1, n)
+            np.testing.assert_array_equal(got[:, 0], want)
+        np.testing.assert_array_equal(picked.keys, ctx.keys)
+        np.testing.assert_array_equal(picked.queries, seq)
+        x = Tensor(rng.normal(size=(len(ctx.keys), 3)))
+        assert ctx.query(x) is x
+        np.testing.assert_array_equal(picked.query(x).data, x.data[picked.rows])
 
 
 def _step_batch(cfg: ModelConfig, b: int, seed: int = 0) -> SequenceBatch:
@@ -206,13 +230,12 @@ def small_tiles(monkeypatch):
 
 def _ops(kind: str, heads: int, ctx: M.AttnContext):
     """(tiled op, its dense transcription), each a function of (q, k, v, alpha, beta)."""
-    layout = (ctx.queries, ctx.keys, ctx.allowed)
     if kind == "softmax":
         return (
-            lambda q, k, v, alpha, beta: T.masked_softmax_attention(q, k, v, *layout, heads),
-            lambda q, k, v, alpha, beta: dense_softmax_attention(q, k, v, *layout, heads),
+            lambda q, k, v, alpha, beta: T.masked_softmax_attention(q, k, v, ctx, heads),
+            lambda q, k, v, alpha, beta: dense_softmax_attention(q, k, v, ctx, heads),
         )
-    args = (*layout, ctx.bucket_idx, ctx.rel_idx, 1.0 / TILED_N, kind == "hstu")
+    args = (ctx, 1.0 / TILED_N, kind == "hstu")
     return (
         lambda q, k, v, alpha, beta: T.silu_attention(q, k, v, alpha, beta, *args),
         lambda q, k, v, alpha, beta: dense_silu_attention(q, k, v, alpha, beta, *args),
@@ -246,9 +269,8 @@ def test_tiled_ops_match_dense_transcription(small_tiles, kind, heads, path):
     ctx = _padded_context(TILED_N, 6, seed=heads)
     q, k, v, alpha, beta = _operands(heads, ctx, seed=40 + heads)
     if path == "rows":  # one arbitrary query row per sequence, as the ranked position is
-        rows = np.array([7, TILED_N + 1])  # packed: position 7 of the first sequence, 1 of the second
-        ctx = ctx.at_rows(rows)
-        q = Tensor(q.data[rows])
+        ctx = ctx.at_rows(np.array([7, 1]))  # position 7 of the first sequence, 1 of the second
+        q = ctx.query(q)
     tiled, dense = _ops(kind, heads, ctx)
     operands = (q, k, v, alpha, beta)
     _assert_close(_output_and_grads(tiled, operands), _output_and_grads(dense, operands))
@@ -290,10 +312,7 @@ def test_masked_softmax_attention_grad_check_across_tiles(small_tiles, heads):
     q, k, v, _, _ = _operands(heads, ctx, seed=70 + heads)
     weights = Tensor(_pack(np.random.default_rng(8).normal(size=(2, TILED_N, q.shape[-1])), ctx))
     err = T.grad_check_params(
-        lambda: T.mul(
-            T.masked_softmax_attention(q, k, v, ctx.queries, ctx.keys, ctx.allowed, heads), weights
-        ).sum(),
-        [q, k, v],
+        lambda: T.mul(T.masked_softmax_attention(q, k, v, ctx, heads), weights).sum(), [q, k, v]
     )
     assert err < 1e-7
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -72,26 +73,47 @@ def test_missing_data_file_exits_3(tmp_path, capsys):
     assert err["error"] == "data"
 
 
-def test_locked_output_directory_exits_2(tmp_path):
+def _lock_holder(lock: Path) -> subprocess.Popen:
+    """A child process that holds an flock on `lock` until its stdin closes."""
+    code = "import fcntl, sys; fh = open(sys.argv[1], 'a'); fcntl.flock(fh, fcntl.LOCK_EX); print('held', flush=True); sys.stdin.read()"
+    child = subprocess.Popen([sys.executable, "-c", code, str(lock)], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    assert child.stdout.readline() == "held\n"
+    return child
+
+
+def test_locked_output_directory_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
-    (out / ".lock").write_text("held")
-    assert main(["ingest"] + _fast_overrides(out)) == 2
-    (out / ".lock").unlink()
+    holder = _lock_holder(out / ".lock")
+    try:
+        assert main(["ingest"] + _fast_overrides(out)) == 2
+    finally:
+        holder.stdin.close()
+        holder.wait()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "config", "message": f"output directory {out} is locked by another run"}
     assert main(["ingest"] + _fast_overrides(out)) == 0
-    assert not (out / ".lock").exists()  # released after the run
+    assert (out / ".lock").exists()  # kept, so that every run locks the same file
 
 
 def test_lock_of_an_ended_run_is_reclaimed(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
-    (out / ".lock").write_text(str(os.getpid()))  # a live holder keeps the lock
-    assert main(["ingest"] + _fast_overrides(out)) == 2
-    ended = subprocess.Popen([sys.executable, "-c", "pass"])
-    ended.wait()
-    (out / ".lock").write_text(str(ended.pid))
+    holder = _lock_holder(out / ".lock")
+    holder.stdin.close()  # the holder exits and leaves the file behind
+    holder.wait()
+    assert (out / ".lock").exists()
     assert main(["ingest"] + _fast_overrides(out)) == 0
-    assert not (out / ".lock").exists()
+
+
+def test_lock_of_a_killed_run_is_reclaimed(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    holder = _lock_holder(out / ".lock")
+    holder.send_signal(signal.SIGKILL)
+    holder.wait()
+    holder.stdin.close()
+    assert main(["ingest"] + _fast_overrides(out)) == 0
 
 
 def test_ingest_writes_manifest(tmp_path):
@@ -147,6 +169,25 @@ def test_train_then_eval_produces_artifacts(tmp_path):
     assert rows[0] == ["variant", "epoch", "k", "metric", "value"]
     metrics = {(r[2], r[3]) for r in rows[1:]}
     assert ("5", "hr") in metrics and ("10", "ndcg") in metrics and ("", "mrr") in metrics
+
+
+def test_failed_metrics_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["train"] + _fast_overrides(out)) == 0
+    assert main(["eval"] + _fast_overrides(out)) == 0
+    before = (out / "metrics.csv").read_bytes()
+    replace = os.replace
+
+    def crash(src, dst):
+        if Path(dst).name == "metrics.csv":
+            raise OSError("simulated crash before the rename")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="simulated"):
+        main(["eval"] + _fast_overrides(out, **{"eval.ks": "[1, 3]"}))  # other rows than the first eval's
+    assert (out / "metrics.csv").read_bytes() == before
+    assert not list(out.glob("*.tmp"))
 
 
 def test_ablate_writes_one_row_per_variant(tmp_path):

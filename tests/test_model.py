@@ -443,8 +443,9 @@ def test_loss_rejects_no_positions_and_no_negatives():
 
 
 def test_padding_never_reaches_the_loss_head():
-    # padding columns (target 0) appended to hidden and targets, with large
-    # hidden values there, leave the loss and the gradients bitwise unchanged
+    # packed rows without a target (target 0) added after each sequence's
+    # rows, with large hidden values there, leave the loss and the gradients
+    # bitwise unchanged
     rng = np.random.default_rng(5)
     b, n, d, vocab, pad = 3, 6, 4, 30, 4
     item_emb = Tensor(rng.normal(size=(vocab, d)), requires_grad=True)
@@ -455,19 +456,20 @@ def test_padding_never_reaches_the_loss_head():
     negs = sample_negatives_batch(targets[targets > 0], 7, vocab, rng)
     padded_hidden = np.concatenate([hidden, rng.normal(0.0, 1e3, size=(b, pad, d))], axis=1)
     padded_targets = np.concatenate([targets, np.zeros((b, pad), dtype=np.int64)], axis=1)
+    kept = np.arange(n + pad)[None, :].repeat(b, axis=0).reshape(-1) < n  # packed rows of the unpadded input
     runs = []
     for h, t in ((hidden, targets), (padded_hidden, padded_targets)):
-        h = Tensor(h, requires_grad=True)
+        h = Tensor(h.reshape(-1, d), requires_grad=True)
         with Tape() as tape:
-            loss = M.sampled_loss(h, item_emb, t, negs)
+            loss = M.sampled_loss(h, item_emb, t.reshape(-1), negs)
         backward(loss, tape)
         runs.append((loss.item(), item_emb.grad, h.grad))
         item_emb.grad = None
     (loss, emb_grad, h_grad), (padded_loss, padded_emb_grad, padded_h_grad) = runs
     assert padded_loss == loss
     np.testing.assert_array_equal(padded_emb_grad, emb_grad)
-    np.testing.assert_array_equal(padded_h_grad[:, :n], h_grad)
-    assert not padded_h_grad[:, n:].any() and not h_grad[targets == 0].any()
+    np.testing.assert_array_equal(padded_h_grad[kept], h_grad)
+    assert not padded_h_grad[~kept].any() and not h_grad[targets.reshape(-1) == 0].any()
 
 
 # predict_next -----------------------------------------------------------------------

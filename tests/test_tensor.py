@@ -118,7 +118,8 @@ def test_masked_softmax_zeroes_disallowed_and_handles_empty_rows():
     q = Tensor(np.array([[np.sqrt(3.0), 0.0, 0.0]] * 2))
     k = Tensor(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
     allowed = np.array([[True, True, False], [False, False, False]])
-    p = T.masked_softmax_attention(q, k, Tensor(np.eye(3)), np.arange(2), np.arange(3), allowed, heads=1).data
+    ctx = T.AttnContext(allowed, bucket_idx=None, rel_idx=None, keys=np.arange(3), queries=np.arange(2))
+    p = T.masked_softmax_attention(q, k, Tensor(np.eye(3)), ctx, heads=1).data
     assert p[0, 2] == 0.0
     np.testing.assert_allclose(p[0, :2].sum(), 1.0, atol=1e-12)
     np.testing.assert_array_equal(p[1], np.zeros(3))
@@ -221,7 +222,7 @@ def _gradcheck_cases(rng):
     ridx = rng.integers(0, 5, size=(4, 2))
     xq = Tensor(rng.normal(size=(4, 3)))
     cand = rng.integers(0, 5, size=(4, 3))
-    rows4 = np.arange(4)  # every row of a full 4-row grid
+    causal4 = T.AttnContext(np.tril(np.ones((4, 4), dtype=bool)), None, None, keys=np.arange(4), queries=np.arange(4))
     return [
         (lambda: T.matmul(a, b).sum(), [a, b]),
         (lambda: T.silu(c).sum(), [c]),
@@ -235,7 +236,7 @@ def _gradcheck_cases(rng):
         (lambda: T.mul(T.rows_dot(xq, table, cand), T.rows_dot(xq, table, cand)).sum(), [xq, table]),
         (lambda: T.add(T.mul(a, c), a).mean(), [a, c]),
         (lambda: a.mean(axis=0).sum(), [a]),
-        (lambda: T.mul(T.masked_softmax_attention(a, c, c, rows4, rows4, np.tril(np.ones((4, 4), dtype=bool)), 2), a).sum(), [a, c]),
+        (lambda: T.mul(T.masked_softmax_attention(a, c, c, causal4, 2), a).sum(), [a, c]),
     ]
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import tiny_config
+from conftest import freeze_temporal, tiny_config
 
 from fuxi_alpha.data import SyntheticSpec, build_sequences, split_leave_last, synthesize_dataset, two_class_gap_rule
 from fuxi_alpha.model import ModelConfig, SequenceBatch, init_params
@@ -78,7 +78,8 @@ def test_non_finite_loss_aborts_with_diagnostic():
 def test_freeze_temporal_keeps_alpha_zero():
     split = _toy_split()
     cfg = tiny_config(vocab=split.vocab, n=12, negatives=3)
-    result = train("full", split, TrainConfig(epochs=2, batch_size=8, seed=0), cfg, freeze_temporal=True)
+    frozen = freeze_temporal(init_params(cfg, "full", seed=0))
+    result = train("full", split, TrainConfig(epochs=2, batch_size=8, seed=0), cfg, initial_params=frozen)
     for blk in result.params.blocks:
         for a in blk.alpha:
             np.testing.assert_array_equal(a.data, np.zeros_like(a.data))
