@@ -276,11 +276,15 @@ def main(argv=None) -> int:
         return 2
 
     outdir = Path(cfg["output"]["directory"])
-    outdir.mkdir(parents=True, exist_ok=True)
     # The kernel holds the lock for as long as this process keeps .lock open
     # and drops it when the process ends, however it ends. The file stays:
     # unlinking it would let a second run lock a new file of the same name.
-    lock = open(outdir / ".lock", "a")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        lock = open(outdir / ".lock", "a")
+    except OSError as e:
+        _error_record("config", f"cannot create or lock output directory {outdir}: {e}")
+        return 2
     try:
         fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
     except BlockingIOError:
@@ -294,7 +298,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         _error_record("config", str(e))
         return 2
-    except (DataError, CheckpointError, FileNotFoundError) as e:
+    except (DataError, CheckpointError, OSError) as e:
         _error_record("data", str(e))
         return 3
     except (RuntimeError, ArithmeticError, ValueError) as e:

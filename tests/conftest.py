@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from fuxi_alpha import tensor as T
+from fuxi_alpha.data import DataError, InteractionLog
 from fuxi_alpha.model import ModelConfig, ModelParams, SequenceBatch, init_params
 from fuxi_alpha.tensor import Tensor
 
@@ -268,3 +269,50 @@ def dense_softmax_attention(q, k, v, ctx, heads):
         total = T.add(T.tsum(e, axis=-1, keepdims=True), empty_rows)  # a row with no key gives 0 / 1
         outs.append(T.matmul(T.mul(e, _reciprocal(total)), vh))
     return _packed(T.concat(outs, axis=-1), ctx.queries)
+
+
+# Loop transcription of the per-line `movielens_dat` parser that the array
+# parse in data.py replaced. Its grammar is wider: Python's int and float
+# decide a field, each line is stripped, and a lone "\r" ends a line.
+
+
+def reference_movielens_line(line: str, ln: int) -> tuple[int, int, int]:
+    parts = line.split("::")
+    if len(parts) != 4:
+        raise DataError(f"line {ln}: expected 4 '::'-separated fields, got {len(parts)}")
+    try:
+        user, item = int(parts[0]), int(parts[1])
+        float(parts[2])  # the rating is checked, not kept
+        ts = int(parts[3])
+    except ValueError as e:
+        raise DataError(f"line {ln}: {e}") from None
+    return user, item, ts
+
+
+def reference_parse_movielens(path) -> tuple[InteractionLog, dict[int, int]]:
+    """parse_interactions(path, "movielens_dat"), one Python loop step a line."""
+    users, items, stamps = [], [], []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for ln, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                user, item, ts = reference_movielens_line(line, ln)
+                users.append(user)
+                items.append(item)
+                stamps.append(ts)
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path} is not UTF-8 text: {e}") from None
+    if not users:
+        raise DataError(f"no events parsed from {path}")
+    try:
+        raw = InteractionLog(users, items, stamps)
+    except OverflowError:
+        raise DataError(f"{path}: an id or timestamp does not fit in 64 bits") from None
+    if (raw.timestamp < 0).any():
+        raise DataError("negative timestamp encountered")
+    item_ids, item_col = np.unique(raw.item, return_inverse=True)
+    user_col = np.unique(raw.user, return_inverse=True)[1]
+    item_remap = dict(zip(item_ids.tolist(), range(1, len(item_ids) + 1)))
+    return InteractionLog(user_col + 1, item_col + 1, raw.timestamp), item_remap

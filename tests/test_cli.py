@@ -171,7 +171,7 @@ def test_train_then_eval_produces_artifacts(tmp_path):
     assert ("5", "hr") in metrics and ("10", "ndcg") in metrics and ("", "mrr") in metrics
 
 
-def test_failed_metrics_write_keeps_the_previous_file(tmp_path, monkeypatch):
+def test_failed_metrics_write_keeps_the_previous_file(tmp_path, monkeypatch, capsys):
     out = tmp_path / "run"
     assert main(["train"] + _fast_overrides(out)) == 0
     assert main(["eval"] + _fast_overrides(out)) == 0
@@ -184,8 +184,10 @@ def test_failed_metrics_write_keeps_the_previous_file(tmp_path, monkeypatch):
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", crash)
-    with pytest.raises(OSError, match="simulated"):
-        main(["eval"] + _fast_overrides(out, **{"eval.ks": "[1, 3]"}))  # other rows than the first eval's
+    capsys.readouterr()
+    assert main(["eval"] + _fast_overrides(out, **{"eval.ks": "[1, 3]"})) == 3  # other rows than the first eval's
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "data" and "simulated" in record["message"]
     assert (out / "metrics.csv").read_bytes() == before
     assert not list(out.glob("*.tmp"))
 
@@ -291,6 +293,7 @@ ERROR_CASES = [
     ("empty_bench_lengths", "bench", {"bench.seq_lengths": "[]"}, None, 2, "config"),
     ("not_utf8", "ingest", {"data.format": "movielens_dat", "data.path": DATA / "not_utf8.dat"}, None, 3, "data"),
     ("path_is_directory", "ingest", {"data.format": "csv", "data.path": DATA}, None, 3, "data"),
+    ("output_directory_is_a_file", "ingest", {"output.directory": DATA / "sample.dat"}, None, 2, "config"),
     ("empty_path", "ingest", {"data.format": "movielens_dat"}, None, 3, "data"),
     ("vocab_mismatch", "eval", {"data.synthetic.items": 12}, _unchanged, 3, "data"),
     ("header_missing_key", "eval", {}, lambda header: header.pop("extra"), 3, "data"),

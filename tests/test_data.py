@@ -1,9 +1,12 @@
+import io
 import os
+import re
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_movielens_line, reference_parse_movielens
 
 from fuxi_alpha.data import (
     DataError,
@@ -61,9 +64,10 @@ def test_parse_rejects_malformed_line(tmp_path):
 
 def test_parse_rejects_empty_file(tmp_path):
     p = tmp_path / "empty.dat"
-    p.write_text("")
-    with pytest.raises(DataError):
-        parse_interactions(p, "movielens_dat")
+    for text in (b"", b"\n\n\r\n\n"):  # no lines, or empty lines only
+        p.write_bytes(text)
+        with pytest.raises(DataError, match="no events"):
+            parse_interactions(p, "movielens_dat")
 
 
 def test_parse_csv_format(tmp_path):
@@ -79,6 +83,8 @@ def test_parse_csv_format(tmp_path):
     "format, text, message",
     [
         ("csv", "user,item,timestamp,rating\n1,10,5,4.5\n1,20,6,good\n", "line 3"),
+        ("csv", "user,item,timestamp\n1,10,5\n1,20,-6\n", "line 3: negative timestamp"),
+        ("csv", f"user,item,timestamp\n1,10,5\n1,{2**63},6\n", "line 3: .*64 bits"),
         ("movielens_dat", "1::10::4::5\n1::20::x::6\n", "line 2"),
         ("movielens_dat", f"1::10::4::5\n{2**63}::20::4::6\n", "64 bits"),
     ],
@@ -88,6 +94,223 @@ def test_parse_checks_fields_it_does_not_keep(tmp_path, format, text, message):
     p.write_text(text)
     with pytest.raises(DataError, match=message):
         parse_interactions(p, format)
+
+
+# movielens_dat grammar: the array parse against the loop transcription in conftest
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except DataError as e:
+        return e
+
+
+def _line_of(outcome) -> int | None:
+    m = re.match(r"line (\d+): ", str(outcome)) if isinstance(outcome, DataError) else None
+    return int(m.group(1)) if m else None
+
+
+_LINE = re.compile(rb"([0-9]+)::([0-9]+)::[0-9]+(?:\.[0-9]+)?::([0-9]+)")
+
+
+def _below_2_63(digits: bytes) -> bool:
+    digits = digits.lstrip(b"0")
+    return len(digits) <= 19 and int(digits or b"0") < 2**63
+
+
+def _first_bad_line(data: bytes) -> int | None:
+    """The first non-empty line outside the grammar, counting lines as the
+    new parser does: "\n" or "\r\n" ends a line, the last needs no terminator."""
+    *ended, last = data.split(b"\n")
+    lines = [line.removesuffix(b"\r") for line in ended] + ([last] if last else [])
+    for ln, line in enumerate(lines, start=1):
+        m = _LINE.fullmatch(line)
+        if line and not (m and all(_below_2_63(g) for g in m.groups())):
+            return ln
+    return None
+
+
+def _old_parser_accepts_line(data: bytes, ln: int) -> bool:
+    """Whether the loop transcription, which splits lines on a lone "\r" too, takes line ln."""
+    line = list(io.StringIO(data.decode("utf-8"), newline=""))[ln - 1].strip()
+    try:
+        if line:
+            reference_movielens_line(line, ln)
+    except DataError:
+        return False
+    return True
+
+
+def _check_against_reference(path: Path) -> str:
+    """Parse path both ways and check one of the allowed relations; return its name."""
+    data = path.read_bytes()
+    old, new = _outcome(reference_parse_movielens, path), _outcome(lambda p: parse_interactions(p, "movielens_dat"), path)
+    if not isinstance(new, DataError):
+        assert _first_bad_line(data) is None
+        assert not isinstance(old, DataError), old
+        assert _same_log(old[0], new[0]) and old[1] == new[1]
+        return "same columns"
+    ln = _line_of(new)
+    assert ln is not None and ln == _first_bad_line(data), (new, _first_bad_line(data))
+    if ln == _line_of(old):
+        return "same line"
+    # the old parser took line ln and failed later, or without a line, or not at all
+    assert _old_parser_accepts_line(data, ln)
+    assert _line_of(old) is None or _line_of(old) > ln
+    if "64 bits" in str(new):
+        return "overflow at its line"
+    return "narrowed form"
+
+
+def _gen_lines(rng, count: int) -> list[str]:
+    """Lines shaped like the generated benchmark logs, some ratings with a decimal."""
+    users = np.sort(rng.integers(1, 50, size=count))
+    items = rng.integers(1, 4000, size=count)
+    ratings = rng.choice(["1", "2", "3", "4", "5", "3.5", "0.5"], size=count)
+    stamps = 956_703_932 + rng.integers(0, 10**8, size=count)
+    return [f"{u}::{i}::{r}::{t}" for u, i, r, t in zip(users, items, ratings, stamps)]
+
+
+def _with_field(line: str, k: int, value: str) -> str:
+    fields = line.split("::")
+    fields[k] = value
+    return "::".join(fields)
+
+
+def _random_field(rng, line: str, edit) -> str:
+    k = int(rng.choice([0, 1, 3]))
+    return _with_field(line, k, edit(line.split("::")[k]))
+
+
+# an edit takes (rng, line) and returns the text that replaces it (one or more lines)
+LINE_EDITS = {
+    "crlf": lambda rng, line: line + "\r",
+    "empty_line_before": lambda rng, line: "\n" + line,
+    "empty_crlf_line_before": lambda rng, line: "\r\n" + line,
+    "leading_zeros": lambda rng, line: _random_field(rng, line, lambda f: "000" + f),
+    "largest_int64": lambda rng, line: _random_field(rng, line, lambda f: str(2**63 - 1)),
+    "int64_overflow": lambda rng, line: _random_field(rng, line, lambda f: str(2**63)),
+    "huge_number": lambda rng, line: _random_field(rng, line, lambda f: "9" * 40),
+    "long_leading_zeros": lambda rng, line: _random_field(rng, line, lambda f: "0" * 30 + f),
+    "long_rating": lambda rng, line: _with_field(line, 2, "3." + "0" * 30),
+    "missing_field": lambda rng, line: line.rsplit("::", 1)[0],
+    "extra_field": lambda rng, line: line + "::5",
+    "empty_field": lambda rng, line: _with_field(line, 1, ""),
+    "triple_colon": lambda rng, line: line.replace("::", ":::", 1),
+    "single_colon": lambda rng, line: line.replace("::", ":", 1),
+    "space_around_field": lambda rng, line: _random_field(rng, line, lambda f: rng.choice([" ", "\t"]) + f + " "),
+    "whitespace_line": lambda rng, line: " \t\n" + line,
+    "sign": lambda rng, line: _random_field(rng, line, lambda f: rng.choice(["+", "-"]) + f),
+    "underscore": lambda rng, line: _with_field(line, 3, line.split("::")[3][:3] + "_" + line.split("::")[3][3:]),
+    "non_ascii_digit": lambda rng, line: _random_field(rng, line, lambda f: f[:-1] + rng.choice(["٣", "３"])),
+    "rating_float_form": lambda rng, line: _with_field(line, 2, rng.choice(["nan", "inf", "1e3", ".5", "5.", "3.0.1"])),
+    "lone_cr": lambda rng, line: line + "\r" + line,
+    "junk": lambda rng, line: _random_field(rng, line, lambda f: "x"),
+}
+
+
+def _edited_log(rng, count: int, edits: int) -> str:
+    lines = _gen_lines(rng, count)
+    for _ in range(edits):
+        at = int(rng.integers(count))
+        lines[at] = LINE_EDITS[rng.choice(list(LINE_EDITS))](rng, lines[at])
+    head = "\n" * int(rng.integers(0, 2))
+    tail = rng.choice(["", "\n", "\r\n", "\n\n"])
+    return head + "\n".join(lines) + tail
+
+
+def test_array_parse_agrees_with_the_loop_transcription(tmp_path):
+    rng = np.random.default_rng(14)
+    path = tmp_path / "log.dat"
+    seen = Counter()
+    # small logs with up to three edits, then logs of several parse blocks with one
+    for count, edits, files in ((40, 0, 10), (40, 1, 200), (40, 3, 100), (12_000, 1, 6)):
+        for _ in range(files):
+            path.write_bytes(_edited_log(rng, count, edits).encode("utf-8"))
+            seen[_check_against_reference(path)] += 1
+    assert set(seen) == {"same columns", "same line", "overflow at its line", "narrowed form"}, seen
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1::10::4::5\r\n2::20::3::6\r\n",
+        "\n\n1::10::4::5\n\n\n2::20::3::6\n\n",
+        "1::10::4::5\n2::20::3::6",
+        "1::10::4::5\r\n2::20::3::6",
+        "0001::010::4.50::0005\n",
+        f"{2**63 - 1}::{2**63 - 1}::4::{2**63 - 1}\n",
+        "1::10::" + "0" * 40 + "4::" + "0" * 40 + "5\n",
+    ],
+    ids=["crlf", "empty_lines", "no_final_newline", "crlf_no_final_newline", "leading_zeros", "largest_int64", "long_fields"],
+)
+def test_movielens_forms_that_parse(tmp_path, text):
+    path = tmp_path / "log.dat"
+    path.write_bytes(text.encode())
+    assert _check_against_reference(path) == "same columns"
+
+
+@pytest.mark.parametrize(
+    "line, relation, message",
+    [
+        (f"{2**63}::20::4::6", "overflow at its line", f"user {2**63} does not fit in 64 bits"),
+        ("1::20::4::" + "9" * 40, "overflow at its line", "timestamp " + "9" * 40 + " does not fit in 64 bits"),
+        ("1::::4::5", "same line", "item '' is not ASCII decimal digits"),
+        ("::20::4::6", "same line", "user '' is not ASCII decimal digits"),
+        ("1::20::4::", "same line", "timestamp '' is not ASCII decimal digits"),
+        ("1:::20::4", "same line", "expected 4 '::'-separated fields, got 3"),
+        ("1::20::4::6::7", "same line", "expected 4 '::'-separated fields, got 5"),
+        ("1::20::4", "same line", "expected 4 '::'-separated fields, got 3"),
+        (" 1::20::4::6", "narrowed form", "user ' 1' is not ASCII decimal digits"),
+        ("1::20 ::4::6", "narrowed form", "item '20 ' is not"),
+        ("1::20::4::6\t", "narrowed form", "timestamp '6\\t' is not"),
+        ("   ", "narrowed form", "expected 4 '::'-separated fields, got 1"),
+        ("+1::20::4::6", "narrowed form", "user '+1' is not"),
+        ("1::-20::4::6", "narrowed form", "item '-20' is not"),
+        ("1::20::4::-6", "narrowed form", "timestamp '-6' is not"),
+        ("1::20::+4::6", "narrowed form", "rating '+4' is not digits with at most one inner '.'"),
+        ("1::20::4::1_000", "narrowed form", "timestamp '1_000' is not"),
+        ("1::2\u0660::4::6", "narrowed form", "item '2\u0660' is not"),
+        ("1::20::nan::6", "narrowed form", "rating 'nan' is not"),
+        ("1::20::1e3::6", "narrowed form", "rating '1e3' is not"),
+        ("1::20::.5::6", "narrowed form", "rating '.5' is not"),
+        ("1::20::5.::6", "narrowed form", "rating '5.' is not"),
+        ("1::20::4::6\r1::30::4::7", "narrowed form", "a '\\r' that is not followed by '\\n' does not end a line"),
+    ],
+    ids=[
+        "int64_overflow", "huge_timestamp", "empty_field", "empty_first_field", "empty_last_field",
+        "triple_colon_three_separators", "five_fields", "three_fields",
+        "space_before", "space_after", "tab_after", "whitespace_line", "plus_sign", "minus_id", "negative_timestamp",
+        "signed_rating", "underscore", "non_ascii_digit", "rating_nan", "rating_exponent", "rating_no_integer_part",
+        "rating_no_fraction", "lone_cr",
+    ],
+)
+def test_movielens_forms_that_fail_name_their_line(tmp_path, line, relation, message):
+    path = tmp_path / "log.dat"
+    path.write_bytes(f"1::10::4::5\n\n{line}\n3::30::4::7\n".encode())
+    assert _check_against_reference(path) == relation
+    with pytest.raises(DataError, match="^" + re.escape(f"line 3: {message}")):
+        parse_interactions(path, "movielens_dat")
+
+
+def test_field_longer_than_python_int_parsing_allows_is_an_overflow(tmp_path):
+    path = tmp_path / "log.dat"
+    path.write_bytes(b"1::10::4::5\n1::20::4::" + b"9" * 5000 + b"\n")
+    assert _check_against_reference(path) == "same line"  # the loop fails on Python's int digit limit
+    with pytest.raises(DataError, match="^line 2: timestamp 9+ does not fit in 64 bits"):
+        parse_interactions(path, "movielens_dat")
+
+
+def test_lone_cr_at_the_end_of_the_file_fails(tmp_path):
+    path = tmp_path / "log.dat"
+    path.write_bytes(b"1::10::4::5\n1::20::4::6\r")
+    assert _check_against_reference(path) == "narrowed form"
+
+
+def test_line_that_is_not_utf8_is_named(tmp_path):
+    with pytest.raises(DataError, match="^line 3: not UTF-8 text"):
+        parse_interactions(Path(__file__).parent / "data" / "not_utf8.dat", "movielens_dat")
 
 
 def test_parse_unknown_format():
