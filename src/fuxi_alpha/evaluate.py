@@ -63,11 +63,14 @@ def evaluate(
     """Rank each instance's ground-truth target against the full catalog.
 
     The padding item is always excluded; additional ids may be excluded as
-    long as no instance's target is among them. The instances are ranked in
-    chunks of batch_size in order of history length (stably), so that each
-    chunk, padded to its longest history (at most n), holds histories of
-    similar length; only the last position of each history is computed in
-    the last block. The ranks are reported in input order.
+    long as no instance's target is among them, which is checked before any
+    forward pass. The instances are ranked in chunks of batch_size in order of
+    history length (stably); each chunk is padded to its longest history (at
+    most n), and only the last position of each history is computed in the
+    last block. Padded rows cost no attention work (the attention tiles of a
+    chunk in order of length run over consecutive sequences, as views), so
+    batch_size bounds memory, not the attention work. The ranks are reported
+    in input order.
     """
     if not instances:
         raise ValueError("evaluate: empty partition")
@@ -76,7 +79,11 @@ def evaluate(
     for inst in instances:
         if len(inst.items) == 0:
             raise ValueError(f"evaluate: user {inst.user} has an empty history")
-    excluded = list(excluded)
+    keep = np.ones(cfg.vocab, dtype=bool)
+    keep[0] = False
+    keep[list(excluded)] = False
+    if not keep[[inst.target for inst in instances]].all():
+        raise ValueError("evaluate: an instance's target is excluded from ranking")
     ranks = np.empty(len(instances), dtype=np.int64)
     by_length = np.argsort([len(inst.items) for inst in instances], kind="stable")
     for start in range(0, len(instances), batch_size):
@@ -88,12 +95,6 @@ def evaluate(
         targets = np.array([inst.target for inst in chunk], dtype=np.int64)
         last = forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data
         logits = last @ params.item_emb.data.T
-        keep = np.ones(cfg.vocab, dtype=bool)
-        keep[0] = False
-        if excluded:
-            keep[excluded] = False
-        if np.any(~keep[targets]):
-            raise ValueError("evaluate: an instance's target is excluded from ranking")
         tvals = logits[np.arange(b), targets]
         ge = (logits >= tvals[:, None]) & keep[None, :]
         ranks[picked] = ge.sum(axis=1)

@@ -313,24 +313,30 @@ def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
     pos = np.arange(n, dtype=np.min_scalar_type(-n))
     rel = np.subtract.outer(pos, pos)
     np.maximum(rel, 0, out=rel)
-    # Only keys j < query i need a bucket: the diagonal has t_i - t_j = 0,
-    # which is bucket 0, and no entry above it is allowed. The query rows go
-    # in blocks over the keys before the block's last row, so bucketing's
-    # float and int64 temporaries stay block-sized and about half the [n, n]
-    # map is never bucketed; the block's entries on and above the diagonal
-    # are set back to 0.
+    # Only keys j < query i of a valid row need a bucket: the diagonal has
+    # t_i - t_j = 0, which is bucket 0, and no other entry is allowed. The
+    # query rows go in blocks over the keys before the block's last row, and
+    # each block over the sequences that have a valid row in it, so
+    # bucketing's float and int64 temporaries stay block-sized and neither
+    # the upper half of the [n, n] map nor a padded block is bucketed; the
+    # block's entries on and above the diagonal are set back to 0.
     ts = batch.timestamps
     bucket_idx = np.zeros((b, n, n), dtype=np.min_scalar_type(cfg.n_buckets - 1))
     step = max(1, _BUCKET_BLOCK // max(1, b * n))
     for r0 in range(1, n, step):
         r1 = min(n, r0 + step)
-        block = bucket_indices(np.maximum(ts[:, r0:r1, None] - ts[:, None, : r1 - 1], 0), cfg)
+        live = np.flatnonzero(batch.valid_len > r0)
+        if not live.size:
+            break
+        seqs = T.consecutive(live)
+        block = bucket_indices(np.maximum(ts[seqs, r0:r1, None] - ts[seqs, None, : r1 - 1], 0), cfg)
         block[:, pos[None, : r1 - 1] >= pos[r0:r1, None]] = 0
-        bucket_idx[:, r0:r1, : r1 - 1] = block
+        bucket_idx[seqs, r0:r1, : r1 - 1] = block
     valid = batch.valid
     keys = np.flatnonzero(valid)
+    # a valid row's causal keys are valid, since the valid positions are a prefix
     return AttnContext(
-        allowed=(pos[:, None] >= pos[None, :])[None, :, :] & valid[:, None, :],
+        allowed=(pos[:, None] >= pos[None, :])[None, :, :] & valid[:, :, None],
         bucket_idx=bucket_idx,
         rel_idx=rel,
         keys=keys,

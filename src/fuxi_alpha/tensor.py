@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -455,16 +455,20 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
 # Each head's attention weights are [B, m, n] for m query rows and n keys
 # (m = n in training, m = 1 when only the ranked position is wanted). These
 # ops never build them whole. They walk the query rows in tiles of _TILE_ROWS
-# rows, and for each tile compute q·kᵀ, the weights, W·V and every gradient
-# over keys [0, kend) only, where kend is one past the last key that any row
-# of the tile may attend in any sequence, read from `allowed`. That one rule
-# skips the causal upper triangle, the trailing padding of the batch and the
-# keys a ranked row cannot see; a tile whose rows attend nothing is skipped and
-# its outputs and gradients stay zero. A tile's [B, t, kend] arrays are views
-# of a float64 workspace allocated once per call and reused across tiles and
-# heads. Backward rebuilds the weights from q, k and the biases, so nothing of
-# size [B, n, n] stays on the tape. Head h is the h-th equal slice of the last
-# axis of q, k and v.
+# rows. A tile runs only over the G sequences that have an allowed entry in
+# its rows (a padded query row attends nothing), and for them computes q·kᵀ,
+# the weights, W·V and every gradient over keys [0, kend) only, where kend is
+# one past the last key that any of their rows may attend, read from
+# `allowed`. That one rule skips the causal upper triangle, the padded query
+# rows and trailing padding of the batch and the keys a ranked row cannot
+# see; a tile whose rows attend nothing is skipped and its outputs and
+# gradients stay zero. When the G sequences are consecutive (every tile of a
+# batch of full rows, and every tile of a batch in order of length) the
+# tile's operands are views of the grids; otherwise they are gathered. A
+# tile's [G, t, kend] arrays are views of a float64 workspace allocated once
+# per call and reused across tiles and heads. Backward rebuilds the weights
+# from q, k and the biases, so nothing of size [B, n, n] stays on the tape.
+# Head h is the h-th equal slice of the last axis of q, k and v.
 #
 # Both ops take their layout from one AttnContext. q, k and v arrive packed:
 # q [Tq, w] holds the query rows at the flat positions ctx.queries of the
@@ -485,7 +489,7 @@ class AttnContext:
     (rows=None), or one row per sequence after `at_rows`.
     """
 
-    allowed: np.ndarray     # [B, m, n] bool; True where j <= i and j is a valid position
+    allowed: np.ndarray     # [B, m, n] bool; True where j <= i and i (so j) is a valid position
     bucket_idx: np.ndarray  # [B, m, n] time bucket of t_i - t_j (clipped at 0) where j < i, else 0; narrowest unsigned dtype
     rel_idx: np.ndarray     # [m, n], or [B, m, n], index distance i - j (clipped at 0)
     keys: np.ndarray        # [T] flat positions of the packed rows in the [B, n] key grid
@@ -537,10 +541,11 @@ def _packed(x: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def _grids(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext):
-    """q on the query grid [..., m], and k and v on the key grid [..., n], of ctx.allowed [..., m, n]."""
-    shape = ctx.allowed.shape
-    kv_grid = shape[:-2] + shape[-1:]
-    return _grid(q.data, ctx.queries, shape[:-1]), _grid(k.data, ctx.keys, kv_grid), _grid(v.data, ctx.keys, kv_grid)
+    """q on the query grid [B, m], and k and v on the key grid [B, n], of
+    ctx.allowed [B, m, n] (B = 1 for an allowed of shape [m, n])."""
+    *lead, m, n = ctx.allowed.shape
+    b = math.prod(lead)
+    return _grid(q.data, ctx.queries, (b, m)), _grid(k.data, ctx.keys, (b, n)), _grid(v.data, ctx.keys, (b, n))
 
 
 def _head_slices(width: int, heads: int) -> list[slice]:
@@ -548,32 +553,59 @@ def _head_slices(width: int, heads: int) -> list[slice]:
     return [slice(h * d_h, (h + 1) * d_h) for h in range(heads)]
 
 
-def _tiles(allowed: np.ndarray) -> list[tuple[slice, int]]:
-    """(rows, kend) for every tile of query rows that may attend some key."""
+class _Tile(NamedTuple):
+    seqs: slice | np.ndarray  # the G sequences with an allowed entry in the tile's rows
+    rows: slice               # the tile's query rows
+    kend: int                 # one past the last key any of those rows may attend
+    shape: tuple[int, int, int]  # (G, t, kend), the shape of the tile's weight maps
+
+
+def consecutive(idx: np.ndarray) -> slice | np.ndarray:
+    """The ascending indices idx as a slice when they are consecutive, so
+    that indexing by them gives views; else idx itself."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _tiles(allowed: np.ndarray) -> list[_Tile]:
+    """Every tile of query rows that may attend some key, over its live sequences only."""
     m, n = allowed.shape[-2:]
-    reach = allowed.reshape(-1, m, n).any(axis=0)  # row i of some sequence may attend key j
+    grid = allowed.reshape(-1, m, n)
+    b = grid.shape[0]
+    reach = grid.any(axis=0)  # [m, n]: row i of some sequence may attend key j
+    starts = np.arange(0, m, _TILE_ROWS)
+    # [B, tiles]: sequence b has an allowed entry in the tile's rows, which are contiguous in its [m·n] mask
+    live = np.logical_or.reduceat(grid.reshape(b, m * n), starts * n, axis=1)
+    counts = live.sum(axis=0)
     tiles = []
-    for r0 in range(0, m, _TILE_ROWS):
-        keys = np.flatnonzero(reach[r0 : r0 + _TILE_ROWS].any(axis=0))
+    for t, r0 in enumerate(starts.tolist()):
+        rows = slice(r0, min(m, r0 + _TILE_ROWS))
+        keys = np.flatnonzero(reach[rows].any(axis=0))
         if keys.size:
-            tiles.append((slice(r0, min(m, r0 + _TILE_ROWS)), int(keys[-1]) + 1))
+            g, kend = int(counts[t]), int(keys[-1]) + 1
+            seqs = slice(0, b) if g == b else consecutive(np.flatnonzero(live[:, t]))
+            tiles.append(_Tile(seqs, rows, kend, (g, rows.stop - r0, kend)))
     return tiles
 
 
-def _workspace(allowed: np.ndarray, slots: int) -> Callable[[int, slice, int], np.ndarray]:
-    """view(slot, rows, kend): float64 workspace slot `slot`, allocated here for
-    the largest tile, shaped as the weight map of the tile (rows, kend).
+def _at(x: np.ndarray, tile: _Tile) -> np.ndarray:
+    """The tile's entries of a [B, m, n] map, or of an [m, n] map shared by every sequence."""
+    return x[tile.rows, : tile.kend] if x.ndim == 2 else x[tile.seqs, tile.rows, : tile.kend]
+
+
+def _workspace(allowed: np.ndarray, slots: int) -> Callable[[int, tuple[int, ...]], np.ndarray]:
+    """view(slot, shape): float64 workspace slot `slot`, allocated here for
+    the largest tile, shaped as a tile's weight maps.
 
     Each slot is its own array, not a slice of one block: glibc raises its
     mmap and trim thresholds to the largest block freed, and with one block
     the heap kept about 20 MB more at eval_serve's peak in half the runs.
     """
-    lead = allowed.shape[:-2]
-    m, n = allowed.shape[-2:]
+    *lead, m, n = allowed.shape
     bufs = [np.empty(math.prod(lead) * min(m, _TILE_ROWS) * n) for _ in range(slots)]
 
-    def view(slot: int, rows: slice, kend: int) -> np.ndarray:
-        shape = lead + (rows.stop - rows.start, kend)
+    def view(slot: int, shape: tuple[int, ...]) -> np.ndarray:
         return bufs[slot][: math.prod(shape)].reshape(shape)
 
     return view
@@ -629,22 +661,22 @@ def silu_attention(
     out = np.zeros(out_shape)
     view = _workspace(allowed, slots=2)
     for h, cols in enumerate(head_cols):
-        for rows, kend in tiles:
-            mask = allowed[..., rows, :kend]
-            bucket, rel = bucket_idx[..., rows, :kend], rel_idx[..., rows, :kend]
-            qt, kt, vt = qg[..., rows, cols], kg[..., :kend, cols], vg[..., :kend, cols]
-            s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, rows, kend))
-            s *= _sigmoid(s, view(1, rows, kend))
+        for tile in tiles:
+            seqs, rows, kend, shape = tile
+            mask, bucket, rel = (_at(x, tile) for x in (allowed, bucket_idx, rel_idx))
+            qt, kt, vt = qg[seqs, rows, cols], kg[seqs, :kend, cols], vg[seqs, :kend, cols]
+            s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, shape))
+            s *= _sigmoid(s, view(1, shape))
             s *= inv_n
             if summed:
-                s += _gather(alpha[h], bucket, view(1, rows, kend))
-                s += _gather(beta[h], rel, view(1, rows, kend))
+                s += _gather(alpha[h], bucket, view(1, shape))
+                s += _gather(beta[h], rel, view(1, shape))
             s *= mask
-            out[..., rows, 0, cols] = np.matmul(s, vt)
+            out[seqs, rows, 0, cols] = np.matmul(s, vt)
             if not summed:
                 for c, bias, idx in ((1, beta[h], rel), (2, alpha[h], bucket)):
-                    np.multiply(_gather(bias, idx, view(1, rows, kend)), mask, out=s)
-                    out[..., rows, c, cols] = np.matmul(s, vt)
+                    np.multiply(_gather(bias, idx, view(1, shape)), mask, out=s)
+                    out[seqs, rows, c, cols] = np.matmul(s, vt)
     result = Tensor(_packed(out.reshape(qg.shape[:-1] + (-1,)), ctx.queries))
 
     def bwd(g: np.ndarray) -> None:
@@ -655,33 +687,33 @@ def silu_attention(
         for h, cols in enumerate(head_cols):
             a, be = alpha[h], beta[h]
             da, db = np.zeros(a.shape), np.zeros(be.shape)
-            for rows, kend in tiles:
-                mask = allowed[..., rows, :kend]
-                bucket, rel = bucket_idx[..., rows, :kend], rel_idx[..., rows, :kend]
-                qt, kt, vt = qg[..., rows, cols], kg[..., :kend, cols], vg[..., :kend, cols]
-                g_sem, *g_bias = (g[..., rows, c, cols] for c in range(out_shape[-2]))
-                dv_t = dv[..., :kend, cols]
+            for tile in tiles:
+                seqs, rows, kend, shape = tile
+                mask, bucket, rel = (_at(x, tile) for x in (allowed, bucket_idx, rel_idx))
+                qt, kt, vt = qg[seqs, rows, cols], kg[seqs, :kend, cols], vg[seqs, :kend, cols]
+                g_sem, *g_bias = (g[seqs, rows, c, cols] for c in range(out_shape[-2]))
+                dv_t = dv[seqs, :kend, cols]  # a view, or a copy written back below
 
                 def weight_grad(gw: np.ndarray) -> np.ndarray:
                     """Gradient of a masked weight map whose output's gradient is gw, in slot 0."""
-                    dw = np.matmul(gw, np.swapaxes(vt, -1, -2), out=view(0, rows, kend))
+                    dw = np.matmul(gw, np.swapaxes(vt, -1, -2), out=view(0, shape))
                     dw *= mask
                     return dw
 
                 if not summed:  # temporal, positional, then semantic, as a tape replay would
                     g_pos, g_tmp = g_bias
                     for bias, idx, gb, grad in ((a, bucket, g_tmp, da), (be, rel, g_pos, db)):
-                        w = np.multiply(_gather(bias, idx, view(3, rows, kend)), mask, out=view(0, rows, kend))
+                        w = np.multiply(_gather(bias, idx, view(3, shape)), mask, out=view(0, shape))
                         dv_t += _swapped_matmul(w, gb)
                         if bias.requires_grad:
                             grad += _bias_grad(bias, idx, weight_grad(gb))
-                s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, rows, kend))
-                sig = _sigmoid(s, view(1, rows, kend))
-                w = np.multiply(s, sig, out=view(2, rows, kend))
+                s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, shape))
+                sig = _sigmoid(s, view(1, shape))
+                w = np.multiply(s, sig, out=view(2, shape))
                 w *= inv_n
                 if summed:
-                    w += _gather(a, bucket, view(3, rows, kend))
-                    w += _gather(be, rel, view(3, rows, kend))
+                    w += _gather(a, bucket, view(3, shape))
+                    w += _gather(be, rel, view(3, shape))
                 w *= mask
                 dv_t += _swapped_matmul(w, g_sem)
                 # w becomes SiLU'(s) = sigmoid(s)·(1 + s·(1 - sigmoid(s)))
@@ -697,8 +729,10 @@ def silu_attention(
                         db += _bias_grad(be, rel, ds)
                 ds *= inv_n
                 ds *= w
-                dq[..., rows, cols] = np.matmul(ds, kt)
-                dk[..., :kend, cols] += _swapped_matmul(ds, qt)
+                dq[seqs, rows, cols] = np.matmul(ds, kt)
+                dk[seqs, :kend, cols] += _swapped_matmul(ds, qt)
+                if not isinstance(seqs, slice):
+                    dv[seqs, :kend, cols] = dv_t
             _accumulate(a, da, own=True)
             _accumulate(be, db, own=True)
         _accumulate(q, _packed(dq, ctx.queries), own=True)
@@ -722,17 +756,19 @@ def masked_softmax_attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, 
     inv_sqrt = 1.0 / np.sqrt(v.shape[-1] // heads)
     tiles = _tiles(allowed)
 
-    def weights(qg: np.ndarray, kg: np.ndarray, rows: slice, kend: int, cols: slice, out: np.ndarray) -> np.ndarray:
-        s = np.matmul(qg[..., rows, cols], np.swapaxes(kg[..., :kend, cols], -1, -2), out=out)
+    def weights(qg: np.ndarray, kg: np.ndarray, tile: _Tile, cols: slice, out: np.ndarray) -> np.ndarray:
+        seqs, rows, kend, _ = tile
+        s = np.matmul(qg[seqs, rows, cols], np.swapaxes(kg[seqs, :kend, cols], -1, -2), out=out)
         s *= inv_sqrt
-        return _masked_softmax_rows(s, allowed[..., rows, :kend])
+        return _masked_softmax_rows(s, _at(allowed, tile))
 
     out = np.zeros(qg.shape[:-1] + v.shape[-1:])
     view = _workspace(allowed, slots=1)
     for cols in head_cols:
-        for rows, kend in tiles:
-            p = weights(qg, kg, rows, kend, cols, view(0, rows, kend))
-            out[..., rows, cols] = np.matmul(p, vg[..., :kend, cols])
+        for tile in tiles:
+            seqs, rows, kend, shape = tile
+            p = weights(qg, kg, tile, cols, view(0, shape))
+            out[seqs, rows, cols] = np.matmul(p, vg[seqs, :kend, cols])
     result = Tensor(_packed(out, ctx.queries))
 
     def bwd(g: np.ndarray) -> None:
@@ -741,16 +777,17 @@ def masked_softmax_attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, 
         dq, dk, dv = np.zeros(qg.shape), np.zeros(kg.shape), np.zeros(vg.shape)
         view = _workspace(allowed, slots=3)
         for cols in head_cols:
-            for rows, kend in tiles:
-                gh = g[..., rows, cols]
-                p = weights(qg, kg, rows, kend, cols, view(0, rows, kend))
-                dv[..., :kend, cols] += _swapped_matmul(p, gh)
-                ds = np.matmul(gh, np.swapaxes(vg[..., :kend, cols], -1, -2), out=view(1, rows, kend))
-                ds -= np.sum(np.multiply(ds, p, out=view(2, rows, kend)), axis=-1, keepdims=True)
+            for tile in tiles:
+                seqs, rows, kend, shape = tile
+                gh = g[seqs, rows, cols]
+                p = weights(qg, kg, tile, cols, view(0, shape))
+                dv[seqs, :kend, cols] += _swapped_matmul(p, gh)
+                ds = np.matmul(gh, np.swapaxes(vg[seqs, :kend, cols], -1, -2), out=view(1, shape))
+                ds -= np.sum(np.multiply(ds, p, out=view(2, shape)), axis=-1, keepdims=True)
                 ds *= p
                 ds *= inv_sqrt
-                dq[..., rows, cols] = np.matmul(ds, kg[..., :kend, cols])
-                dk[..., :kend, cols] += _swapped_matmul(ds, qg[..., rows, cols])
+                dq[seqs, rows, cols] = np.matmul(ds, kg[seqs, :kend, cols])
+                dk[seqs, :kend, cols] += _swapped_matmul(ds, qg[seqs, rows, cols])
         _accumulate(q, _packed(dq, ctx.queries), own=True)
         _accumulate(k, _packed(dk, ctx.keys), own=True)
         _accumulate(v, _packed(dv, ctx.keys), own=True)

@@ -21,13 +21,13 @@ from fuxi_alpha.tensor import Tape, Tensor
 from fuxi_alpha.train import AdamW, TrainConfig, next_item_negatives, next_item_targets, train_step
 
 
-def _padded_context(n: int, n_buckets: int, seed: int) -> M.AttnContext:
-    """Two rows, the second padded after three events."""
+def _padded_context(n: int, n_buckets: int, seed: int, lengths=None) -> M.AttnContext:
+    """A row per length; by default two rows, the second padded after three events."""
     cfg = ModelConfig(vocab=9, d=4, d_h=4, n=n, n_buckets=n_buckets, negatives=2, max_time_span=200)
     rng = np.random.default_rng(seed)
-    lens = np.array([n, 3])
-    items = np.zeros((2, n), dtype=np.int64)
-    ts = np.zeros((2, n), dtype=np.int64)
+    lens = np.array([n, 3] if lengths is None else lengths)
+    items = np.zeros((len(lens), n), dtype=np.int64)
+    ts = np.zeros((len(lens), n), dtype=np.int64)
     for row, length in enumerate(lens):
         items[row, :length] = rng.integers(1, cfg.vocab, size=length)
         ts[row, :length] = np.cumsum(rng.integers(1, 40, size=length))
@@ -35,15 +35,15 @@ def _padded_context(n: int, n_buckets: int, seed: int) -> M.AttnContext:
 
 
 def _pack(x: np.ndarray, ctx: M.AttnContext) -> np.ndarray:
-    """The rows of the [2, n, ·] grid array x at the context's valid positions, np.flatnonzero of the valid mask."""
+    """The rows of the [B, n, ·] grid array x at the context's valid positions, np.flatnonzero of the valid mask."""
     return x.reshape(-1, x.shape[-1])[ctx.keys]
 
 
 def _operands(heads: int, ctx: M.AttnContext, d_h: int = 3, n_buckets: int = 6, seed: int = 0):
-    """Random q, k, v drawn on the [2, n] grid and packed at ctx's valid positions, and the biases."""
-    n = ctx.allowed.shape[-1]
+    """Random q, k, v drawn on the [B, n] grid and packed at ctx's valid positions, and the biases."""
+    b, n = ctx.allowed.shape[0], ctx.allowed.shape[-1]
     rng = np.random.default_rng(seed)
-    q, k, v = (Tensor(_pack(rng.normal(size=(2, n, heads * d_h)), ctx)) for _ in range(3))
+    q, k, v = (Tensor(_pack(rng.normal(size=(b, n, heads * d_h)), ctx)) for _ in range(3))
     alpha = [Tensor(rng.normal(size=n_buckets)) for _ in range(heads)]
     beta = [Tensor(rng.normal(size=n)) for _ in range(heads)]
     return q, k, v, alpha, beta
@@ -108,8 +108,8 @@ def test_context_keeps_one_bool_mask_and_narrow_buckets():
 @pytest.mark.parametrize("b, n, block", [(5, 9, 1 << 16), (5, 9, 3 * 5 * 9), (3, 70, 1)])
 def test_context_matches_the_dense_formula(monkeypatch, b, n, block):
     # bucketing all query rows at once, in blocks of three rows (the last one
-    # partial) or one row at a time; large gaps reach the log-spaced and the
-    # clamped buckets
+    # partial) or one row at a time, each block over the sequences with a
+    # valid row in it; large gaps reach the log-spaced and the clamped buckets
     monkeypatch.setattr(M, "_BUCKET_BLOCK", block)
     for seed in range(3):
         cfg = ModelConfig(vocab=9, d=4, d_h=4, n=n, n_buckets=16, negatives=2, max_time_span=5000)
@@ -124,8 +124,8 @@ def test_context_matches_the_dense_formula(monkeypatch, b, n, block):
         ctx = M.build_attn_context(batch, cfg)
         pos = np.arange(n)
         valid = pos[None, :] < lens[:, None]
-        allowed = (pos[:, None] >= pos[None, :])[None] & valid[:, None, :]
-        np.testing.assert_array_equal(ctx.allowed, allowed)
+        allowed = (pos[:, None] >= pos[None, :])[None] & valid[:, None, :] & valid[:, :, None]
+        np.testing.assert_array_equal(ctx.allowed, allowed)  # a padded query row attends nothing
         dense = M.bucket_indices(np.maximum(ts[:, :, None] - ts[:, None, :], 0), cfg)
         np.testing.assert_array_equal(ctx.bucket_idx[allowed], dense[allowed])
         causal = pos[:, None] >= pos[None, :]
@@ -278,19 +278,96 @@ def test_tiled_ops_match_dense_transcription(small_tiles, kind, heads, path):
 
 @pytest.mark.parametrize("kind", ["ams", "hstu", "softmax"])
 def test_rows_that_attend_no_key_give_zeros(small_tiles, kind):
-    # the first four rows attend nothing: the first tile is skipped whole and
-    # the second starts with such a row
-    ctx = _padded_context(TILED_N, 6, seed=2)
-    ctx.allowed = ctx.allowed.copy()
-    ctx.allowed[:, :4] = False
-    operands = _operands(2, ctx, seed=50)
-    tiled, dense = _ops(kind, 2, ctx)
+    # the first four rows attend nothing, in both sequences (the first tile is
+    # skipped whole and the second starts with such a row) or in the first only
+    # (the first tile runs over the second sequence alone, the second tile
+    # over the first alone)
+    for blank in ([0, 1], [0]):
+        ctx = _padded_context(TILED_N, 6, seed=2)
+        ctx.allowed = ctx.allowed.copy()
+        ctx.allowed[blank, :4] = False
+        operands = _operands(2, ctx, seed=50)
+        tiled, dense = _ops(kind, 2, ctx)
+        got = _output_and_grads(tiled, operands)
+        _assert_close(got, _output_and_grads(dense, operands))
+        out, dq = got[0], got[1]
+        first = (ctx.keys % TILED_N < 4) & np.isin(ctx.keys // TILED_N, blank)  # the blank rows, packed
+        np.testing.assert_array_equal(out[first], 0.0)
+        np.testing.assert_array_equal(dq[first], 0.0)
+
+
+# The tile rule. The lengths are n, 1, 6 (ending on a tile boundary) and 4
+# (ending inside a tile), in an order that leaves the second tile's
+# sequences non-consecutive.
+
+RULE_LENGTHS = (TILED_N, 1, 6, 4)
+RULE_ROWS = np.array([7, 0, 5, 2])  # one valid position per sequence, for the at_rows path
+
+
+def test_each_tile_lists_the_sequences_with_a_valid_row_in_it(small_tiles):
+    ctx = _padded_context(TILED_N, 6, seed=0, lengths=RULE_LENGTHS)
+    lens, seq = np.array(RULE_LENGTHS), np.arange(len(RULE_LENGTHS))
+    tiles = T._tiles(ctx.allowed)
+    assert [t.rows for t in tiles] == [slice(r, min(r + SMALL_TILE, TILED_N)) for r in range(0, TILED_N, SMALL_TILE)]
+    for tile in tiles:
+        live = seq[tile.seqs]
+        np.testing.assert_array_equal(live, np.flatnonzero(lens > tile.rows.start))
+        assert tile.kend == min(tile.rows.stop, lens[live].max())
+        assert tile.shape == (len(live), tile.rows.stop - tile.rows.start, tile.kend)
+        assert isinstance(tile.seqs, slice) == (live[-1] - live[0] + 1 == len(live))
+    assert [isinstance(t.seqs, slice) for t in tiles] == [True, False, True, True]
+    # the ranked rows: one tile, every sequence, keys up to the last ranked position
+    (tile,) = T._tiles(ctx.at_rows(RULE_ROWS).allowed)
+    assert (tile.seqs, tile.rows, tile.kend) == (slice(0, 4), slice(0, 1), RULE_ROWS.max() + 1)
+
+
+def test_a_full_batch_keeps_every_sequence_in_every_tile(small_tiles):
+    # the tiles of the rule without row validity: every sequence, as a slice
+    # (so every operand is a view), and keys up to the tile's last row
+    ctx = _padded_context(TILED_N, 6, seed=0, lengths=(TILED_N,) * 3)
+    starts = range(0, TILED_N, SMALL_TILE)
+    want = [(slice(0, 3), slice(r, min(r + SMALL_TILE, TILED_N)), min(r + SMALL_TILE, TILED_N)) for r in starts]
+    assert [(t.seqs, t.rows, t.kend) for t in T._tiles(ctx.allowed)] == want
+
+
+def test_context_buckets_only_the_sequences_with_a_valid_row(monkeypatch):
+    # one query row per block: block r buckets the sequences longer than r
+    monkeypatch.setattr(M, "_BUCKET_BLOCK", 1)
+    bucketed = []
+    bucket_indices = M.bucket_indices
+
+    def spy(delta, cfg):
+        bucketed.append(delta.shape[0])
+        return bucket_indices(delta, cfg)
+
+    monkeypatch.setattr(M, "bucket_indices", spy)
+    _padded_context(TILED_N, 6, seed=0, lengths=RULE_LENGTHS)
+    assert bucketed == [int(np.sum(np.array(RULE_LENGTHS) > r)) for r in range(1, TILED_N)]
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("kind", ["ams", "hstu", "softmax"])
+@pytest.mark.parametrize("path", ["all_rows", "rows"])
+def test_live_sequence_tiles_are_bitwise_equal_to_every_sequence_tiles(monkeypatch, small_tiles, kind, heads, path):
+    ctx = _padded_context(TILED_N, 6, seed=heads, lengths=RULE_LENGTHS)
+    q, k, v, alpha, beta = _operands(heads, ctx, seed=80 + heads)
+    if path == "rows":
+        ctx = ctx.at_rows(RULE_ROWS)
+        q = ctx.query(q)
+    operands = (q, k, v, alpha, beta)
+    tiled, _ = _ops(kind, heads, ctx)
     got = _output_and_grads(tiled, operands)
-    _assert_close(got, _output_and_grads(dense, operands))
-    out, dq = got[0], got[1]
-    first = ctx.keys % TILED_N < 4  # the packed rows at positions 0-3
-    np.testing.assert_array_equal(out[first], 0.0)
-    np.testing.assert_array_equal(dq[first], 0.0)
+    live_tiles = T._tiles
+
+    def every_sequence(allowed):
+        b = allowed.shape[0]
+        return [T._Tile(slice(0, b), rows, kend, (b,) + shape[1:]) for _, rows, kend, shape in live_tiles(allowed)]
+
+    monkeypatch.setattr(T, "_tiles", every_sequence)
+    want = _output_and_grads(tiled, operands)
+    assert len(got) == len(want) == 4 + (0 if kind == "softmax" else 2 * heads)  # the output and every gradient
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 @pytest.mark.parametrize("heads", [1, 2])

@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 from conftest import random_params, tiny_config
@@ -6,6 +9,8 @@ from fuxi_alpha.data import EvalInstance
 from fuxi_alpha.evaluate import compute_metrics, evaluate, metrics_records, rank_of_target
 from fuxi_alpha import model as M
 from fuxi_alpha.model import init_params
+
+E = importlib.import_module("fuxi_alpha.evaluate")  # the package exports the function under the module's name
 
 
 def test_rank_unique_max_is_one():
@@ -190,3 +195,23 @@ def test_evaluate_chunk_widths_do_not_decrease(monkeypatch):
     evaluate(params, instances, ks=[5], cfg=cfg, batch_size=6)
     assert len(widths) == 7
     assert widths == sorted(widths) and widths[0] < widths[-1] == cfg.n
+
+
+def test_evaluate_checks_targets_before_any_forward_pass(monkeypatch):
+    # only the longest history, ranked in the last of 7 chunks, has the excluded target
+    cfg = tiny_config(vocab=11, n=12)
+    params = random_params(cfg, seed=17)
+    instances = [dataclasses.replace(inst, target=1) for inst in _heavy_tailed_instances(cfg, 40, seed=18)]
+    longest = max(range(len(instances)), key=lambda i: len(instances[i].items))
+    instances[longest] = dataclasses.replace(instances[longest], target=2)
+    calls = []
+    forward_hidden = E.forward_hidden
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].size)
+        return forward_hidden(*args, **kwargs)
+
+    monkeypatch.setattr(E, "forward_hidden", spy)
+    with pytest.raises(ValueError, match="excluded"):
+        evaluate(params, instances, ks=[5], cfg=cfg, batch_size=6, excluded=[2])
+    assert calls == []
