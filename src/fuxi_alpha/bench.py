@@ -1,5 +1,12 @@
 """Throughput and scaling probes: training samples per second across sequence
-lengths, and step-time/parameter growth along the layer or width axis."""
+lengths, and step-time/parameter growth along the layer or width axis.
+
+Both time the step `train` runs, less the optimizer update (`_train_steps`:
+`train.batch_loss`, so negative sampling included, then backward), with one
+timer, `_median_seconds`. Its warm-up rule: one untimed call of the largest
+run, then one of each run; it then times the runs round-robin and reports
+each run's median.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +14,16 @@ import ctypes
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import UserSequence, batch_iterator
-from .model import ModelConfig, SequenceBatch, forward_hidden, init_params, param_count, sampled_loss
+from .model import ModelConfig, SequenceBatch, init_params, param_count
 from .tensor import Tape, backward
-from .train import next_item_negatives, next_item_targets
+from .train import batch_loss
 
 
 # timed windows per length; the median one is reported, so one window slowed
@@ -72,20 +80,42 @@ def single_blas_thread():
         set_(before)
 
 
-def _one_pass(dataset, params, cfg, batch_size, rng) -> int:
-    """Forward + backward over the dataset once; returns samples processed."""
-    processed = 0
-    for batch in batch_iterator(dataset, batch_size, cfg.n, shuffle_seed=0):
-        targets = next_item_targets(batch)
-        if targets.any():
-            negs = next_item_negatives(targets, cfg, rng)
-            with Tape() as tape:
-                loss = sampled_loss(forward_hidden(batch, params, cfg), params.item_emb, targets, negs)
+def _train_steps(batches, params, cfg, rng) -> None:
+    """The step `train` runs, less the optimizer update, over each batch:
+    `batch_loss`, backward and a grad clear."""
+    for batch in batches:
+        with Tape() as tape:
+            loss = batch_loss(batch, params, cfg, rng)
+        if loss is not None:
             backward(loss, tape)
             for t in params.tensors():
                 t.grad = None
-        processed += batch.size
-    return processed
+
+
+def _median_seconds(runs: list[Callable[[], None]], rounds: int, largest: int, calls: int = 1) -> list[float]:
+    """Median wall time of `calls` back-to-back calls of each run over `rounds`
+    timed rounds, OpenBLAS on one thread.
+
+    Untimed first: one call of runs[largest], then one call of each run.
+    glibc raises its mmap and trim thresholds to the largest block freed so
+    far; before that, every step returns its [B, n, n] temporaries to the OS
+    and page-faults them back in. Growing the allocator with the largest run
+    first times every run in the same allocator state, whatever ran earlier
+    in the process. The timed rounds go round-robin over the runs, so a slow
+    stretch of a shared machine lands on every run instead of on one.
+    """
+    times = np.empty((rounds, len(runs)))
+    with single_blas_thread():
+        runs[largest]()
+        for run in runs:
+            run()
+        for r in range(rounds):
+            for i, run in enumerate(runs):
+                start = time.perf_counter()
+                for _ in range(calls):
+                    run()
+                times[r, i] = time.perf_counter() - start
+    return [float(t) for t in np.median(times, axis=0)]
 
 
 def tps_benchmark(
@@ -97,46 +127,25 @@ def tps_benchmark(
     seed: int = 0,
     passes: int = 3,
 ) -> list[BenchRecord]:
-    """Samples/second of `passes` full forward+backward sweeps per length.
-
-    Untimed warm-up passes run first: one at the longest length, then one per
-    length. Each length times TIMING_WINDOWS windows of `passes` sweeps with
-    OpenBLAS on one thread and reports the window of median speed.
-    """
+    """Samples/second per length: the median of TIMING_WINDOWS windows of
+    `passes` training-step sweeps over the dataset."""
     if len(dataset) < batch_size:
         raise ValueError(
             f"tps_benchmark: dataset of {len(dataset)} sequences too small for one batch of {batch_size}"
         )
-    records = []
-    with single_blas_thread():
-        # glibc raises its mmap and trim thresholds to the largest block freed
-        # so far; before that, every step returns its [B, n, n] temporaries to
-        # the OS and page-faults them back in. Growing the allocator at the
-        # longest length first times every length in the same allocator state,
-        # whatever ran earlier in the process.
-        longest = replace(cfg_template, n=max(seq_lengths))
-        _one_pass(dataset, init_params(longest, variant, seed), longest, batch_size, np.random.default_rng(seed))
-        for length in seq_lengths:
-            cfg = replace(cfg_template, n=length)
-            params = init_params(cfg, variant, seed)
-            rng = np.random.default_rng(seed)
-            _one_pass(dataset, params, cfg, batch_size, rng)  # warm-up, untimed
-            windows = []
-            for _ in range(TIMING_WINDOWS):
-                start = time.perf_counter()
-                processed = sum(_one_pass(dataset, params, cfg, batch_size, rng) for _ in range(passes))
-                windows.append(time.perf_counter() - start)
-            elapsed = float(np.median(windows))
-            records.append(
-                BenchRecord(
-                    variant=variant,
-                    seq_len=length,
-                    tps=processed / elapsed,
-                    samples=processed,
-                    elapsed=elapsed,
-                )
-            )
-    return records
+    runs = []
+    for length in seq_lengths:
+        cfg = replace(cfg_template, n=length)
+        batches = list(batch_iterator(dataset, batch_size, length, shuffle_seed=0))
+        params = init_params(cfg, variant, seed)
+        runs.append(partial(_train_steps, batches, params, cfg, np.random.default_rng(seed)))
+    samples = passes * len(dataset)
+    largest = list(seq_lengths).index(max(seq_lengths))
+    windows = _median_seconds(runs, TIMING_WINDOWS, largest, calls=passes)
+    return [
+        BenchRecord(variant=variant, seq_len=length, tps=samples / elapsed, samples=samples, elapsed=elapsed)
+        for length, elapsed in zip(seq_lengths, windows)
+    ]
 
 
 @dataclass
@@ -160,19 +169,6 @@ def _fixed_batch(cfg: ModelConfig, batch_size: int, seed: int) -> SequenceBatch:
     return SequenceBatch(items, ts, np.full(batch_size, cfg.n))
 
 
-def _step_seconds(params, cfg, batch, targets, rng) -> float:
-    """Wall time of one forward + backward step; negative sampling stays untimed."""
-    negs = next_item_negatives(targets, cfg, rng)
-    start = time.perf_counter()
-    with Tape() as tape:
-        loss = sampled_loss(forward_hidden(batch, params, cfg), params.item_emb, targets, negs)
-    backward(loss, tape)
-    elapsed = time.perf_counter() - start
-    for t in params.tensors():
-        t.grad = None
-    return elapsed
-
-
 def _linear_fit_r2(xs: np.ndarray, ys: np.ndarray) -> float:
     coeffs = np.polyfit(xs, ys, 1)
     pred = np.polyval(coeffs, xs)
@@ -191,6 +187,8 @@ def scaling_probe(
 ) -> ProbeResult:
     """param_count and measured step time along the layers or dim axis.
 
+    step_time is the median of `repeats` training steps on one fixed batch,
+    negative sampling included, as in tps_benchmark.
     The dim axis scales d with d_h = d and d_ffn = 2d so widths stay
     proportional; param_count always reports the closed form for the probed
     config.
@@ -203,26 +201,15 @@ def scaling_probe(
         configs = [replace(cfg_template, layers=int(v)) for v in values]
     else:
         configs = [replace(cfg_template, d=int(v), d_h=int(v), d_ffn=2 * int(v)) for v in values]
-    probes = []
-    for cfg in configs:
-        batch = _fixed_batch(cfg, batch_size, seed)
-        probes.append((init_params(cfg, "full", seed), cfg, batch, next_item_targets(batch), np.random.default_rng(seed)))
-    times = np.empty((repeats, len(probes)))
-    with single_blas_thread():
-        # Untimed: a step at the largest value first grows the allocator to its
-        # footprint, as in tps_benchmark, so a smaller value is not timed
-        # page-fault free while a larger one faults; then one step of each.
-        _step_seconds(*probes[-1])
-        for probe in probes:
-            _step_seconds(*probe)
-        # Round-robin over the values, so a slow stretch of a shared machine
-        # lands on every value instead of on one.
-        for r in range(repeats):
-            for i, probe in enumerate(probes):
-                times[r, i] = _step_seconds(*probe)
+    runs = [
+        partial(_train_steps, [_fixed_batch(cfg, batch_size, seed)], init_params(cfg, "full", seed), cfg,
+                np.random.default_rng(seed))
+        for cfg in configs
+    ]
+    times = _median_seconds(runs, repeats, largest=len(runs) - 1)
     rows = [
-        ProbeRow(value=int(v), param_count=param_count(cfg), step_time=float(t))
-        for v, cfg, t in zip(values, configs, np.median(times, axis=0))
+        ProbeRow(value=int(v), param_count=param_count(cfg), step_time=t)
+        for v, cfg, t in zip(values, configs, times)
     ]
     xs = np.array([r.value for r in rows], dtype=float)
     ys = np.array([r.step_time for r in rows])

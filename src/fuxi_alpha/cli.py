@@ -36,9 +36,9 @@ from .data import (
     uniform_gap_rule,
 )
 from .evaluate import evaluate, metrics_records
-from .model import ModelConfig, SequenceBatch, forward_hidden, init_params, sampled_loss
+from .model import ModelConfig, SequenceBatch, init_params
 from .poly import generic_block_spec, verify_degree_bound
-from .train import TrainConfig, next_item_negatives, next_item_targets, train
+from .train import TrainConfig, batch_loss, train
 
 COMMANDS = ("ingest", "train", "eval", "ablate", "bench", "analyze", "gradcheck")
 
@@ -201,15 +201,13 @@ def cmd_gradcheck(cfg: dict, outdir: Path) -> int:
         for _, t in params.named():
             t.data = rng.normal(0.0, 0.3, size=t.data.shape)
         params.item_emb.data[0, :] = 0.0
-        items = np.array([[1 + seed % 6, 2, 5, 3]], dtype=np.int64)
-        ts = np.array([[3, 9, 12, 40]], dtype=np.int64)
-        batch = SequenceBatch(items, ts, np.array([4]))
-        targets = next_item_targets(batch)
-        negs = next_item_negatives(targets, tiny, rng)
+        # a full row and a padded one; a fresh generator per call gives every
+        # finite difference the same negatives
+        items = np.array([[1 + seed % 6, 2, 5, 3], [4, 6, 1, 0]], dtype=np.int64)
+        ts = np.array([[3, 9, 12, 40], [5, 7, 30, 0]], dtype=np.int64)
+        batch = SequenceBatch(items, ts, np.array([4, 3]))
         err = T.grad_check_params(
-            lambda: sampled_loss(forward_hidden(batch, params, tiny), params.item_emb, targets, negs),
-            params.tensors(),
-            fd_step=1e-5,
+            lambda: batch_loss(batch, params, tiny, np.random.default_rng(seed)), params.tensors(), fd_step=1e-5
         )
         worst = max(worst, err)
         lines.append(f"seed {seed}: max relative error {err:.3e}")

@@ -202,8 +202,11 @@ def resolve_config(document: Any, overrides: Sequence[str] = ()) -> dict:
             # a value of the wrong type is already reported; NaN fails both comparisons
             if isinstance(v, (int, float)) and not (v >= low and (high is None or v <= high))
         ]
-    if not resolved["bench"]["seq_lengths"]:
+    bench = resolved["bench"]
+    if not bench["seq_lengths"]:
         problems.append("bench.seq_lengths: expected at least one length")
+    if bench["batch"] > bench["users"]:
+        problems.append(f"bench.batch: expected a value <= bench.users ({bench['users']}), got {bench['batch']}")
     if problems:
         raise ConfigError(problems)
     return resolved

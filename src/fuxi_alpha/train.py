@@ -12,7 +12,7 @@ import numpy as np
 from .data import DatasetSplit, batch_iterator
 from .evaluate import evaluate
 from .model import ModelConfig, ModelParams, forward_hidden, init_params, sampled_loss
-from .tensor import Tape, backward
+from .tensor import Tape, Tensor, backward
 
 
 @dataclass
@@ -25,8 +25,8 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     seed: int = 0
-    eval_every: int = 1   # epochs between validation evaluations
-    patience: int = 0     # evaluations without improvement before stopping; 0 disables
+    eval_every: int = 1   # epochs between validation evaluations; used only when patience > 0
+    patience: int = 0     # evaluations without improvement before stopping; 0 disables validation and stopping
 
     def __post_init__(self):
         problems = []
@@ -132,6 +132,18 @@ def next_item_negatives(targets: np.ndarray, cfg: ModelConfig, rng: np.random.Ge
     return sample_negatives_batch(targets[targets > 0], cfg.negatives, cfg.vocab, rng)
 
 
+def batch_loss(batch, params: ModelParams, cfg: ModelConfig, rng: np.random.Generator) -> Tensor | None:
+    """The batch's sampled-softmax next-item loss, recorded on the active tape,
+    with negatives drawn from rng; None, drawing nothing, if no position has a
+    next item. Every step that trains, times or grad-checks the model builds
+    its loss here."""
+    targets = next_item_targets(batch)
+    if not targets.any():
+        return None
+    negs = next_item_negatives(targets, cfg, rng)
+    return sampled_loss(forward_hidden(batch, params, cfg), params.item_emb, targets, negs)
+
+
 def train_step(
     batch,
     params: ModelParams,
@@ -140,12 +152,10 @@ def train_step(
     rng: np.random.Generator,
 ) -> float | None:
     """One forward/backward/update; returns the loss or None if the batch has no targets."""
-    targets = next_item_targets(batch)
-    if not targets.any():
-        return None
-    negs = next_item_negatives(targets, cfg, rng)
     with Tape() as tape:
-        loss = sampled_loss(forward_hidden(batch, params, cfg), params.item_emb, targets, negs)
+        loss = batch_loss(batch, params, cfg, rng)
+    if loss is None:
+        return None
     value = loss.item()
     if not np.isfinite(value):
         raise RuntimeError(

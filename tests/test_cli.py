@@ -291,6 +291,7 @@ ERROR_CASES = [
     ("zero_bench_batch", "bench", {"bench.batch": 0}, None, 2, "config"),
     ("short_bench_length", "bench", {"bench.seq_lengths": "[0]"}, None, 2, "config"),
     ("empty_bench_lengths", "bench", {"bench.seq_lengths": "[]"}, None, 2, "config"),
+    ("bench_batch_exceeds_users", "bench", {"bench.batch": 60, "bench.seq_lengths": "[8]"}, None, 2, "config"),
     ("not_utf8", "ingest", {"data.format": "movielens_dat", "data.path": DATA / "not_utf8.dat"}, None, 3, "data"),
     ("path_is_directory", "ingest", {"data.format": "csv", "data.path": DATA}, None, 3, "data"),
     ("output_directory_is_a_file", "ingest", {"output.directory": DATA / "sample.dat"}, None, 2, "config"),

@@ -1,10 +1,30 @@
+import importlib
+import sys
+
 import numpy as np
 import pytest
 from conftest import freeze_temporal, tiny_config
 
-from fuxi_alpha.data import SyntheticSpec, build_sequences, split_leave_last, synthesize_dataset, two_class_gap_rule
+from fuxi_alpha.bench import TIMING_WINDOWS, scaling_probe, tps_benchmark
+from fuxi_alpha.cli import main
+from fuxi_alpha.data import (
+    SyntheticSpec,
+    build_sequences,
+    split_leave_last,
+    synthesize_dataset,
+    two_class_gap_rule,
+    uniform_gap_rule,
+)
 from fuxi_alpha.model import ModelConfig, SequenceBatch, init_params
-from fuxi_alpha.train import TrainConfig, next_item_negatives, next_item_targets, sample_negatives_batch, train
+from fuxi_alpha.train import (
+    AdamW,
+    TrainConfig,
+    next_item_negatives,
+    next_item_targets,
+    sample_negatives_batch,
+    train,
+    train_step,
+)
 
 # chi2.isf(0.01, 97): frozen critical value for the uniformity test below
 CHI2_CRIT_DOF97_P01 = 132.30887667181258
@@ -184,3 +204,74 @@ def test_next_item_negatives_one_row_per_target():
     # the draws are exactly the sampler's for the targets alone, in row-major order
     again = sample_negatives_batch(wanted, cfg.negatives, cfg.vocab, np.random.default_rng(6))
     np.testing.assert_array_equal(negs, again)
+
+
+# one batch loss ------------------------------------------------------------------
+
+
+def test_every_step_builds_its_loss_in_batch_loss(monkeypatch, tmp_path):
+    # `fuxi_alpha.train` is the function; the module is reached by import path
+    train_mod = importlib.import_module("fuxi_alpha.train")
+    original = train_mod.batch_loss
+    calls = []
+
+    def spy(batch, *args):
+        calls.append((sys._getframe(1).f_code.co_name, batch))
+        return original(batch, *args)
+
+    for mod in ("train", "bench", "cli"):
+        monkeypatch.setattr(importlib.import_module(f"fuxi_alpha.{mod}"), "batch_loss", spy)
+
+    def callers(run):
+        del calls[:]
+        run()
+        return calls[:]
+
+    cfg = tiny_config(vocab=13, n=8, negatives=3, layers=1)
+    params = init_params(cfg, "full", seed=0)
+    batch = SequenceBatch(np.array([[1, 2, 3, 0]]), np.array([[1, 2, 3, 0]]), np.array([3]))
+    step = callers(lambda: train_step(batch, params, cfg, AdamW(params.named(), TrainConfig()), np.random.default_rng(0)))
+    assert step == [("train_step", batch)]
+
+    spec = SyntheticSpec(users=8, items=12, length=8, seed=5, gap_rule=uniform_gap_rule(12))
+    dataset = build_sequences(synthesize_dataset(spec), n=8)
+    tps = callers(lambda: tps_benchmark("full", cfg, [4, 8], batch_size=4, dataset=dataset, passes=2))
+    # two batches a sweep; untimed, one sweep at the longest length and then
+    # one at each length, before TIMING_WINDOWS windows of `passes` sweeps each
+    assert len(tps) == 2 * (1 + 2 + 2 * 2 * TIMING_WINDOWS)
+    assert {b.items.shape[1] for _, b in tps} == {4, 8}
+
+    probe = callers(lambda: scaling_probe(cfg, "layers", [1, 2], batch_size=2, repeats=2))
+    assert len(probe) == 1 + 2 + 2 * 2
+
+    check = callers(lambda: main(["gradcheck", "--set", f"output.directory={tmp_path}"]))
+    # every grad-checked batch has a full row and a padded one
+    assert check and all(b.valid_len.tolist() == [4, 3] for _, b in check)
+    assert {name for name, _ in tps + probe} == {"_train_steps"}
+    assert {name for name, _ in check} == {"<lambda>"}
+
+
+def test_train_step_without_next_item_changes_nothing():
+    cfg = tiny_config(vocab=9, n=3)
+    params = init_params(cfg, "full", seed=3)
+    opt = AdamW(params.named(), TrainConfig())
+    rng = np.random.default_rng(4)
+    full = SequenceBatch(np.array([[1, 2, 3]]), np.array([[1, 2, 3]]), np.array([3]))
+    assert train_step(full, params, cfg, opt, rng) is not None  # nonzero moments, opt.t = 1
+
+    def state():
+        return (
+            [t.data.copy() for _, t in params.named()],
+            [m.copy() for m in opt.m.values()] + [v.copy() for v in opt.v.values()],
+            opt.t,
+            rng.bit_generator.state,
+        )
+
+    before = state()
+    # every history one event: no position has a next item
+    single = SequenceBatch(np.array([[3, 0, 0], [5, 0, 0]]), np.array([[4, 0, 0], [9, 0, 0]]), np.array([1, 1]))
+    assert train_step(single, params, cfg, opt, rng) is None
+    after = state()
+    for a, b in zip(before[0] + before[1], after[0] + after[1]):
+        assert a.tobytes() == b.tobytes()
+    assert after[2:] == before[2:]
