@@ -20,17 +20,26 @@ class MetricsReport:
     ranks: np.ndarray | None = None
 
 
+def _ranked(who: str, vocab: int, targets: list[int], excluded: Iterable[int], first: int) -> np.ndarray:
+    """The [vocab] mask of the ranked ids: all but `excluded` and those below `first`.
+    A ValueError names an id out of range (numpy would wrap a negative one) or rejects an excluded target."""
+    excluded = list(excluded)
+    for kind, ids, lo in (("excluded", excluded, 0), ("target", targets, first)):
+        bad = next((i for i in ids if not lo <= i < vocab), None)
+        if bad is not None:
+            raise ValueError(f"{who}: {kind} id {bad} is outside [{lo}, {vocab})")
+    keep = np.ones(vocab, dtype=bool)
+    keep[:first] = False
+    keep[excluded] = False
+    if not keep[targets].all():
+        raise ValueError(f"{who}: a target is excluded from ranking")
+    return keep
+
+
 def rank_of_target(logits_row: np.ndarray, target: int, excluded: Iterable[int] = ()) -> int:
     """1-based rank of the target; ties count against it (conservative)."""
     logits_row = np.asarray(logits_row)
-    excluded = list(excluded)
-    if not 0 <= target < logits_row.shape[0]:
-        raise ValueError(f"rank_of_target: target {target} out of range")
-    if target in excluded:
-        raise ValueError(f"rank_of_target: target {target} is excluded")
-    keep = np.ones(logits_row.shape[0], dtype=bool)
-    if excluded:
-        keep[excluded] = False
+    keep = _ranked("rank_of_target", logits_row.shape[0], [target], excluded, first=0)
     ge = (logits_row >= logits_row[target]) & keep
     return int(ge.sum())
 
@@ -62,15 +71,15 @@ def evaluate(
 ) -> MetricsReport:
     """Rank each instance's ground-truth target against the full catalog.
 
-    The padding item is always excluded; additional ids may be excluded as
-    long as no instance's target is among them, which is checked before any
-    forward pass. The instances are ranked in chunks of batch_size in order of
-    history length (stably); each chunk is padded to its longest history (at
-    most n), and only the last position of each history is computed in the
-    last block. Padded rows cost no attention work (the attention tiles of a
-    chunk in order of length run over consecutive sequences, as views), so
-    batch_size bounds memory, not the attention work. The ranks are reported
-    in input order.
+    The padding item is always excluded; additional ids in [0, vocab) may be
+    excluded as long as no instance's target (in [1, vocab)) is among them,
+    which is checked before any forward pass. The instances are ranked in
+    chunks of batch_size in order of history length (stably); each chunk is
+    padded to its longest history (at most n), and only the last position of
+    each history is computed in the last block. Padded rows cost no attention
+    work (the attention tiles of a chunk in order of length run over
+    consecutive sequences, as views), so batch_size bounds memory, not the
+    attention work. The ranks are reported in input order.
     """
     if not instances:
         raise ValueError("evaluate: empty partition")
@@ -79,11 +88,7 @@ def evaluate(
     for inst in instances:
         if len(inst.items) == 0:
             raise ValueError(f"evaluate: user {inst.user} has an empty history")
-    keep = np.ones(cfg.vocab, dtype=bool)
-    keep[0] = False
-    keep[list(excluded)] = False
-    if not keep[[inst.target for inst in instances]].all():
-        raise ValueError("evaluate: an instance's target is excluded from ranking")
+    keep = _ranked("evaluate", cfg.vocab, [inst.target for inst in instances], excluded, first=1)
     ranks = np.empty(len(instances), dtype=np.int64)
     by_length = np.argsort([len(inst.items) for inst in instances], kind="stable")
     for start in range(0, len(instances), batch_size):

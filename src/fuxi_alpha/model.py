@@ -314,7 +314,7 @@ def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
     rel = np.subtract.outer(pos, pos)
     np.maximum(rel, 0, out=rel)
     # Only keys j < query i of a valid row need a bucket: the diagonal has
-    # t_i - t_j = 0, which is bucket 0, and no other entry is allowed. The
+    # t_i - t_j = 0, which is bucket 0, and no other entry is attended. The
     # query rows go in blocks over the keys before the block's last row, and
     # each block over the sequences that have a valid row in it, so
     # bucketing's float and int64 temporaries stay block-sized and neither
@@ -334,9 +334,10 @@ def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
         bucket_idx[seqs, r0:r1, : r1 - 1] = block
     valid = batch.valid
     keys = np.flatnonzero(valid)
-    # a valid row's causal keys are valid, since the valid positions are a prefix
+    # valid positions are a prefix, so a valid row i attends keys [0, i + 1)
     return AttnContext(
-        allowed=(pos[:, None] >= pos[None, :])[None, :, :] & valid[:, :, None],
+        extent=np.where(valid, np.arange(1, n + 1), 0),
+        n=n,
         bucket_idx=bucket_idx,
         rel_idx=rel,
         keys=keys,

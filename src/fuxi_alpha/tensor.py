@@ -35,8 +35,8 @@ __all__ = [
     "grad_check_params",
 ]
 
-# Flattened-row budget for chunked gather ops; keeps peak memory bounded
-# when scoring large negative-sample blocks.
+# Element budget of one chunk's gathered [rows, k, d] block in rows_dot, so
+# scoring large negative-sample blocks keeps peak memory bounded.
 _CHUNK_ELEMS = 4_000_000
 
 
@@ -291,13 +291,13 @@ def rms_norm(x: Tensor, gain: Tensor | None = None, eps: float = 1e-6) -> Tensor
     return _record(out, inputs, bwd)
 
 
-def _masked_softmax_rows(x: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of x restricted to `allowed`, in place in x."""
-    np.copyto(x, -np.inf, where=~allowed)
+def _masked_softmax_rows(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of x restricted to `mask`, in place in x."""
+    np.copyto(x, -np.inf, where=~mask)
     m = np.max(x, axis=-1, keepdims=True)
     m[~np.isfinite(m)] = 0.0
     x -= m
-    np.exp(x, out=x)  # exactly 0 where disallowed
+    np.exp(x, out=x)  # exactly 0 outside the mask
     z = np.sum(x, axis=-1, keepdims=True)
     return np.divide(x, z, out=x, where=z > 0)
 
@@ -454,21 +454,22 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
 #
 # Each head's attention weights are [B, m, n] for m query rows and n keys
 # (m = n in training, m = 1 when only the ranked position is wanted). These
-# ops never build them whole. They walk the query rows in tiles of _TILE_ROWS
-# rows. A tile runs only over the G sequences that have an allowed entry in
-# its rows (a padded query row attends nothing), and for them computes q·kᵀ,
-# the weights, W·V and every gradient over keys [0, kend) only, where kend is
-# one past the last key that any of their rows may attend, read from
-# `allowed`. That one rule skips the causal upper triangle, the padded query
-# rows and trailing padding of the batch and the keys a ranked row cannot
-# see; a tile whose rows attend nothing is skipped and its outputs and
-# gradients stay zero. When the G sequences are consecutive (every tile of a
-# batch of full rows, and every tile of a batch in order of length) the
-# tile's operands are views of the grids; otherwise they are gathered. A
-# tile's [G, t, kend] arrays are views of a float64 workspace allocated once
-# per call and reused across tiles and heads. Backward rebuilds the weights
-# from q, k and the biases, so nothing of size [B, n, n] stays on the tape.
-# Head h is the h-th equal slice of the last axis of q, k and v.
+# ops never build them whole. Query row i of sequence b attends the keys
+# [0, ctx.extent[b, i]). The ops walk the query rows in tiles of _TILE_ROWS
+# rows. A tile runs only over the G sequences with a nonzero extent in its
+# rows, and for them computes q·kᵀ, the weights, W·V and every gradient over
+# keys [0, kend) only, kend being the tile's largest extent, under a
+# [G, t, kend] mask built from the extents once per call. That one rule
+# skips the causal upper triangle, the padded query rows and trailing
+# padding of the batch and the keys a ranked row cannot see; a tile whose
+# rows attend nothing is skipped and its outputs and gradients stay zero.
+# When the G sequences are consecutive (every tile of a batch of full rows,
+# and every tile of a batch in order of length) the tile's operands are
+# views of the grids; otherwise they are gathered. A tile's [G, t, kend]
+# arrays are views of a float64 workspace allocated once per call and
+# reused across tiles and heads. Backward rebuilds the weights from q, k and
+# the biases, so nothing of size [B, n, n] stays on the tape. Head h is the
+# h-th equal slice of the last axis of q, k and v.
 #
 # Both ops take their layout from one AttnContext. q, k and v arrive packed:
 # q [Tq, w] holds the query rows at the flat positions ctx.queries of the
@@ -483,13 +484,17 @@ class AttnContext:
     """A batch's causal attention layout, shared by every layer and every
     channel, for query i and key j.
 
-    Activations are packed: a [T, ·] activation holds the batch's T valid
-    positions in row-major order, and `keys` names where each sits in the
-    flattened [B, n] key grid. The query rows are every packed row
-    (rows=None), or one row per sequence after `at_rows`.
+    Valid positions are a prefix and attention is causal, so query row i of
+    sequence b attends a prefix of the n keys, `extent[b, i]` of them: i + 1
+    at a valid position, none at a padded one. Activations are packed: a
+    [T, ·] activation holds the batch's T valid positions in row-major order,
+    and `keys` names where each sits in the flattened [B, n] key grid. The
+    query rows are every packed row (rows=None), or one per sequence after
+    `at_rows`.
     """
 
-    allowed: np.ndarray     # [B, m, n] bool; True where j <= i and i (so j) is a valid position
+    extent: np.ndarray      # [B, m] how many keys each query row attends
+    n: int                  # width of the key grid
     bucket_idx: np.ndarray  # [B, m, n] time bucket of t_i - t_j (clipped at 0) where j < i, else 0; narrowest unsigned dtype
     rel_idx: np.ndarray     # [m, n], or [B, m, n], index distance i - j (clipped at 0)
     keys: np.ndarray        # [T] flat positions of the packed rows in the [B, n] key grid
@@ -498,18 +503,19 @@ class AttnContext:
 
     def at_rows(self, positions: np.ndarray | None) -> AttnContext:
         """The context of one query row per sequence, at the valid position
-        positions[b] of sequence b: every array becomes [B, 1, n] and `rows`
-        holds the rows' packed ids. positions=None keeps every query row."""
+        positions[b] of sequence b: every array becomes [B, 1] or [B, 1, n] and
+        `rows` holds the rows' packed ids. positions=None keeps every query row."""
         if positions is None:
             return self
         seq = np.arange(len(positions))
         return AttnContext(
-            allowed=self.allowed[seq, positions, None],
+            extent=self.extent[seq, positions, None],
+            n=self.n,
             bucket_idx=self.bucket_idx[seq, positions, None],
             rel_idx=self.rel_idx[positions, None],
             keys=self.keys,
             queries=seq,
-            rows=np.searchsorted(self.keys, seq * self.allowed.shape[-1] + positions),
+            rows=np.searchsorted(self.keys, seq * self.n + positions),
         )
 
     def query(self, x: Tensor) -> Tensor:
@@ -541,11 +547,9 @@ def _packed(x: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def _grids(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext):
-    """q on the query grid [B, m], and k and v on the key grid [B, n], of
-    ctx.allowed [B, m, n] (B = 1 for an allowed of shape [m, n])."""
-    *lead, m, n = ctx.allowed.shape
-    b = math.prod(lead)
-    return _grid(q.data, ctx.queries, (b, m)), _grid(k.data, ctx.keys, (b, n)), _grid(v.data, ctx.keys, (b, n))
+    """q on the [B, m] query grid, and k and v on the [B, n] key grid, of ctx."""
+    b, m = ctx.extent.shape
+    return _grid(q.data, ctx.queries, (b, m)), _grid(k.data, ctx.keys, (b, ctx.n)), _grid(v.data, ctx.keys, (b, ctx.n))
 
 
 def _head_slices(width: int, heads: int) -> list[slice]:
@@ -554,10 +558,10 @@ def _head_slices(width: int, heads: int) -> list[slice]:
 
 
 class _Tile(NamedTuple):
-    seqs: slice | np.ndarray  # the G sequences with an allowed entry in the tile's rows
+    seqs: slice | np.ndarray  # the G sequences with a nonzero extent in the tile's rows
     rows: slice               # the tile's query rows
-    kend: int                 # one past the last key any of those rows may attend
-    shape: tuple[int, int, int]  # (G, t, kend), the shape of the tile's weight maps
+    kend: int                 # the largest extent of those rows
+    mask: np.ndarray          # [G, t, kend] bool: row i of sequence b attends key j
 
 
 def consecutive(idx: np.ndarray) -> slice | np.ndarray:
@@ -568,24 +572,17 @@ def consecutive(idx: np.ndarray) -> slice | np.ndarray:
     return idx
 
 
-def _tiles(allowed: np.ndarray) -> list[_Tile]:
-    """Every tile of query rows that may attend some key, over its live sequences only."""
-    m, n = allowed.shape[-2:]
-    grid = allowed.reshape(-1, m, n)
-    b = grid.shape[0]
-    reach = grid.any(axis=0)  # [m, n]: row i of some sequence may attend key j
-    starts = np.arange(0, m, _TILE_ROWS)
-    # [B, tiles]: sequence b has an allowed entry in the tile's rows, which are contiguous in its [m·n] mask
-    live = np.logical_or.reduceat(grid.reshape(b, m * n), starts * n, axis=1)
-    counts = live.sum(axis=0)
+def _tiles(extent: np.ndarray) -> list[_Tile]:
+    """Every tile of query rows that attends some key, over its live sequences only."""
+    m = extent.shape[1]
     tiles = []
-    for t, r0 in enumerate(starts.tolist()):
+    for r0 in range(0, m, _TILE_ROWS):
         rows = slice(r0, min(m, r0 + _TILE_ROWS))
-        keys = np.flatnonzero(reach[rows].any(axis=0))
-        if keys.size:
-            g, kend = int(counts[t]), int(keys[-1]) + 1
-            seqs = slice(0, b) if g == b else consecutive(np.flatnonzero(live[:, t]))
-            tiles.append(_Tile(seqs, rows, kend, (g, rows.stop - r0, kend)))
+        reach = extent[:, rows].max(axis=1)  # [B]: the most keys any of sequence b's rows attends
+        kend = int(reach.max(initial=0))
+        if kend:
+            seqs = consecutive(np.flatnonzero(reach))
+            tiles.append(_Tile(seqs, rows, kend, np.arange(kend) < extent[seqs, rows, None]))
     return tiles
 
 
@@ -594,7 +591,7 @@ def _at(x: np.ndarray, tile: _Tile) -> np.ndarray:
     return x[tile.rows, : tile.kend] if x.ndim == 2 else x[tile.seqs, tile.rows, : tile.kend]
 
 
-def _workspace(allowed: np.ndarray, slots: int) -> Callable[[int, tuple[int, ...]], np.ndarray]:
+def _workspace(ctx: AttnContext, slots: int) -> Callable[[int, tuple[int, ...]], np.ndarray]:
     """view(slot, shape): float64 workspace slot `slot`, allocated here for
     the largest tile, shaped as a tile's weight maps.
 
@@ -602,8 +599,8 @@ def _workspace(allowed: np.ndarray, slots: int) -> Callable[[int, tuple[int, ...
     mmap and trim thresholds to the largest block freed, and with one block
     the heap kept about 20 MB more at eval_serve's peak in half the runs.
     """
-    *lead, m, n = allowed.shape
-    bufs = [np.empty(math.prod(lead) * min(m, _TILE_ROWS) * n) for _ in range(slots)]
+    b, m = ctx.extent.shape
+    bufs = [np.empty(b * min(m, _TILE_ROWS) * ctx.n) for _ in range(slots)]
 
     def view(slot: int, shape: tuple[int, ...]) -> np.ndarray:
         return bufs[slot][: math.prod(shape)].reshape(shape)
@@ -646,36 +643,34 @@ def silu_attention(
 
     Head h weighs value j at query i by the semantic score SiLU(q_i·k_j)·inv_n,
     the position bias beta[h][ctx.rel_idx[i, j]] and the time bias
-    alpha[h][ctx.bucket_idx[b, i, j]], each zero where ctx.allowed is False.
+    alpha[h][ctx.bucket_idx[b, i, j]], each zero on keys j >= ctx.extent[b, i].
     summed=False applies the three to V separately and returns the channels
     [semantic | positional | temporal]; summed=True applies their sum and
     returns one channel. Heads are concatenated within each channel. q, k and
     v are packed as ctx lays out (see above); the output is packed as q.
     """
-    allowed, bucket_idx, rel_idx = ctx.allowed, ctx.bucket_idx, ctx.rel_idx
     qg, kg, vg = _grids(q, k, v, ctx)
     width = v.shape[-1]
     head_cols = _head_slices(width, len(alpha))
     out_shape = qg.shape[:-1] + (1 if summed else 3, width)
-    tiles = _tiles(allowed)
     out = np.zeros(out_shape)
-    view = _workspace(allowed, slots=2)
-    for h, cols in enumerate(head_cols):
-        for tile in tiles:
-            seqs, rows, kend, shape = tile
-            mask, bucket, rel = (_at(x, tile) for x in (allowed, bucket_idx, rel_idx))
+    view = _workspace(ctx, slots=2)
+    for tile in _tiles(ctx.extent):
+        seqs, rows, kend, mask = tile
+        bucket, rel = _at(ctx.bucket_idx, tile), _at(ctx.rel_idx, tile)
+        for h, cols in enumerate(head_cols):
             qt, kt, vt = qg[seqs, rows, cols], kg[seqs, :kend, cols], vg[seqs, :kend, cols]
-            s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, shape))
-            s *= _sigmoid(s, view(1, shape))
+            s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, mask.shape))
+            s *= _sigmoid(s, view(1, mask.shape))
             s *= inv_n
             if summed:
-                s += _gather(alpha[h], bucket, view(1, shape))
-                s += _gather(beta[h], rel, view(1, shape))
+                s += _gather(alpha[h], bucket, view(1, mask.shape))
+                s += _gather(beta[h], rel, view(1, mask.shape))
             s *= mask
             out[seqs, rows, 0, cols] = np.matmul(s, vt)
             if not summed:
                 for c, bias, idx in ((1, beta[h], rel), (2, alpha[h], bucket)):
-                    np.multiply(_gather(bias, idx, view(1, shape)), mask, out=s)
+                    np.multiply(_gather(bias, idx, view(1, mask.shape)), mask, out=s)
                     out[seqs, rows, c, cols] = np.matmul(s, vt)
     result = Tensor(_packed(out.reshape(qg.shape[:-1] + (-1,)), ctx.queries))
 
@@ -683,37 +678,36 @@ def silu_attention(
         qg, kg, vg = _grids(q, k, v, ctx)
         g = _grid(g, ctx.queries, qg.shape[:-1]).reshape(out_shape)
         dq, dk, dv = np.zeros(qg.shape), np.zeros(kg.shape), np.zeros(vg.shape)
-        view = _workspace(allowed, slots=4)
-        for h, cols in enumerate(head_cols):
-            a, be = alpha[h], beta[h]
-            da, db = np.zeros(a.shape), np.zeros(be.shape)
-            for tile in tiles:
-                seqs, rows, kend, shape = tile
-                mask, bucket, rel = (_at(x, tile) for x in (allowed, bucket_idx, rel_idx))
+        d_alpha, d_beta = [np.zeros(a.shape) for a in alpha], [np.zeros(be.shape) for be in beta]
+        view = _workspace(ctx, slots=4)
+        for tile in _tiles(ctx.extent):
+            seqs, rows, kend, mask = tile
+            bucket, rel = _at(ctx.bucket_idx, tile), _at(ctx.rel_idx, tile)
+            for a, be, da, db, cols in zip(alpha, beta, d_alpha, d_beta, head_cols):
                 qt, kt, vt = qg[seqs, rows, cols], kg[seqs, :kend, cols], vg[seqs, :kend, cols]
                 g_sem, *g_bias = (g[seqs, rows, c, cols] for c in range(out_shape[-2]))
                 dv_t = dv[seqs, :kend, cols]  # a view, or a copy written back below
 
                 def weight_grad(gw: np.ndarray) -> np.ndarray:
                     """Gradient of a masked weight map whose output's gradient is gw, in slot 0."""
-                    dw = np.matmul(gw, np.swapaxes(vt, -1, -2), out=view(0, shape))
+                    dw = np.matmul(gw, np.swapaxes(vt, -1, -2), out=view(0, mask.shape))
                     dw *= mask
                     return dw
 
                 if not summed:  # temporal, positional, then semantic, as a tape replay would
                     g_pos, g_tmp = g_bias
                     for bias, idx, gb, grad in ((a, bucket, g_tmp, da), (be, rel, g_pos, db)):
-                        w = np.multiply(_gather(bias, idx, view(3, shape)), mask, out=view(0, shape))
+                        w = np.multiply(_gather(bias, idx, view(3, mask.shape)), mask, out=view(0, mask.shape))
                         dv_t += _swapped_matmul(w, gb)
                         if bias.requires_grad:
                             grad += _bias_grad(bias, idx, weight_grad(gb))
-                s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, shape))
-                sig = _sigmoid(s, view(1, shape))
-                w = np.multiply(s, sig, out=view(2, shape))
+                s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, mask.shape))
+                sig = _sigmoid(s, view(1, mask.shape))
+                w = np.multiply(s, sig, out=view(2, mask.shape))
                 w *= inv_n
                 if summed:
-                    w += _gather(a, bucket, view(3, shape))
-                    w += _gather(be, rel, view(3, shape))
+                    w += _gather(a, bucket, view(3, mask.shape))
+                    w += _gather(be, rel, view(3, mask.shape))
                 w *= mask
                 dv_t += _swapped_matmul(w, g_sem)
                 # w becomes SiLU'(s) = sigmoid(s)·(1 + s·(1 - sigmoid(s)))
@@ -733,8 +727,8 @@ def silu_attention(
                 dk[seqs, :kend, cols] += _swapped_matmul(ds, qt)
                 if not isinstance(seqs, slice):
                     dv[seqs, :kend, cols] = dv_t
-            _accumulate(a, da, own=True)
-            _accumulate(be, db, own=True)
+        for bias, grad in zip((*alpha, *beta), (*d_alpha, *d_beta)):
+            _accumulate(bias, grad, own=True)
         _accumulate(q, _packed(dq, ctx.queries), own=True)
         _accumulate(k, _packed(dk, ctx.keys), own=True)
         _accumulate(v, _packed(dv, ctx.keys), own=True)
@@ -743,31 +737,30 @@ def silu_attention(
 
 
 def masked_softmax_attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int) -> Tensor:
-    """Multi-head scaled dot-product softmax attention restricted to ctx.allowed.
+    """Multi-head scaled dot-product softmax attention over each query row's
+    keys [0, ctx.extent[b, i]).
 
-    Head h's weights are the softmax of q_h·k_hᵀ / sqrt(d_h) over the allowed
-    entries of each row, zero elsewhere and in a row with none allowed; its
-    output is those weights times v_h, and the heads are concatenated. q, k
-    and v are packed as ctx lays out (see above); the output is packed as q.
+    Head h's weights are the softmax of q_h·k_hᵀ / sqrt(d_h) over those keys,
+    zero elsewhere and in a row that attends none; its output is those
+    weights times v_h, and the heads are concatenated. q, k and v are packed
+    as ctx lays out (see above); the output is packed as q.
     """
-    allowed = ctx.allowed
     qg, kg, vg = _grids(q, k, v, ctx)
     head_cols = _head_slices(v.shape[-1], heads)
     inv_sqrt = 1.0 / np.sqrt(v.shape[-1] // heads)
-    tiles = _tiles(allowed)
 
     def weights(qg: np.ndarray, kg: np.ndarray, tile: _Tile, cols: slice, out: np.ndarray) -> np.ndarray:
-        seqs, rows, kend, _ = tile
+        seqs, rows, kend, mask = tile
         s = np.matmul(qg[seqs, rows, cols], np.swapaxes(kg[seqs, :kend, cols], -1, -2), out=out)
         s *= inv_sqrt
-        return _masked_softmax_rows(s, _at(allowed, tile))
+        return _masked_softmax_rows(s, mask)
 
     out = np.zeros(qg.shape[:-1] + v.shape[-1:])
-    view = _workspace(allowed, slots=1)
-    for cols in head_cols:
-        for tile in tiles:
-            seqs, rows, kend, shape = tile
-            p = weights(qg, kg, tile, cols, view(0, shape))
+    view = _workspace(ctx, slots=1)
+    for tile in _tiles(ctx.extent):
+        seqs, rows, kend, mask = tile
+        for cols in head_cols:
+            p = weights(qg, kg, tile, cols, view(0, mask.shape))
             out[seqs, rows, cols] = np.matmul(p, vg[seqs, :kend, cols])
     result = Tensor(_packed(out, ctx.queries))
 
@@ -775,15 +768,15 @@ def masked_softmax_attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, 
         qg, kg, vg = _grids(q, k, v, ctx)
         g = _grid(g, ctx.queries, qg.shape[:-1])
         dq, dk, dv = np.zeros(qg.shape), np.zeros(kg.shape), np.zeros(vg.shape)
-        view = _workspace(allowed, slots=3)
-        for cols in head_cols:
-            for tile in tiles:
-                seqs, rows, kend, shape = tile
+        view = _workspace(ctx, slots=3)
+        for tile in _tiles(ctx.extent):
+            seqs, rows, kend, mask = tile
+            for cols in head_cols:
                 gh = g[seqs, rows, cols]
-                p = weights(qg, kg, tile, cols, view(0, shape))
+                p = weights(qg, kg, tile, cols, view(0, mask.shape))
                 dv[seqs, :kend, cols] += _swapped_matmul(p, gh)
-                ds = np.matmul(gh, np.swapaxes(vg[seqs, :kend, cols], -1, -2), out=view(1, shape))
-                ds -= np.sum(np.multiply(ds, p, out=view(2, shape)), axis=-1, keepdims=True)
+                ds = np.matmul(gh, np.swapaxes(vg[seqs, :kend, cols], -1, -2), out=view(1, mask.shape))
+                ds -= np.sum(np.multiply(ds, p, out=view(2, mask.shape)), axis=-1, keepdims=True)
                 ds *= p
                 ds *= inv_sqrt
                 dq[seqs, rows, cols] = np.matmul(ds, kg[seqs, :kend, cols])

@@ -210,8 +210,13 @@ def _packed(x: Tensor, at: np.ndarray) -> Tensor:
     return T.take_rows(T.reshape(x, (-1, x.shape[-1])), at)
 
 
+def dense_allowed(ctx) -> np.ndarray:
+    """The context's layout as a [B, m, n] bool mask: query row i of sequence b attends key j."""
+    return np.arange(ctx.n) < ctx.extent[..., None]
+
+
 def _grids(q, k, v, ctx):
-    q_grid, kv_grid = ctx.allowed.shape[:-1], ctx.allowed.shape[:-2] + ctx.allowed.shape[-1:]
+    q_grid, kv_grid = ctx.extent.shape, (ctx.extent.shape[0], ctx.n)
     return _on_grid(q, ctx.queries, q_grid), _on_grid(k, ctx.keys, kv_grid), _on_grid(v, ctx.keys, kv_grid)
 
 
@@ -237,7 +242,7 @@ def dense_silu_attention(q, k, v, alpha, beta, ctx, inv_n, summed):
     """tensor.silu_attention, each head's weight maps built whole and masked."""
     q, k, v = _grids(q, k, v, ctx)
     heads = len(alpha)
-    mask = Tensor(ctx.allowed.astype(np.float64))
+    mask = Tensor(dense_allowed(ctx).astype(np.float64))
     channels = ([], [], [])
     for h in range(heads):
         qh, kh, vh = (_head(x, h, heads) for x in (q, k, v))
@@ -255,7 +260,7 @@ def dense_silu_attention(q, k, v, alpha, beta, ctx, inv_n, summed):
 def dense_softmax_attention(q, k, v, ctx, heads):
     """tensor.masked_softmax_attention, each head's weight map built whole."""
     q, k, v = _grids(q, k, v, ctx)
-    allowed = ctx.allowed
+    allowed = dense_allowed(ctx)
     inv_sqrt = 1.0 / np.sqrt(v.shape[-1] // heads)
     empty_rows = Tensor((~allowed.any(axis=-1, keepdims=True)).astype(np.float64))
     outs = []

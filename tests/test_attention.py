@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (
+    dense_allowed,
     dense_silu_attention,
     dense_softmax_attention,
     random_params,
@@ -41,7 +42,7 @@ def _pack(x: np.ndarray, ctx: M.AttnContext) -> np.ndarray:
 
 def _operands(heads: int, ctx: M.AttnContext, d_h: int = 3, n_buckets: int = 6, seed: int = 0):
     """Random q, k, v drawn on the [B, n] grid and packed at ctx's valid positions, and the biases."""
-    b, n = ctx.allowed.shape[0], ctx.allowed.shape[-1]
+    b, n = ctx.extent.shape[0], ctx.n
     rng = np.random.default_rng(seed)
     q, k, v = (Tensor(_pack(rng.normal(size=(b, n, heads * d_h)), ctx)) for _ in range(3))
     alpha = [Tensor(rng.normal(size=n_buckets)) for _ in range(heads)]
@@ -98,9 +99,15 @@ def test_frozen_time_bias_gets_no_grad(summed):
         np.testing.assert_array_equal(unfrozen, frozen)
 
 
-def test_context_keeps_one_bool_mask_and_narrow_buckets():
+def test_context_holds_no_b_m_n_array_but_narrow_buckets():
+    # the layout is the [B, m] extents; of one query row per sequence, the
+    # position map is the picked rows' [B, 1, n] too
     ctx = _padded_context(5, 6, seed=0)
-    assert ctx.allowed.dtype == np.bool_
+    for c, dense in ((ctx, ["bucket_idx"]), (ctx.at_rows(np.array([3, 1])), ["bucket_idx", "rel_idx"])):
+        b, m = c.extent.shape
+        arrays = {name: x for name, x in vars(c).items() if isinstance(x, np.ndarray)}
+        assert [name for name, x in arrays.items() if x.size == b * m * c.n] == dense
+    assert ctx.extent.dtype.kind == "i"
     assert ctx.bucket_idx.dtype == np.uint8
     assert not any(isinstance(value, Tensor) for value in vars(ctx).values())
 
@@ -125,7 +132,8 @@ def test_context_matches_the_dense_formula(monkeypatch, b, n, block):
         pos = np.arange(n)
         valid = pos[None, :] < lens[:, None]
         allowed = (pos[:, None] >= pos[None, :])[None] & valid[:, None, :] & valid[:, :, None]
-        np.testing.assert_array_equal(ctx.allowed, allowed)  # a padded query row attends nothing
+        assert ctx.extent.shape == (b, n) and ctx.n == n
+        np.testing.assert_array_equal(dense_allowed(ctx), allowed)  # a padded query row attends nothing
         dense = M.bucket_indices(np.maximum(ts[:, :, None] - ts[:, None, :], 0), cfg)
         np.testing.assert_array_equal(ctx.bucket_idx[allowed], dense[allowed])
         causal = pos[:, None] >= pos[None, :]
@@ -150,8 +158,9 @@ def test_at_rows_picks_one_query_row_per_sequence():
         picked = ctx.at_rows(positions)
         np.testing.assert_array_equal(picked.rows, np.cumsum(lens) - lens + positions)
         seq = np.arange(b)
+        assert picked.extent.shape == (b, 1) and picked.n == n
+        np.testing.assert_array_equal(picked.extent[:, 0], ctx.extent[seq, positions])
         for got, want in (
-            (picked.allowed, ctx.allowed[seq, positions]),
             (picked.bucket_idx, ctx.bucket_idx[seq, positions]),
             (picked.rel_idx, ctx.rel_idx[positions]),
         ):
@@ -284,8 +293,8 @@ def test_rows_that_attend_no_key_give_zeros(small_tiles, kind):
     # over the first alone)
     for blank in ([0, 1], [0]):
         ctx = _padded_context(TILED_N, 6, seed=2)
-        ctx.allowed = ctx.allowed.copy()
-        ctx.allowed[blank, :4] = False
+        ctx.extent = ctx.extent.copy()
+        ctx.extent[blank, :4] = 0
         operands = _operands(2, ctx, seed=50)
         tiled, dense = _ops(kind, 2, ctx)
         got = _output_and_grads(tiled, operands)
@@ -307,17 +316,17 @@ RULE_ROWS = np.array([7, 0, 5, 2])  # one valid position per sequence, for the a
 def test_each_tile_lists_the_sequences_with_a_valid_row_in_it(small_tiles):
     ctx = _padded_context(TILED_N, 6, seed=0, lengths=RULE_LENGTHS)
     lens, seq = np.array(RULE_LENGTHS), np.arange(len(RULE_LENGTHS))
-    tiles = T._tiles(ctx.allowed)
+    tiles = T._tiles(ctx.extent)
     assert [t.rows for t in tiles] == [slice(r, min(r + SMALL_TILE, TILED_N)) for r in range(0, TILED_N, SMALL_TILE)]
     for tile in tiles:
         live = seq[tile.seqs]
         np.testing.assert_array_equal(live, np.flatnonzero(lens > tile.rows.start))
         assert tile.kend == min(tile.rows.stop, lens[live].max())
-        assert tile.shape == (len(live), tile.rows.stop - tile.rows.start, tile.kend)
+        assert tile.mask.shape == (len(live), tile.rows.stop - tile.rows.start, tile.kend)
         assert isinstance(tile.seqs, slice) == (live[-1] - live[0] + 1 == len(live))
     assert [isinstance(t.seqs, slice) for t in tiles] == [True, False, True, True]
     # the ranked rows: one tile, every sequence, keys up to the last ranked position
-    (tile,) = T._tiles(ctx.at_rows(RULE_ROWS).allowed)
+    (tile,) = T._tiles(ctx.at_rows(RULE_ROWS).extent)
     assert (tile.seqs, tile.rows, tile.kend) == (slice(0, 4), slice(0, 1), RULE_ROWS.max() + 1)
 
 
@@ -327,7 +336,37 @@ def test_a_full_batch_keeps_every_sequence_in_every_tile(small_tiles):
     ctx = _padded_context(TILED_N, 6, seed=0, lengths=(TILED_N,) * 3)
     starts = range(0, TILED_N, SMALL_TILE)
     want = [(slice(0, 3), slice(r, min(r + SMALL_TILE, TILED_N)), min(r + SMALL_TILE, TILED_N)) for r in starts]
-    assert [(t.seqs, t.rows, t.kend) for t in T._tiles(ctx.allowed)] == want
+    assert [(t.seqs, t.rows, t.kend) for t in T._tiles(ctx.extent)] == want
+
+
+@pytest.mark.parametrize("path", ["all_rows", "rows"])
+def test_tiles_from_extents_follow_the_dense_mask(small_tiles, path):
+    # random lengths, some of them 0 on the every-row path, so that some
+    # tiles attend nothing; on the rows path one drawn position a sequence
+    skipped = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        lens = rng.integers(0 if path == "all_rows" else 1, TILED_N + 1, size=3)
+        ctx = _padded_context(TILED_N, 6, seed=seed, lengths=lens)
+        if path == "rows":
+            ctx = ctx.at_rows(rng.integers(0, lens))
+        allowed = dense_allowed(ctx)
+        b, m = ctx.extent.shape
+        tiles = {t.rows.start: t for t in T._tiles(ctx.extent)}
+        for r0 in range(0, m, SMALL_TILE):
+            rows = slice(r0, min(m, r0 + SMALL_TILE))
+            live = np.flatnonzero(allowed[:, rows].any(axis=(1, 2)))
+            if not live.size:
+                assert r0 not in tiles
+                skipped += 1
+                continue
+            tile = tiles.pop(r0)
+            assert tile.rows == rows
+            np.testing.assert_array_equal(np.arange(b)[tile.seqs], live)
+            assert tile.kend == np.flatnonzero(allowed[:, rows].any(axis=(0, 1)))[-1] + 1
+            np.testing.assert_array_equal(tile.mask, allowed[live, rows, : tile.kend])
+        assert not tiles
+    assert skipped > 0 or path == "rows"
 
 
 def test_context_buckets_only_the_sequences_with_a_valid_row(monkeypatch):
@@ -359,9 +398,12 @@ def test_live_sequence_tiles_are_bitwise_equal_to_every_sequence_tiles(monkeypat
     got = _output_and_grads(tiled, operands)
     live_tiles = T._tiles
 
-    def every_sequence(allowed):
-        b = allowed.shape[0]
-        return [T._Tile(slice(0, b), rows, kend, (b,) + shape[1:]) for _, rows, kend, shape in live_tiles(allowed)]
+    def every_sequence(extent):
+        b = extent.shape[0]
+        return [
+            T._Tile(slice(0, b), rows, kend, np.arange(kend) < extent[:, rows, None])
+            for _, rows, kend, _ in live_tiles(extent)
+        ]
 
     monkeypatch.setattr(T, "_tiles", every_sequence)
     want = _output_and_grads(tiled, operands)

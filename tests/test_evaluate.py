@@ -35,6 +35,14 @@ def test_rank_respects_exclusions():
         rank_of_target(np.array([1.0, 2.0]), target=5)
 
 
+@pytest.mark.parametrize("target, excluded, bad", [(-1, (), -1), (4, (), 4), (1, [-1], -1), (1, [4], 4)],
+                         ids=["negative_target", "large_target", "negative_excluded", "large_excluded"])
+def test_rank_rejects_ids_outside_the_row(target, excluded, bad):
+    # a negative id would index from the end of the row
+    with pytest.raises(ValueError, match=rf"id {bad} is outside \[0, 4\)"):
+        rank_of_target(np.array([0.0, 4.0, 1.0, 5.0]), target, excluded=excluded)
+
+
 def test_metrics_all_rank_one():
     rep = compute_metrics([1, 1, 1], ks=[10])
     assert rep.hr[10] == 1.0 and rep.ndcg[10] == 1.0 and rep.mrr == 1.0
@@ -136,6 +144,18 @@ def test_evaluate_rejects_empty_and_excluded_target():
     for batch_size in (0, -3):
         with pytest.raises(ValueError, match="batch_size"):
             evaluate(params, [inst], ks=[10], cfg=cfg, batch_size=batch_size)
+
+
+@pytest.mark.parametrize("target, excluded, bad, lo", [(-1, (), -1, 1), (7, (), 7, 1), (2, [-1], -1, 0), (2, [7], 7, 0)],
+                         ids=["negative_target", "large_target", "negative_excluded", "large_excluded"])
+def test_evaluate_rejects_ids_outside_the_catalog(target, excluded, bad, lo):
+    # targets lie in [1, vocab) and excluded ids in [0, vocab); a negative id
+    # would rank or exclude an item counted from the end of the catalog
+    cfg = tiny_config()
+    assert cfg.vocab == 7
+    inst = EvalInstance(1, np.array([1]), np.array([1]), target=target)
+    with pytest.raises(ValueError, match=rf"id {bad} is outside \[{lo}, 7\)"):
+        evaluate(random_params(cfg), [inst], ks=[10], cfg=cfg, excluded=excluded)
 
 
 def test_evaluate_truncates_long_contexts_to_recent_window():

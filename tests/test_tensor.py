@@ -117,8 +117,8 @@ def test_masked_softmax_zeroes_disallowed_and_handles_empty_rows():
     # masked softmax of the scores [1, 2, 3] in both rows
     q = Tensor(np.array([[np.sqrt(3.0), 0.0, 0.0]] * 2))
     k = Tensor(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
-    allowed = np.array([[True, True, False], [False, False, False]])
-    ctx = T.AttnContext(allowed, bucket_idx=None, rel_idx=None, keys=np.arange(3), queries=np.arange(2))
+    # the first row attends keys 0 and 1, the second none
+    ctx = T.AttnContext(np.array([[2, 0]]), 3, bucket_idx=None, rel_idx=None, keys=np.arange(3), queries=np.arange(2))
     p = T.masked_softmax_attention(q, k, Tensor(np.eye(3)), ctx, heads=1).data
     assert p[0, 2] == 0.0
     np.testing.assert_allclose(p[0, :2].sum(), 1.0, atol=1e-12)
@@ -222,7 +222,7 @@ def _gradcheck_cases(rng):
     ridx = rng.integers(0, 5, size=(4, 2))
     xq = Tensor(rng.normal(size=(4, 3)))
     cand = rng.integers(0, 5, size=(4, 3))
-    causal4 = T.AttnContext(np.tril(np.ones((4, 4), dtype=bool)), None, None, keys=np.arange(4), queries=np.arange(4))
+    causal4 = T.AttnContext(np.arange(1, 5)[None], 4, None, None, keys=np.arange(4), queries=np.arange(4))
     return [
         (lambda: T.matmul(a, b).sum(), [a, b]),
         (lambda: T.silu(c).sum(), [c]),
