@@ -117,6 +117,9 @@ class SequenceBatch:
         b, n = self.items.shape
         if self.timestamps.shape != (b, n) or self.valid_len.shape != (b,):
             raise ValueError("SequenceBatch: inconsistent array shapes")
+        if np.any(self.items < 0):
+            row, col = np.argwhere(self.items < 0)[0]
+            raise ValueError(f"SequenceBatch: negative item id {self.items[row, col]} in row {row} at position {col}")
         valid = self.valid
         if not np.array_equal(self.items > 0, valid):
             raise ValueError("SequenceBatch: items must be nonzero exactly on the valid prefix")
@@ -129,6 +132,8 @@ class SequenceBatch:
     @classmethod
     def from_sequences(cls, items: Sequence, timestamps: Sequence, n: int) -> SequenceBatch:
         """One row per sequence: its last n events left-aligned, zero-padded to width n."""
+        if n < 1:
+            raise ValueError(f"SequenceBatch.from_sequences: width n must be positive, got n={n}")
         b = len(items)
         if len(timestamps) != b:
             raise ValueError(f"SequenceBatch.from_sequences: {b} item sequences but {len(timestamps)} timestamp sequences")
@@ -295,9 +300,9 @@ def bucket_indices(delta: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 
 
 def relative_time_bucket(delta_t: float, cfg: ModelConfig) -> int:
-    """Bucket id for a single non-negative timestamp difference."""
-    if delta_t < 0:
-        raise ValueError(f"relative_time_bucket: delta_t must be non-negative, got {delta_t}")
+    """Bucket id for a single finite, non-negative timestamp difference."""
+    if not (math.isfinite(delta_t) and delta_t >= 0):
+        raise ValueError(f"relative_time_bucket: delta_t must be finite and non-negative, got {delta_t}")
     return int(bucket_indices(np.array([delta_t]), cfg)[0])
 
 
@@ -359,8 +364,8 @@ def embed_sequence(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) 
     if n > cfg.n:
         raise ValueError(f"embed_sequence: sequence length {n} exceeds configured n={cfg.n}")
     valid = batch.valid
-    e = T.take_rows(params.item_emb, batch.items[valid])
-    p = T.take_rows(params.pos_emb, np.nonzero(valid)[1])
+    e = T.take(params.item_emb, batch.items[valid])
+    p = T.take(params.pos_emb, np.nonzero(valid)[1])
     return T.add(e, p)
 
 
@@ -489,7 +494,7 @@ def forward(batch: SequenceBatch, params: ModelParams, cfg: ModelConfig) -> Tens
     valid = batch.valid
     slot = np.zeros(valid.shape, dtype=np.int64)  # 0 reads the zero row, r + 1 packed row r
     slot[valid] = np.arange(1, hidden.shape[0] + 1)
-    padded = T.take_rows(T.concat([Tensor(np.zeros((1, cfg.d))), hidden], axis=0), slot)
+    padded = T.take(T.concat([Tensor(np.zeros((1, cfg.d))), hidden], axis=0), slot)
     return T.matmul(padded, T.swap_last(params.item_emb))
 
 
@@ -507,7 +512,7 @@ def sampled_loss(hidden: Tensor, item_emb: Tensor, targets: np.ndarray, negs: np
     """Sampled-softmax loss at the P packed rows of hidden [T, d] whose target
     id in targets [T] is non-zero, in order, against their negatives [P, N]."""
     scored = np.flatnonzero(targets > 0)
-    h = T.take_rows(hidden, scored)
+    h = T.take(hidden, scored)
     pos = T.rows_dot(h, item_emb, targets[scored, None])
     return sampled_softmax_loss(pos, T.rows_dot(h, item_emb, negs))
 

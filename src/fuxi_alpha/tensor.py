@@ -26,7 +26,6 @@ __all__ = [
     "logsumexp",
     "concat",
     "take",
-    "take_rows",
     "rows_dot",
     "silu_attention",
     "masked_softmax_attention",
@@ -372,43 +371,33 @@ def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
 # gathers -------------------------------------------------------------------
 
 
+def _scatter(idx: np.ndarray, column: Callable[[int], np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient a gather through idx sends back to the vector or 2-D
+    table of `shape` it read, as a fresh array: column j of row r sums the
+    weights column(j) (shaped as idx) at the entries where idx is r.
+
+    One bincount per column is much faster than np.add.at for the
+    millions-of-rows scatter the sampled loss produces, and only one
+    column's weights exist at a time.
+    """
+    flat = idx.ravel()
+    out = np.empty(shape).reshape(shape[0], -1)
+    for j in range(out.shape[1]):
+        out[:, j] = np.bincount(flat, weights=column(j).ravel(), minlength=shape[0])
+    return out.reshape(shape)
+
+
 def take(values: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather from a 1-D parameter vector: out = values[idx], any idx shape."""
-    if values.ndim != 1:
-        raise ShapeError(f"take: values must be 1-D, got {values.shape}")
+    """Gather along axis 0 of a vector or a 2-D table: out = values[idx], any idx shape."""
+    if values.ndim not in (1, 2):
+        raise ShapeError(f"take: values must be a vector or a 2-D table, got {values.shape}")
     out = Tensor(values.data[idx])
 
     def bwd(g: np.ndarray) -> None:
-        if values.requires_grad:
-            if values.grad is None:
-                values.grad = np.zeros_like(values.data)
-            values.grad += np.bincount(
-                idx.ravel(), weights=g.ravel(), minlength=values.data.shape[0]
-            )
+        cols = g.reshape(idx.size, math.prod(values.shape[1:]))
+        _accumulate(values, _scatter(idx, lambda j: cols[:, j], values.shape), own=True)
 
     return _record(out, (values,), bwd)
-
-
-def take_rows(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows of a 2-D table: out[..., :] = table[idx[...], :]."""
-    if table.ndim != 2:
-        raise ShapeError(f"take_rows: table must be 2-D, got {table.shape}")
-    out = Tensor(table.data[idx])
-    d = table.shape[1]
-
-    def bwd(g: np.ndarray) -> None:
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            flat_idx = idx.ravel()
-            flat_g = g.reshape(-1, d)
-            # Per-column bincount is much faster than ufunc.at for the
-            # millions-of-rows scatter the sampled loss produces.
-            v = table.shape[0]
-            for j in range(d):
-                table.grad[:, j] += np.bincount(flat_idx, weights=flat_g[:, j], minlength=v)
-
-    return _record(out, (table,), bwd)
 
 
 def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
@@ -430,22 +419,13 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
     out = Tensor(scores)
 
     def bwd(g: np.ndarray) -> None:
-        want_x = x.requires_grad
-        want_t = table.requires_grad
-        if want_x and x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        if want_t and table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        if want_x:
+        if x.requires_grad:
+            gx = np.empty_like(x.data)
             for s in range(0, rows, chunk):
-                x.grad[s : s + chunk] += np.einsum("rk,rkd->rd", g[s : s + chunk], table.data[idx[s : s + chunk]])
-        if want_t:
-            # columnwise scatter avoids materializing the rows x k x d outer product
-            v = table.shape[0]
-            flat_idx = idx.ravel()
-            for j in range(d):
-                w = (g * x.data[:, j : j + 1]).ravel()
-                table.grad[:, j] += np.bincount(flat_idx, weights=w, minlength=v)
+                gx[s : s + chunk] = np.einsum("rk,rkd->rd", g[s : s + chunk], table.data[idx[s : s + chunk]])
+            _accumulate(x, gx, own=True)
+        if table.requires_grad:
+            _accumulate(table, _scatter(idx, lambda j: g * x.data[:, j : j + 1], table.shape), own=True)
 
     return _record(out, (x, table), bwd)
 
@@ -520,7 +500,7 @@ class AttnContext:
 
     def query(self, x: Tensor) -> Tensor:
         """The query rows of the packed x [T, ·]: x itself, or its rows at `rows`."""
-        return x if self.rows is None else take_rows(x, self.rows)
+        return x if self.rows is None else take(x, self.rows)
 
 
 _TILE_ROWS = 64
@@ -626,7 +606,7 @@ def _bias_grad(bias: Tensor, idx: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """The gradient of the bias vector that a weight map gathered through idx, given the map's gradient dw."""
     if idx.ndim < dw.ndim:  # one index map shared by every sequence
         dw = dw.sum(axis=tuple(range(dw.ndim - idx.ndim)))
-    return np.bincount(idx.ravel(), weights=dw.ravel(), minlength=bias.shape[0])
+    return _scatter(idx, lambda j: dw, bias.shape)
 
 
 def silu_attention(

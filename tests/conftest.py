@@ -203,11 +203,11 @@ def _on_grid(x: Tensor, at: np.ndarray, grid: tuple) -> Tensor:
     """The packed rows x at the flat positions `at` of the grid, zero rows elsewhere."""
     slot = np.zeros(math.prod(grid), dtype=np.int64)
     slot[at] = np.arange(1, len(at) + 1)
-    return T.take_rows(T.concat([Tensor(np.zeros((1, x.shape[-1]))), x], axis=0), slot.reshape(grid))
+    return T.take(T.concat([Tensor(np.zeros((1, x.shape[-1]))), x], axis=0), slot.reshape(grid))
 
 
 def _packed(x: Tensor, at: np.ndarray) -> Tensor:
-    return T.take_rows(T.reshape(x, (-1, x.shape[-1])), at)
+    return T.take(T.reshape(x, (-1, x.shape[-1])), at)
 
 
 def dense_allowed(ctx) -> np.ndarray:

@@ -52,6 +52,16 @@ def test_batch_invariants_enforced():
         SequenceBatch.from_sequences([[3], [4]], [[10]], 4)
 
 
+def test_batch_names_a_negative_item_and_where_it_is():
+    with pytest.raises(ValueError, match="negative item id -2 in row 1 at position 1"):
+        SequenceBatch.from_sequences([[3], [1, -2]], [[5], [1, 2]], 3)
+
+
+def test_batch_rejects_a_width_below_one():
+    with pytest.raises(ValueError, match="n=0"):
+        SequenceBatch.from_sequences([[1, 2]], [[1, 2]], 0)
+
+
 # embed_sequence ---------------------------------------------------------------
 
 
@@ -132,6 +142,12 @@ def test_bucket_monotone_and_in_range():
 def test_bucket_rejects_negative():
     with pytest.raises(ValueError):
         M.relative_time_bucket(-1, tiny_config())
+
+
+@pytest.mark.parametrize("delta_t", [math.nan, math.inf, -math.inf])
+def test_bucket_rejects_non_finite(delta_t):
+    with pytest.raises(ValueError, match=f"got {delta_t}"):
+        M.relative_time_bucket(delta_t, tiny_config())
 
 
 def test_bucket_base_rescales_units():

@@ -232,7 +232,7 @@ def _gradcheck_cases(rng):
         (lambda: T.concat([a, c], axis=-1).sum(), [a, c]),
         (lambda: T.mul(T.swap_last(a), T.swap_last(c)).sum(), [a]),
         (lambda: T.mul(T.take(vec, idx), T.take(vec, idx)).sum(), [vec]),
-        (lambda: T.mul(T.take_rows(table, ridx), T.take_rows(table, ridx)).sum(), [table]),
+        (lambda: T.mul(T.take(table, ridx), T.take(table, ridx)).sum(), [table]),
         (lambda: T.mul(T.rows_dot(xq, table, cand), T.rows_dot(xq, table, cand)).sum(), [xq, table]),
         (lambda: T.add(T.mul(a, c), a).mean(), [a, c]),
         (lambda: a.mean(axis=0).sum(), [a]),
@@ -275,6 +275,35 @@ def test_rows_dot_matches_dense_gather():
     np.testing.assert_allclose(out, expected, atol=1e-12)
     with pytest.raises(T.ShapeError):  # rows are [P, d], candidates [P, K]
         T.rows_dot(Tensor(x.data.reshape(3, 4, 5)), table, idx.reshape(3, 4, 6))
+
+
+def _scattered(idx, weights, shape):
+    """np.add.at reference for the gradient of a gather: weights [*idx.shape, *shape[1:]]."""
+    out = np.zeros(shape)
+    np.add.at(out, idx.ravel(), weights.reshape((idx.size,) + shape[1:]))
+    return out
+
+
+def test_gather_gradients_equal_the_add_at_scatter_bitwise():
+    rng = np.random.default_rng(12)
+    vec = Tensor(rng.normal(size=6), requires_grad=True)
+    table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    idx = rng.integers(0, 5, size=(4, 7))  # 28 entries over 5 rows: repeats
+    assert np.bincount(idx.ravel()).max() > 1
+    w_vec, w_table, w_scores = rng.normal(size=(4, 7)), rng.normal(size=(4, 7, 3)), rng.normal(size=(4, 7))
+    with Tape() as tape:
+        loss = T.add(
+            T.add(T.mul(T.take(vec, idx), Tensor(w_vec)).sum(), T.mul(T.take(table, idx), Tensor(w_table)).sum()),
+            T.mul(T.rows_dot(x, table, idx), Tensor(w_scores)).sum(),
+        )
+    backward(loss, tape)
+    np.testing.assert_array_equal(vec.grad, _scattered(idx, w_vec, vec.shape))
+    # the table's two gradients accumulate in tape order: rows_dot's, then take's
+    rows_dot_grad = _scattered(idx, w_scores[..., None] * x.data[:, None, :], table.shape)
+    np.testing.assert_array_equal(table.grad, rows_dot_grad + _scattered(idx, w_table, table.shape))
+    with pytest.raises(T.ShapeError):
+        T.take(Tensor(np.zeros((2, 2, 2))), idx)
 
 
 def test_rows_dot_chunks_match_one_chunk(monkeypatch):

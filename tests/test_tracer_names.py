@@ -8,6 +8,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+from conftest import random_batch, tiny_config
+
+from fuxi_alpha.model import init_params
+from fuxi_alpha.train import AdamW, TrainConfig, train_step
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -47,3 +53,26 @@ def test_instrument_and_restore_round_trip(monkeypatch):
         tracer.restore()
     after = (dict(model.BLOCK_APPLIERS), train.AdamW.step, model.sampled_loss, train.sample_negatives_batch)
     assert after == before
+
+
+def test_one_training_step_calls_every_traced_tensor_op(monkeypatch):
+    """A traced op that no training step calls reads 0 on every workload, so
+    one full-variant train_step must call each op the tracer names."""
+    tracer = _load_tracer(monkeypatch)
+    tensor = importlib.import_module("fuxi_alpha.tensor")
+    called = set()
+
+    def spy(op, original):
+        def wrapped(*args, **kwargs):
+            called.add(op)
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for op in tracer.TENSOR_OPS:
+        monkeypatch.setattr(tensor, op, spy(op, getattr(tensor, op)))
+    cfg = tiny_config()
+    params = init_params(cfg, "full")
+    loss = train_step(random_batch(cfg, 3, seed=1), params, cfg, AdamW(params.named(), TrainConfig()), np.random.default_rng(0))
+    assert loss is not None
+    assert [op for op in tracer.TENSOR_OPS if op not in called] == []
