@@ -277,12 +277,16 @@ def param_count(cfg: ModelConfig) -> int:
 
 
 def bucket_indices(delta: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Map non-negative time differences (seconds) to bucket ids in [0, n_buckets).
+    """Map finite, non-negative time differences (seconds) to bucket ids in [0, n_buckets).
 
     The first half of the buckets is exact in time_bucket_base units; the
     rest are log-spaced up to max_time_span and clamp to the last bucket.
     """
-    u = np.asarray(delta, dtype=np.float64) / cfg.time_bucket_base
+    d = np.asarray(delta, dtype=np.float64)
+    if not (d.min(initial=0.0) >= 0 and d.max(initial=0.0) < math.inf):  # a NaN fails both
+        first = np.asarray(delta)[~((d >= 0) & (d < math.inf))][0]
+        raise ValueError(f"bucket_indices: time differences must be finite and non-negative, got {first}")
+    u = d / cfg.time_bucket_base
     half = cfg.n_buckets // 2
     max_u = cfg.max_time_span / cfg.time_bucket_base
     out = np.empty(u.shape, dtype=np.int64)
@@ -301,8 +305,6 @@ def bucket_indices(delta: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 
 def relative_time_bucket(delta_t: float, cfg: ModelConfig) -> int:
     """Bucket id for a single finite, non-negative timestamp difference."""
-    if not (math.isfinite(delta_t) and delta_t >= 0):
-        raise ValueError(f"relative_time_bucket: delta_t must be finite and non-negative, got {delta_t}")
     return int(bucket_indices(np.array([delta_t]), cfg)[0])
 
 

@@ -236,6 +236,16 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
+def _silu_grad(x: np.ndarray, sig: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """SiLU'(x) = sigmoid(x)·(1 + x·(1 - sigmoid(x))) from x and its sigmoid
+    sig, built in `out` (allocated when not given)."""
+    d = np.subtract(1.0, sig, out=out)
+    d *= x
+    d += 1.0
+    d *= sig
+    return d
+
+
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), the gating nonlinearity used throughout the model.
 
@@ -245,12 +255,7 @@ def silu(x: Tensor) -> Tensor:
     result = Tensor(out)
 
     def bwd(g: np.ndarray) -> None:
-        # SiLU'(x) = sigmoid(x)·(1 + x·(1 - sigmoid(x)))
-        s = _sigmoid(x.data)
-        dx = np.subtract(1.0, s)
-        dx *= x.data
-        dx += 1.0
-        dx *= s
+        dx = _silu_grad(x.data, _sigmoid(x.data))
         dx *= g
         _accumulate(x, dx, own=True)
 
@@ -432,31 +437,36 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
 
 # fused attention -------------------------------------------------------------
 #
-# Each head's attention weights are [B, m, n] for m query rows and n keys
-# (m = n in training, m = 1 when only the ranked position is wanted). These
-# ops never build them whole. Query row i of sequence b attends the keys
-# [0, ctx.extent[b, i]). The ops walk the query rows in tiles of _TILE_ROWS
-# rows. A tile runs only over the G sequences with a nonzero extent in its
-# rows, and for them computes q·kᵀ, the weights, W·V and every gradient over
-# keys [0, kend) only, kend being the tile's largest extent, under a
-# [G, t, kend] mask built from the extents once per call. That one rule
-# skips the causal upper triangle, the padded query rows and trailing
+# silu_attention and masked_softmax_attention are one tiled op, _attention,
+# over a list of channels (_Channel): AMS is [semantic | positional |
+# temporal], HSTU [semantic + temporal + positional] and softmax attention
+# [softmax]. A channel's weight maps are [B, m, n] per head for m query rows
+# and n keys (m = n in training, m = 1 when only the ranked position is
+# wanted); the op never builds them whole. Query row i of sequence b attends
+# the keys [0, ctx.extent[b, i]). The op walks the query rows in tiles of
+# _TILE_ROWS rows. A tile runs only over the G sequences with a nonzero
+# extent in its rows, and for them computes q·kᵀ, the weights, W·V and every
+# gradient over keys [0, kend) only, kend being the tile's largest extent,
+# under a [G, t, kend] mask built from the extents once per call. That one
+# rule skips the causal upper triangle, the padded query rows and trailing
 # padding of the batch and the keys a ranked row cannot see; a tile whose
 # rows attend nothing is skipped and its outputs and gradients stay zero.
 # When the G sequences are consecutive (every tile of a batch of full rows,
 # and every tile of a batch in order of length) the tile's operands are
 # views of the grids; otherwise they are gathered. A tile's [G, t, kend]
 # arrays are views of a float64 workspace allocated once per call and
-# reused across tiles and heads. Backward rebuilds the weights from q, k and
-# the biases, so nothing of size [B, n, n] stays on the tape. Head h is the
-# h-th equal slice of the last axis of q, k and v.
+# reused across tiles, heads and channels. Backward rebuilds each map with
+# the code forward ran (_weights), replaying the channels in reverse as a
+# tape would, so nothing of size [B, n, n] stays on the tape. Head h is the
+# h-th equal slice of the last axis of q, k and v, and the heads are
+# concatenated within each channel of the output.
 #
-# Both ops take their layout from one AttnContext. q, k and v arrive packed:
+# The op takes its layout from one AttnContext. q, k and v arrive packed:
 # q [Tq, w] holds the query rows at the flat positions ctx.queries of the
 # [B, m] query grid, k and v [T, w] the keys at the flat positions ctx.keys of
-# the [B, n] key grid. The ops lay them out on their grids, zero elsewhere,
-# only while they run (a full grid is a view of the packed rows), return their
-# output packed as q, and keep only the packed operands on the tape.
+# the [B, n] key grid. The op lays them out on their grids, zero elsewhere,
+# only while it runs (a full grid is a view of the packed rows), returns its
+# output packed as q, and keeps only the packed operands on the tape.
 
 
 @dataclass
@@ -532,11 +542,6 @@ def _grids(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext):
     return _grid(q.data, ctx.queries, (b, m)), _grid(k.data, ctx.keys, (b, ctx.n)), _grid(v.data, ctx.keys, (b, ctx.n))
 
 
-def _head_slices(width: int, heads: int) -> list[slice]:
-    d_h = width // heads
-    return [slice(h * d_h, (h + 1) * d_h) for h in range(heads)]
-
-
 class _Tile(NamedTuple):
     seqs: slice | np.ndarray  # the G sequences with a nonzero extent in the tile's rows
     rows: slice               # the tile's query rows
@@ -571,21 +576,22 @@ def _at(x: np.ndarray, tile: _Tile) -> np.ndarray:
     return x[tile.rows, : tile.kend] if x.ndim == 2 else x[tile.seqs, tile.rows, : tile.kend]
 
 
-def _workspace(ctx: AttnContext, slots: int) -> Callable[[int, tuple[int, ...]], np.ndarray]:
-    """view(slot, shape): float64 workspace slot `slot`, allocated here for
-    the largest tile, shaped as a tile's weight maps.
-
-    Each slot is its own array, not a slice of one block: glibc raises its
+def _workspace(ctx: AttnContext, slots: int) -> Callable[[tuple[int, ...]], list[np.ndarray]]:
+    """views(shape): a tile's four workspace slots, views shaped `shape` of
+    `slots` float64 arrays allocated here for the largest tile, slot i on
+    array i modulo `slots`: forward applies each map once built, so two
+    arrays serve it, slots 2 and 3 falling on 0 and 1 (see _weights). Each
+    array is its own allocation, not a slice of one block: glibc raises its
     mmap and trim thresholds to the largest block freed, and with one block
-    the heap kept about 20 MB more at eval_serve's peak in half the runs.
-    """
+    the heap kept about 20 MB more at eval_serve's peak in half the runs."""
     b, m = ctx.extent.shape
     bufs = [np.empty(b * min(m, _TILE_ROWS) * ctx.n) for _ in range(slots)]
 
-    def view(slot: int, shape: tuple[int, ...]) -> np.ndarray:
-        return bufs[slot][: math.prod(shape)].reshape(shape)
+    def views(shape: tuple[int, ...]) -> list[np.ndarray]:
+        size = math.prod(shape)
+        return [bufs[slot % slots][:size].reshape(shape) for slot in range(4)]
 
-    return view
+    return views
 
 
 def _swapped_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -609,6 +615,113 @@ def _bias_grad(bias: Tensor, idx: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return _scatter(idx, lambda j: dw, bias.shape)
 
 
+class _Channel(NamedTuple):
+    """One output channel of _attention. Head h's weight map, zero on keys
+    the query row does not attend, is SiLU(q·kᵀ)·scale plus each bias term
+    in order (score "silu"), the softmax of q·kᵀ·scale over the attended
+    keys ("softmax"), or the one bias term (None). A bias term (vectors,
+    index map) is vectors[h] gathered through a [B, m, n] map or an [m, n]
+    map shared by every sequence."""
+
+    score: str | None
+    scale: float = 1.0
+    biases: tuple[tuple[Sequence[Tensor], np.ndarray], ...] = ()
+
+
+def _weights(ch: _Channel, biases, h: int, mask: np.ndarray, qt: np.ndarray, kt: np.ndarray, ws) -> np.ndarray:
+    """Head h's weight map of channel ch on a tile with the given mask, from
+    the tile's q and k rows qt and kt and the channel's bias terms cut to the
+    tile; forward and backward both build it here. Of the workspace slots
+    ws, the score stays in slot 0 and its sigmoid in slot 1, the map is in
+    slot 0 (softmax) or 2, and a gathered bias passes through slot 3."""
+    if ch.score is None:
+        ((bias, idx),) = biases
+        return np.multiply(_gather(bias[h], idx, ws[3]), mask, out=ws[2])
+    s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=ws[0])
+    if ch.score == "softmax":
+        s *= ch.scale
+        return _masked_softmax_rows(s, mask)
+    w = np.multiply(s, _sigmoid(s, ws[1]), out=ws[2])
+    w *= ch.scale
+    for bias, idx in biases:
+        w += _gather(bias[h], idx, ws[3])
+    w *= mask
+    return w
+
+
+def _attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int, channels: Sequence[_Channel]) -> Tensor:
+    """The tiled op behind both attention ops (see above): output channel c
+    holds, heads concatenated, each head's channels[c] weight map times v."""
+    if any(x.ndim != 2 for x in (q, k, v)) or not q.shape[1] == k.shape[1] == v.shape[1]:
+        raise ShapeError(f"attention: q, k and v must be packed rows of one width, got {q.shape}, {k.shape}, {v.shape}")
+    width = v.shape[1]
+    if heads < 1 or width % heads:
+        raise ShapeError(f"attention: width {width} does not split into {heads} heads")
+    terms = [bias for ch in channels for bias, _ in ch.biases]
+    if any(len(bias) != heads for bias in terms):
+        raise ShapeError(f"attention: {heads} heads need {heads} vectors per bias, got {[len(bias) for bias in terms]}")
+    qg, kg, vg = _grids(q, k, v, ctx)
+    d_h = width // heads
+    head_cols = [slice(h * d_h, (h + 1) * d_h) for h in range(heads)]
+    out_shape = qg.shape[:-1] + (len(channels), width)
+    out = np.zeros(out_shape)
+    views = _workspace(ctx, slots=2)
+    for tile in _tiles(ctx.extent):
+        seqs, rows, kend, mask = tile
+        tiled = [[(bias, _at(idx, tile)) for bias, idx in ch.biases] for ch in channels]
+        ws = views(mask.shape)
+        for h, cols in enumerate(head_cols):
+            qt, kt, vt = qg[seqs, rows, cols], kg[seqs, :kend, cols], vg[seqs, :kend, cols]
+            for c, ch in enumerate(channels):
+                w = _weights(ch, tiled[c], h, mask, qt, kt, ws)
+                out[seqs, rows, c, cols] = np.matmul(w, vt)
+    result = Tensor(_packed(out.reshape(qg.shape[:-1] + (-1,)), ctx.queries))
+
+    def bwd(g: np.ndarray) -> None:
+        qg, kg, vg = _grids(q, k, v, ctx)
+        g = _grid(g, ctx.queries, qg.shape[:-1]).reshape(out_shape)
+        dq, dk, dv = np.zeros(qg.shape), np.zeros(kg.shape), np.zeros(vg.shape)
+        d_bias = {t: np.zeros(t.shape) for bias in terms for t in bias if t.requires_grad}
+        views = _workspace(ctx, slots=4)
+        for tile in _tiles(ctx.extent):
+            seqs, rows, kend, mask = tile
+            tiled = [[(bias, _at(idx, tile)) for bias, idx in ch.biases] for ch in channels]
+            ws = views(mask.shape)
+            for h, cols in enumerate(head_cols):
+                qt, kt, vt = qg[seqs, rows, cols], kg[seqs, :kend, cols], vg[seqs, :kend, cols]
+                dv_t = dv[seqs, :kend, cols]  # a view, or a copy written back below
+                for c in reversed(range(len(channels))):  # as a tape replay would
+                    ch, gc = channels[c], g[seqs, rows, c, cols]
+                    w = _weights(ch, tiled[c], h, mask, qt, kt, ws)
+                    dv_t += _swapped_matmul(w, gc)
+                    grads = [(d_bias[bias[h]], bias[h], idx) for bias, idx in tiled[c] if bias[h] in d_bias]
+                    if ch.score is None and not grads:  # frozen biases need no weight gradient
+                        continue
+                    dw = np.matmul(gc, np.swapaxes(vt, -1, -2), out=ws[3])
+                    if ch.score == "softmax":
+                        dw -= np.sum(np.multiply(dw, w, out=ws[2]), axis=-1, keepdims=True)
+                        dw *= w
+                    else:
+                        dw *= mask
+                    for grad, bias, idx in grads:
+                        grad += _bias_grad(bias, idx, dw)
+                    if ch.score is not None:
+                        dw *= ch.scale
+                        if ch.score == "silu":
+                            dw *= _silu_grad(ws[0], ws[1], out=ws[2])
+                        dq[seqs, rows, cols] = np.matmul(dw, kt)  # one score channel a list
+                        dk[seqs, :kend, cols] += _swapped_matmul(dw, qt)
+                if not isinstance(seqs, slice):
+                    dv[seqs, :kend, cols] = dv_t
+        for bias, grad in d_bias.items():
+            _accumulate(bias, grad, own=True)
+        _accumulate(q, _packed(dq, ctx.queries), own=True)
+        _accumulate(k, _packed(dk, ctx.keys), own=True)
+        _accumulate(v, _packed(dv, ctx.keys), own=True)
+
+    return _record(result, (q, k, v, *(t for bias in terms for t in bias)), bwd)
+
+
 def silu_attention(
     q: Tensor,
     k: Tensor,
@@ -629,91 +742,12 @@ def silu_attention(
     returns one channel. Heads are concatenated within each channel. q, k and
     v are packed as ctx lays out (see above); the output is packed as q.
     """
-    qg, kg, vg = _grids(q, k, v, ctx)
-    width = v.shape[-1]
-    head_cols = _head_slices(width, len(alpha))
-    out_shape = qg.shape[:-1] + (1 if summed else 3, width)
-    out = np.zeros(out_shape)
-    view = _workspace(ctx, slots=2)
-    for tile in _tiles(ctx.extent):
-        seqs, rows, kend, mask = tile
-        bucket, rel = _at(ctx.bucket_idx, tile), _at(ctx.rel_idx, tile)
-        for h, cols in enumerate(head_cols):
-            qt, kt, vt = qg[seqs, rows, cols], kg[seqs, :kend, cols], vg[seqs, :kend, cols]
-            s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, mask.shape))
-            s *= _sigmoid(s, view(1, mask.shape))
-            s *= inv_n
-            if summed:
-                s += _gather(alpha[h], bucket, view(1, mask.shape))
-                s += _gather(beta[h], rel, view(1, mask.shape))
-            s *= mask
-            out[seqs, rows, 0, cols] = np.matmul(s, vt)
-            if not summed:
-                for c, bias, idx in ((1, beta[h], rel), (2, alpha[h], bucket)):
-                    np.multiply(_gather(bias, idx, view(1, mask.shape)), mask, out=s)
-                    out[seqs, rows, c, cols] = np.matmul(s, vt)
-    result = Tensor(_packed(out.reshape(qg.shape[:-1] + (-1,)), ctx.queries))
-
-    def bwd(g: np.ndarray) -> None:
-        qg, kg, vg = _grids(q, k, v, ctx)
-        g = _grid(g, ctx.queries, qg.shape[:-1]).reshape(out_shape)
-        dq, dk, dv = np.zeros(qg.shape), np.zeros(kg.shape), np.zeros(vg.shape)
-        d_alpha, d_beta = [np.zeros(a.shape) for a in alpha], [np.zeros(be.shape) for be in beta]
-        view = _workspace(ctx, slots=4)
-        for tile in _tiles(ctx.extent):
-            seqs, rows, kend, mask = tile
-            bucket, rel = _at(ctx.bucket_idx, tile), _at(ctx.rel_idx, tile)
-            for a, be, da, db, cols in zip(alpha, beta, d_alpha, d_beta, head_cols):
-                qt, kt, vt = qg[seqs, rows, cols], kg[seqs, :kend, cols], vg[seqs, :kend, cols]
-                g_sem, *g_bias = (g[seqs, rows, c, cols] for c in range(out_shape[-2]))
-                dv_t = dv[seqs, :kend, cols]  # a view, or a copy written back below
-
-                def weight_grad(gw: np.ndarray) -> np.ndarray:
-                    """Gradient of a masked weight map whose output's gradient is gw, in slot 0."""
-                    dw = np.matmul(gw, np.swapaxes(vt, -1, -2), out=view(0, mask.shape))
-                    dw *= mask
-                    return dw
-
-                if not summed:  # temporal, positional, then semantic, as a tape replay would
-                    g_pos, g_tmp = g_bias
-                    for bias, idx, gb, grad in ((a, bucket, g_tmp, da), (be, rel, g_pos, db)):
-                        w = np.multiply(_gather(bias, idx, view(3, mask.shape)), mask, out=view(0, mask.shape))
-                        dv_t += _swapped_matmul(w, gb)
-                        if bias.requires_grad:
-                            grad += _bias_grad(bias, idx, weight_grad(gb))
-                s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=view(0, mask.shape))
-                sig = _sigmoid(s, view(1, mask.shape))
-                w = np.multiply(s, sig, out=view(2, mask.shape))
-                w *= inv_n
-                if summed:
-                    w += _gather(a, bucket, view(3, mask.shape))
-                    w += _gather(be, rel, view(3, mask.shape))
-                w *= mask
-                dv_t += _swapped_matmul(w, g_sem)
-                # w becomes SiLU'(s) = sigmoid(s)·(1 + s·(1 - sigmoid(s)))
-                np.subtract(1.0, sig, out=w)
-                w *= s
-                w += 1.0
-                w *= sig
-                ds = weight_grad(g_sem)  # overwrites s
-                if summed:
-                    if a.requires_grad:
-                        da += _bias_grad(a, bucket, ds)
-                    if be.requires_grad:
-                        db += _bias_grad(be, rel, ds)
-                ds *= inv_n
-                ds *= w
-                dq[seqs, rows, cols] = np.matmul(ds, kt)
-                dk[seqs, :kend, cols] += _swapped_matmul(ds, qt)
-                if not isinstance(seqs, slice):
-                    dv[seqs, :kend, cols] = dv_t
-        for bias, grad in zip((*alpha, *beta), (*d_alpha, *d_beta)):
-            _accumulate(bias, grad, own=True)
-        _accumulate(q, _packed(dq, ctx.queries), own=True)
-        _accumulate(k, _packed(dk, ctx.keys), own=True)
-        _accumulate(v, _packed(dv, ctx.keys), own=True)
-
-    return _record(result, (q, k, v, *alpha, *beta), bwd)
+    temporal, positional = (alpha, ctx.bucket_idx), (beta, ctx.rel_idx)
+    if summed:  # HSTU
+        channels = [_Channel("silu", inv_n, (temporal, positional))]
+    else:  # AMS
+        channels = [_Channel("silu", inv_n), _Channel(None, biases=(positional,)), _Channel(None, biases=(temporal,))]
+    return _attention(q, k, v, ctx, len(alpha), channels)
 
 
 def masked_softmax_attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int) -> Tensor:
@@ -725,47 +759,7 @@ def masked_softmax_attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, 
     weights times v_h, and the heads are concatenated. q, k and v are packed
     as ctx lays out (see above); the output is packed as q.
     """
-    qg, kg, vg = _grids(q, k, v, ctx)
-    head_cols = _head_slices(v.shape[-1], heads)
-    inv_sqrt = 1.0 / np.sqrt(v.shape[-1] // heads)
-
-    def weights(qg: np.ndarray, kg: np.ndarray, tile: _Tile, cols: slice, out: np.ndarray) -> np.ndarray:
-        seqs, rows, kend, mask = tile
-        s = np.matmul(qg[seqs, rows, cols], np.swapaxes(kg[seqs, :kend, cols], -1, -2), out=out)
-        s *= inv_sqrt
-        return _masked_softmax_rows(s, mask)
-
-    out = np.zeros(qg.shape[:-1] + v.shape[-1:])
-    view = _workspace(ctx, slots=1)
-    for tile in _tiles(ctx.extent):
-        seqs, rows, kend, mask = tile
-        for cols in head_cols:
-            p = weights(qg, kg, tile, cols, view(0, mask.shape))
-            out[seqs, rows, cols] = np.matmul(p, vg[seqs, :kend, cols])
-    result = Tensor(_packed(out, ctx.queries))
-
-    def bwd(g: np.ndarray) -> None:
-        qg, kg, vg = _grids(q, k, v, ctx)
-        g = _grid(g, ctx.queries, qg.shape[:-1])
-        dq, dk, dv = np.zeros(qg.shape), np.zeros(kg.shape), np.zeros(vg.shape)
-        view = _workspace(ctx, slots=3)
-        for tile in _tiles(ctx.extent):
-            seqs, rows, kend, mask = tile
-            for cols in head_cols:
-                gh = g[seqs, rows, cols]
-                p = weights(qg, kg, tile, cols, view(0, mask.shape))
-                dv[seqs, :kend, cols] += _swapped_matmul(p, gh)
-                ds = np.matmul(gh, np.swapaxes(vg[seqs, :kend, cols], -1, -2), out=view(1, mask.shape))
-                ds -= np.sum(np.multiply(ds, p, out=view(2, mask.shape)), axis=-1, keepdims=True)
-                ds *= p
-                ds *= inv_sqrt
-                dq[seqs, rows, cols] = np.matmul(ds, kg[seqs, :kend, cols])
-                dk[seqs, :kend, cols] += _swapped_matmul(ds, qg[seqs, rows, cols])
-        _accumulate(q, _packed(dq, ctx.queries), own=True)
-        _accumulate(k, _packed(dk, ctx.keys), own=True)
-        _accumulate(v, _packed(dv, ctx.keys), own=True)
-
-    return _record(result, (q, k, v), bwd)
+    return _attention(q, k, v, ctx, heads, [_Channel("softmax", 1.0 / np.sqrt(v.shape[-1] // heads))])
 
 
 # reverse pass ---------------------------------------------------------------

@@ -78,25 +78,49 @@ def test_masked_softmax_attention_grad_check(heads):
     assert err < 1e-7
 
 
+@pytest.mark.parametrize("frozen", [("alpha",), ("beta",), ("alpha", "beta")], ids=["alpha", "beta", "both"])
 @pytest.mark.parametrize("summed", [False, True], ids=["ams", "hstu"])
-def test_frozen_time_bias_gets_no_grad(summed):
+def test_frozen_bias_gets_no_grad(summed, frozen):
+    # a frozen bias gets no gradient, and every other gradient is bitwise the
+    # unfrozen run's; in AMS a frozen bias-only channel skips its weight gradient
     ctx = _padded_context(5, 6, seed=1)
-    grads = {}
-    for frozen in (False, True):
+    grads = []
+    for freeze in ((), frozen):
         q, k, v, alpha, beta = _operands(2, ctx, seed=30)
-        for t in (q, k, v, *alpha, *beta):
-            t.requires_grad = True
-        for a in alpha:
-            a.requires_grad = not frozen
+        named = {"q": [q], "k": [k], "v": [v], "alpha": alpha, "beta": beta}
+        for name, tensors in named.items():
+            for t in tensors:
+                t.requires_grad = name not in freeze
         weights = Tensor(_pack(np.random.default_rng(5).normal(size=(2, 5, (1 if summed else 3) * 6)), ctx))
         with Tape() as tape:
             loss = _silu_loss(q, k, v, alpha, beta, ctx, summed, weights)
         T.backward(loss, tape)
-        if frozen:
-            assert all(a.grad is None for a in alpha)
-        grads[frozen] = [t.grad for t in (q, k, v, *beta)]
-    for unfrozen, frozen in zip(grads[False], grads[True]):
-        np.testing.assert_array_equal(unfrozen, frozen)
+        grads.append({name: [t.grad for t in tensors] for name, tensors in named.items()})
+    unfrozen, partly = grads
+    for name, got in partly.items():
+        if name in frozen:
+            assert all(g is None for g in got)
+        else:
+            for want, g in zip(unfrozen[name], got):
+                np.testing.assert_array_equal(g, want)
+
+
+@pytest.mark.parametrize("kind", ["ams", "hstu", "softmax"])
+def test_ops_reject_operands_of_the_wrong_shape(kind):
+    ctx = _padded_context(5, 6, seed=0)
+    q, k, v, alpha, beta = _operands(2, ctx, d_h=5)  # width 10
+    three = _operands(3, ctx, d_h=3)[3:]  # alpha and beta for three heads
+    op = _ops(kind, 3, ctx)[0]
+    with pytest.raises(T.ShapeError, match="width 10 does not split into 3 heads"):
+        op(q, k, v, *three)  # unchecked, column 9 would belong to no head
+    op = _ops(kind, 2, ctx)[0]
+    with pytest.raises(T.ShapeError, match=r"one width, got \(8, 10\), \(8, 8\), \(8, 10\)"):
+        op(q, Tensor(k.data[:, :8]), v, alpha, beta)
+    with pytest.raises(T.ShapeError, match=r"one width, got \(1, 8, 10\)"):
+        op(Tensor(q.data[None]), k, v, alpha, beta)
+    if kind != "softmax":
+        with pytest.raises(T.ShapeError, match=r"2 heads need 2 vectors per bias, got \[(2, 1|1, 2)\]"):
+            op(q, k, v, alpha, beta[:1])
 
 
 def test_context_holds_no_b_m_n_array_but_narrow_buckets():

@@ -150,6 +150,18 @@ def test_bucket_rejects_non_finite(delta_t):
         M.relative_time_bucket(delta_t, tiny_config())
 
 
+@pytest.mark.parametrize(
+    "deltas, first",
+    [([math.nan, math.inf, 5.0], "nan"), ([2.0, math.inf, -1.0], "inf"), ([-3.0], "-3.0"), ([[0, 5], [-2, -7]], "-2")],
+    ids=["nan", "inf", "negative", "int-grid"],
+)
+def test_bucket_indices_name_the_first_invalid_difference(deltas, first):
+    # an invalid difference would become a negative bucket id, which the
+    # attention op's clipped gather would read as bucket 0
+    with pytest.raises(ValueError, match=f"got {first}$"):
+        M.bucket_indices(np.array(deltas), tiny_config())
+
+
 def test_bucket_base_rescales_units():
     # with a 60-second unit, minutes (not seconds) land in the exact region
     cfg = tiny_config(n_buckets=8, time_bucket_base=60.0, max_time_span=60 * 256)
