@@ -76,10 +76,10 @@ def evaluate(
     which is checked before any forward pass. The instances are ranked in
     chunks of batch_size in order of history length (stably); each chunk is
     padded to its longest history (at most n), and only the last position of
-    each history is computed in the last block. Padded rows cost no attention
-    work (the attention tiles of a chunk in order of length run over
-    consecutive sequences, as views), so batch_size bounds memory, not the
-    attention work. The ranks are reported in input order.
+    each history is computed in the last block. Padding costs no attention
+    work; sorting keeps each chunk's padded width, and with it the
+    [B, n, n] time-bucket map, close to its histories' lengths, so
+    batch_size bounds memory. The ranks are reported in input order.
     """
     if not instances:
         raise ValueError("evaluate: empty partition")

@@ -120,6 +120,10 @@ class SequenceBatch:
         if np.any(self.items < 0):
             row, col = np.argwhere(self.items < 0)[0]
             raise ValueError(f"SequenceBatch: negative item id {self.items[row, col]} in row {row} at position {col}")
+        bad = np.flatnonzero((self.valid_len < 0) | (self.valid_len > n))
+        if bad.size:
+            row = bad[0]
+            raise ValueError(f"SequenceBatch: valid_len {self.valid_len[row]} of row {row} is outside [0, {n}]")
         valid = self.valid
         if not np.array_equal(self.items > 0, valid):
             raise ValueError("SequenceBatch: items must be nonzero exactly on the valid prefix")
@@ -314,6 +318,14 @@ def relative_time_bucket(delta_t: float, cfg: ModelConfig) -> int:
 _BUCKET_BLOCK = 1 << 16
 
 
+def _consecutive(idx: np.ndarray) -> slice | np.ndarray:
+    """The ascending indices idx as a slice when they are consecutive, so
+    that indexing by them gives views; else idx itself."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
     """The batch's attention layout (`tensor.AttnContext`), with every valid position a query row."""
     b, n = batch.items.shape
@@ -335,21 +347,12 @@ def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
         live = np.flatnonzero(batch.valid_len > r0)
         if not live.size:
             break
-        seqs = T.consecutive(live)
+        seqs = _consecutive(live)
         block = bucket_indices(np.maximum(ts[seqs, r0:r1, None] - ts[seqs, None, : r1 - 1], 0), cfg)
         block[:, pos[None, : r1 - 1] >= pos[r0:r1, None]] = 0
         bucket_idx[seqs, r0:r1, : r1 - 1] = block
-    valid = batch.valid
-    keys = np.flatnonzero(valid)
-    # valid positions are a prefix, so a valid row i attends keys [0, i + 1)
-    return AttnContext(
-        extent=np.where(valid, np.arange(1, n + 1), 0),
-        n=n,
-        bucket_idx=bucket_idx,
-        rel_idx=rel,
-        keys=keys,
-        queries=keys,
-    )
+    lengths = batch.valid_len
+    return AttnContext(first=np.cumsum(lengths) - lengths, lengths=lengths, bucket_idx=bucket_idx, rel_idx=rel)
 
 
 # layers ----------------------------------------------------------------------

@@ -296,14 +296,13 @@ def rms_norm(x: Tensor, gain: Tensor | None = None, eps: float = 1e-6) -> Tensor
 
 
 def _masked_softmax_rows(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of x restricted to `mask`, in place in x."""
+    """Softmax over the last axis of x restricted to `mask`, in place in x;
+    every row's mask holds at least one entry."""
     np.copyto(x, -np.inf, where=~mask)
-    m = np.max(x, axis=-1, keepdims=True)
-    m[~np.isfinite(m)] = 0.0
-    x -= m
+    x -= np.max(x, axis=-1, keepdims=True)
     np.exp(x, out=x)  # exactly 0 outside the mask
-    z = np.sum(x, axis=-1, keepdims=True)
-    return np.divide(x, z, out=x, where=z > 0)
+    x /= np.sum(x, axis=-1, keepdims=True)
+    return x
 
 
 def logsumexp(x: Tensor) -> Tensor:
@@ -440,33 +439,22 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
 # silu_attention and masked_softmax_attention are one tiled op, _attention,
 # over a list of channels (_Channel): AMS is [semantic | positional |
 # temporal], HSTU [semantic + temporal + positional] and softmax attention
-# [softmax]. A channel's weight maps are [B, m, n] per head for m query rows
-# and n keys (m = n in training, m = 1 when only the ranked position is
-# wanted); the op never builds them whole. Query row i of sequence b attends
-# the keys [0, ctx.extent[b, i]). The op walks the query rows in tiles of
-# _TILE_ROWS rows. A tile runs only over the G sequences with a nonzero
-# extent in its rows, and for them computes q·kᵀ, the weights, W·V and every
-# gradient over keys [0, kend) only, kend being the tile's largest extent,
-# under a [G, t, kend] mask built from the extents once per call. That one
-# rule skips the causal upper triangle, the padded query rows and trailing
-# padding of the batch and the keys a ranked row cannot see; a tile whose
-# rows attend nothing is skipped and its outputs and gradients stay zero.
-# When the G sequences are consecutive (every tile of a batch of full rows,
-# and every tile of a batch in order of length) the tile's operands are
-# views of the grids; otherwise they are gathered. A tile's [G, t, kend]
-# arrays are views of a float64 workspace allocated once per call and
-# reused across tiles, heads and channels. Backward rebuilds each map with
-# the code forward ran (_weights), replaying the channels in reverse as a
-# tape would, so nothing of size [B, n, n] stays on the tape. Head h is the
-# h-th equal slice of the last axis of q, k and v, and the heads are
-# concatenated within each channel of the output.
-#
-# The op takes its layout from one AttnContext. q, k and v arrive packed:
-# q [Tq, w] holds the query rows at the flat positions ctx.queries of the
-# [B, m] query grid, k and v [T, w] the keys at the flat positions ctx.keys of
-# the [B, n] key grid. The op lays them out on their grids, zero elsewhere,
-# only while it runs (a full grid is a view of the packed rows), returns its
-# output packed as q, and keeps only the packed operands on the tape.
+# [softmax]. q, k and v arrive packed, one row per valid position, each
+# sequence's rows consecutive from its first packed row (AttnContext); q
+# holds every row, or one per sequence after `at_rows`. The query at
+# position i of a sequence attends that sequence's keys [0, i], so the op
+# walks each sequence's query rows in tiles of up to _TILE_ROWS consecutive
+# rows: a tile of positions [r0, r1) reads the sequence's first r1 key rows,
+# and its q, k and v are slices of the packed arrays. For each head and
+# channel it computes q·kᵀ, the [t, r1] weight map under the causal mask,
+# W·V and every gradient, and writes them to the packed output and to the
+# packed dq, dk and dv in place; nothing is laid out on a padded grid. A
+# tile's [t, r1] arrays are views of a float64 workspace allocated once per
+# call for the largest tile and reused across tiles, heads and channels.
+# Backward rebuilds each map with the code forward ran (_weights), replaying
+# the channels in reverse as a tape would, so no weight map stays on the
+# tape. Head h is the h-th equal slice of the last axis of q, k and v, and
+# the heads are concatenated within each channel of the output.
 
 
 @dataclass
@@ -474,109 +462,69 @@ class AttnContext:
     """A batch's causal attention layout, shared by every layer and every
     channel, for query i and key j.
 
-    Valid positions are a prefix and attention is causal, so query row i of
-    sequence b attends a prefix of the n keys, `extent[b, i]` of them: i + 1
-    at a valid position, none at a padded one. Activations are packed: a
-    [T, ·] activation holds the batch's T valid positions in row-major order,
-    and `keys` names where each sits in the flattened [B, n] key grid. The
-    query rows are every packed row (rows=None), or one per sequence after
-    `at_rows`.
+    Activations are packed: a [T, ·] activation holds the batch's T valid
+    positions in row-major order, so sequence b's positions are the packed
+    rows [first[b], first[b] + lengths[b]). Valid positions are a prefix and
+    attention is causal: the query at position i attends the sequence's keys
+    [0, i]. The query rows are every packed row (positions=None), or one per
+    sequence, at positions[b], after `at_rows`.
     """
 
-    extent: np.ndarray      # [B, m] how many keys each query row attends
-    n: int                  # width of the key grid
-    bucket_idx: np.ndarray  # [B, m, n] time bucket of t_i - t_j (clipped at 0) where j < i, else 0; narrowest unsigned dtype
-    rel_idx: np.ndarray     # [m, n], or [B, m, n], index distance i - j (clipped at 0)
-    keys: np.ndarray        # [T] flat positions of the packed rows in the [B, n] key grid
-    queries: np.ndarray     # flat positions of the query rows in the [B, m] query grid
-    rows: np.ndarray | None = None  # packed ids of the query rows among the T; None for every row
+    first: np.ndarray       # [B] each sequence's first packed row
+    lengths: np.ndarray     # [B] each sequence's valid positions
+    bucket_idx: np.ndarray  # [B, n, n] time bucket of t_i - t_j (clipped at 0) where j < i, else 0; narrowest unsigned dtype
+    rel_idx: np.ndarray     # [n, n] index distance i - j (clipped at 0)
+    positions: np.ndarray | None = None  # [B] the one query position of each sequence; None for every row
+
+    @property
+    def rows(self) -> np.ndarray | None:
+        """The packed ids of the query rows among the T; None for every row."""
+        return None if self.positions is None else self.first + self.positions
 
     def at_rows(self, positions: np.ndarray | None) -> AttnContext:
         """The context of one query row per sequence, at the valid position
-        positions[b] of sequence b: every array becomes [B, 1] or [B, 1, n] and
-        `rows` holds the rows' packed ids. positions=None keeps every query row."""
+        positions[b] of sequence b. positions=None keeps every query row."""
         if positions is None:
             return self
-        seq = np.arange(len(positions))
-        return AttnContext(
-            extent=self.extent[seq, positions, None],
-            n=self.n,
-            bucket_idx=self.bucket_idx[seq, positions, None],
-            rel_idx=self.rel_idx[positions, None],
-            keys=self.keys,
-            queries=seq,
-            rows=np.searchsorted(self.keys, seq * self.n + positions),
-        )
+        return AttnContext(self.first, self.lengths, self.bucket_idx, self.rel_idx, positions)
 
     def query(self, x: Tensor) -> Tensor:
         """The query rows of the packed x [T, ·]: x itself, or its rows at `rows`."""
-        return x if self.rows is None else take(x, self.rows)
+        return x if self.positions is None else take(x, self.rows)
 
 
 _TILE_ROWS = 64
 
 
-def _grid(x: np.ndarray, at: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
-    """The packed rows x [T, w] at the flat positions `at` of the grid, as
-    grid + [w] with zero rows elsewhere; for a full grid, a view of x."""
-    if x.ndim != 2 or x.shape[0] != len(at):
-        raise ShapeError(f"packed rows {x.shape} do not match {len(at)} grid positions")
-    size = math.prod(grid)
-    if len(at) == size:
-        return x.reshape(grid + x.shape[1:])
-    out = np.zeros((size,) + x.shape[1:])
-    out[at] = x
-    return out.reshape(grid + x.shape[1:])
-
-
-def _packed(x: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The rows of the grid array x [..., w] at the flat positions `at`, as
-    [T, w]; for a full grid, a view of x."""
-    flat = x.reshape(-1, x.shape[-1])
-    return flat if len(at) == flat.shape[0] else flat[at]
-
-
-def _grids(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext):
-    """q on the [B, m] query grid, and k and v on the [B, n] key grid, of ctx."""
-    b, m = ctx.extent.shape
-    return _grid(q.data, ctx.queries, (b, m)), _grid(k.data, ctx.keys, (b, ctx.n)), _grid(v.data, ctx.keys, (b, ctx.n))
-
-
 class _Tile(NamedTuple):
-    seqs: slice | np.ndarray  # the G sequences with a nonzero extent in the tile's rows
-    rows: slice               # the tile's query rows
-    kend: int                 # the largest extent of those rows
-    mask: np.ndarray          # [G, t, kend] bool: row i of sequence b attends key j
+    seq: int     # the sequence
+    rows: slice  # the tile's query rows, packed
+    pos: slice   # their positions [r0, r1) in the sequence
+    keys: slice  # the sequence's first r1 packed rows, every key the rows attend
 
 
-def consecutive(idx: np.ndarray) -> slice | np.ndarray:
-    """The ascending indices idx as a slice when they are consecutive, so
-    that indexing by them gives views; else idx itself."""
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
-def _tiles(extent: np.ndarray) -> list[_Tile]:
-    """Every tile of query rows that attends some key, over its live sequences only."""
-    m = extent.shape[1]
+def _tiles(ctx: AttnContext) -> list[_Tile]:
+    """Every query row's tile: up to _TILE_ROWS consecutive query rows of one sequence."""
+    first = ctx.first.tolist()
+    if ctx.positions is None:  # sequence b's query rows are its packed rows, at positions [0, length)
+        spans = [(row, 0, length) for row, length in zip(first, ctx.lengths.tolist())]
+    else:  # query row b is sequence b's position positions[b]
+        spans = [(b, p, p + 1) for b, p in enumerate(ctx.positions.tolist())]
     tiles = []
-    for r0 in range(0, m, _TILE_ROWS):
-        rows = slice(r0, min(m, r0 + _TILE_ROWS))
-        reach = extent[:, rows].max(axis=1)  # [B]: the most keys any of sequence b's rows attends
-        kend = int(reach.max(initial=0))
-        if kend:
-            seqs = consecutive(np.flatnonzero(reach))
-            tiles.append(_Tile(seqs, rows, kend, np.arange(kend) < extent[seqs, rows, None]))
+    for seq, (row, start, stop) in enumerate(spans):
+        for r0 in range(start, stop, _TILE_ROWS):
+            r1 = min(stop, r0 + _TILE_ROWS)
+            rows = slice(row + r0 - start, row + r1 - start)
+            tiles.append(_Tile(seq, rows, slice(r0, r1), slice(first[seq], first[seq] + r1)))
     return tiles
 
 
 def _at(x: np.ndarray, tile: _Tile) -> np.ndarray:
-    """The tile's entries of a [B, m, n] map, or of an [m, n] map shared by every sequence."""
-    return x[tile.rows, : tile.kend] if x.ndim == 2 else x[tile.seqs, tile.rows, : tile.kend]
+    """The tile's [t, r1] entries of a [B, n, n] map, or of an [n, n] map shared by every sequence."""
+    return (x if x.ndim == 2 else x[tile.seq])[tile.pos, : tile.pos.stop]
 
 
-def _workspace(ctx: AttnContext, slots: int) -> Callable[[tuple[int, ...]], list[np.ndarray]]:
+def _workspace(tiles: list[_Tile], slots: int) -> Callable[[tuple[int, ...]], list[np.ndarray]]:
     """views(shape): a tile's four workspace slots, views shaped `shape` of
     `slots` float64 arrays allocated here for the largest tile, slot i on
     array i modulo `slots`: forward applies each map once built, so two
@@ -584,8 +532,8 @@ def _workspace(ctx: AttnContext, slots: int) -> Callable[[tuple[int, ...]], list
     array is its own allocation, not a slice of one block: glibc raises its
     mmap and trim thresholds to the largest block freed, and with one block
     the heap kept about 20 MB more at eval_serve's peak in half the runs."""
-    b, m = ctx.extent.shape
-    bufs = [np.empty(b * min(m, _TILE_ROWS) * ctx.n) for _ in range(slots)]
+    size = max(((t.pos.stop - t.pos.start) * t.pos.stop for t in tiles), default=0)
+    bufs = [np.empty(size) for _ in range(slots)]
 
     def views(shape: tuple[int, ...]) -> list[np.ndarray]:
         size = math.prod(shape)
@@ -594,25 +542,13 @@ def _workspace(ctx: AttnContext, slots: int) -> Callable[[tuple[int, ...]], list
     return views
 
 
-def _swapped_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """aᵀ·b over the last two axes."""
-    return np.matmul(np.swapaxes(a, -1, -2), b)
-
-
 def _gather(bias: Tensor, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """bias[idx], written to the start of the workspace view buf (idx may lack its leading axes).
+    """bias[idx], written to the workspace view buf of idx's shape.
 
     The indices are in range by construction; mode="clip" lets np.take write
     straight into buf, where the default mode would go through a buffer.
     """
-    return np.take(bias.data, idx, out=buf.reshape(-1)[: idx.size].reshape(idx.shape), mode="clip")
-
-
-def _bias_grad(bias: Tensor, idx: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """The gradient of the bias vector that a weight map gathered through idx, given the map's gradient dw."""
-    if idx.ndim < dw.ndim:  # one index map shared by every sequence
-        dw = dw.sum(axis=tuple(range(dw.ndim - idx.ndim)))
-    return _scatter(idx, lambda j: dw, bias.shape)
+    return np.take(bias.data, idx, out=buf, mode="clip")
 
 
 class _Channel(NamedTuple):
@@ -620,7 +556,7 @@ class _Channel(NamedTuple):
     the query row does not attend, is SiLU(q·kᵀ)·scale plus each bias term
     in order (score "silu"), the softmax of q·kᵀ·scale over the attended
     keys ("softmax"), or the one bias term (None). A bias term (vectors,
-    index map) is vectors[h] gathered through a [B, m, n] map or an [m, n]
+    index map) is vectors[h] gathered through a [B, n, n] map or an [n, n]
     map shared by every sequence."""
 
     score: str | None
@@ -637,7 +573,7 @@ def _weights(ch: _Channel, biases, h: int, mask: np.ndarray, qt: np.ndarray, kt:
     if ch.score is None:
         ((bias, idx),) = biases
         return np.multiply(_gather(bias[h], idx, ws[3]), mask, out=ws[2])
-    s = np.matmul(qt, np.swapaxes(kt, -1, -2), out=ws[0])
+    s = np.matmul(qt, kt.T, out=ws[0])
     if ch.score == "softmax":
         s *= ch.scale
         return _masked_softmax_rows(s, mask)
@@ -654,70 +590,73 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int, ch
     holds, heads concatenated, each head's channels[c] weight map times v."""
     if any(x.ndim != 2 for x in (q, k, v)) or not q.shape[1] == k.shape[1] == v.shape[1]:
         raise ShapeError(f"attention: q, k and v must be packed rows of one width, got {q.shape}, {k.shape}, {v.shape}")
+    keys = int(ctx.lengths.sum())
+    queries = keys if ctx.positions is None else len(ctx.positions)
+    if q.shape[0] != queries or k.shape[0] != keys or v.shape[0] != keys:
+        raise ShapeError(
+            f"attention: the context has {queries} query rows and {keys} keys, got q, k and v of {q.shape[0]}, "
+            f"{k.shape[0]} and {v.shape[0]} rows"
+        )
     width = v.shape[1]
     if heads < 1 or width % heads:
         raise ShapeError(f"attention: width {width} does not split into {heads} heads")
     terms = [bias for ch in channels for bias, _ in ch.biases]
     if any(len(bias) != heads for bias in terms):
         raise ShapeError(f"attention: {heads} heads need {heads} vectors per bias, got {[len(bias) for bias in terms]}")
-    qg, kg, vg = _grids(q, k, v, ctx)
     d_h = width // heads
     head_cols = [slice(h * d_h, (h + 1) * d_h) for h in range(heads)]
-    out_shape = qg.shape[:-1] + (len(channels), width)
-    out = np.zeros(out_shape)
-    views = _workspace(ctx, slots=2)
-    for tile in _tiles(ctx.extent):
-        seqs, rows, kend, mask = tile
+    tiles = _tiles(ctx)
+    causal = np.tri(max((t.pos.stop for t in tiles), default=0), dtype=bool)  # key j <= query i
+    out = np.empty((queries, len(channels), width))  # every query row lies in one tile
+    views = _workspace(tiles, slots=2)
+    for tile in tiles:
+        mask = _at(causal, tile)
         tiled = [[(bias, _at(idx, tile)) for bias, idx in ch.biases] for ch in channels]
         ws = views(mask.shape)
         for h, cols in enumerate(head_cols):
-            qt, kt, vt = qg[seqs, rows, cols], kg[seqs, :kend, cols], vg[seqs, :kend, cols]
+            qt, kt, vt = q.data[tile.rows, cols], k.data[tile.keys, cols], v.data[tile.keys, cols]
             for c, ch in enumerate(channels):
                 w = _weights(ch, tiled[c], h, mask, qt, kt, ws)
-                out[seqs, rows, c, cols] = np.matmul(w, vt)
-    result = Tensor(_packed(out.reshape(qg.shape[:-1] + (-1,)), ctx.queries))
+                out[tile.rows, c, cols] = np.matmul(w, vt)
+    result = Tensor(out.reshape(queries, -1))
 
     def bwd(g: np.ndarray) -> None:
-        qg, kg, vg = _grids(q, k, v, ctx)
-        g = _grid(g, ctx.queries, qg.shape[:-1]).reshape(out_shape)
-        dq, dk, dv = np.zeros(qg.shape), np.zeros(kg.shape), np.zeros(vg.shape)
+        g = g.reshape(out.shape)
+        dq, dk, dv = np.empty(q.shape), np.zeros(k.shape), np.zeros(v.shape)
         d_bias = {t: np.zeros(t.shape) for bias in terms for t in bias if t.requires_grad}
-        views = _workspace(ctx, slots=4)
-        for tile in _tiles(ctx.extent):
-            seqs, rows, kend, mask = tile
+        views = _workspace(tiles, slots=4)
+        for tile in tiles:
+            mask = _at(causal, tile)
             tiled = [[(bias, _at(idx, tile)) for bias, idx in ch.biases] for ch in channels]
             ws = views(mask.shape)
             for h, cols in enumerate(head_cols):
-                qt, kt, vt = qg[seqs, rows, cols], kg[seqs, :kend, cols], vg[seqs, :kend, cols]
-                dv_t = dv[seqs, :kend, cols]  # a view, or a copy written back below
+                qt, kt, vt = q.data[tile.rows, cols], k.data[tile.keys, cols], v.data[tile.keys, cols]
                 for c in reversed(range(len(channels))):  # as a tape replay would
-                    ch, gc = channels[c], g[seqs, rows, c, cols]
+                    ch, gc = channels[c], g[tile.rows, c, cols]
                     w = _weights(ch, tiled[c], h, mask, qt, kt, ws)
-                    dv_t += _swapped_matmul(w, gc)
-                    grads = [(d_bias[bias[h]], bias[h], idx) for bias, idx in tiled[c] if bias[h] in d_bias]
+                    dv[tile.keys, cols] += w.T @ gc
+                    grads = [(d_bias[bias[h]], idx) for bias, idx in tiled[c] if bias[h] in d_bias]
                     if ch.score is None and not grads:  # frozen biases need no weight gradient
                         continue
-                    dw = np.matmul(gc, np.swapaxes(vt, -1, -2), out=ws[3])
+                    dw = np.matmul(gc, vt.T, out=ws[3])
                     if ch.score == "softmax":
                         dw -= np.sum(np.multiply(dw, w, out=ws[2]), axis=-1, keepdims=True)
                         dw *= w
                     else:
                         dw *= mask
-                    for grad, bias, idx in grads:
-                        grad += _bias_grad(bias, idx, dw)
+                    for grad, idx in grads:
+                        grad += _scatter(idx, lambda j: dw, grad.shape)
                     if ch.score is not None:
                         dw *= ch.scale
                         if ch.score == "silu":
                             dw *= _silu_grad(ws[0], ws[1], out=ws[2])
-                        dq[seqs, rows, cols] = np.matmul(dw, kt)  # one score channel a list
-                        dk[seqs, :kend, cols] += _swapped_matmul(dw, qt)
-                if not isinstance(seqs, slice):
-                    dv[seqs, :kend, cols] = dv_t
+                        dq[tile.rows, cols] = dw @ kt  # one score channel a list
+                        dk[tile.keys, cols] += dw.T @ qt
         for bias, grad in d_bias.items():
             _accumulate(bias, grad, own=True)
-        _accumulate(q, _packed(dq, ctx.queries), own=True)
-        _accumulate(k, _packed(dk, ctx.keys), own=True)
-        _accumulate(v, _packed(dv, ctx.keys), own=True)
+        _accumulate(q, dq, own=True)
+        _accumulate(k, dk, own=True)
+        _accumulate(v, dv, own=True)
 
     return _record(result, (q, k, v, *(t for bias in terms for t in bias)), bwd)
 
@@ -734,13 +673,14 @@ def silu_attention(
 ) -> Tensor:
     """Causal SiLU attention with learned time and position biases, one head per alpha.
 
-    Head h weighs value j at query i by the semantic score SiLU(q_i·k_j)·inv_n,
-    the position bias beta[h][ctx.rel_idx[i, j]] and the time bias
-    alpha[h][ctx.bucket_idx[b, i, j]], each zero on keys j >= ctx.extent[b, i].
-    summed=False applies the three to V separately and returns the channels
-    [semantic | positional | temporal]; summed=True applies their sum and
-    returns one channel. Heads are concatenated within each channel. q, k and
-    v are packed as ctx lays out (see above); the output is packed as q.
+    Head h weighs value j at query i of sequence b by the semantic score
+    SiLU(q_i·k_j)·inv_n, the position bias beta[h][ctx.rel_idx[i, j]] and the
+    time bias alpha[h][ctx.bucket_idx[b, i, j]], over the sequence's keys
+    [0, i] and zero elsewhere. summed=False applies the three to V
+    separately and returns the channels [semantic | positional | temporal];
+    summed=True applies their sum and returns one channel. Heads are
+    concatenated within each channel. q, k and v are packed as ctx lays out
+    (see above); the output is packed as q.
     """
     temporal, positional = (alpha, ctx.bucket_idx), (beta, ctx.rel_idx)
     if summed:  # HSTU
@@ -751,13 +691,13 @@ def silu_attention(
 
 
 def masked_softmax_attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int) -> Tensor:
-    """Multi-head scaled dot-product softmax attention over each query row's
-    keys [0, ctx.extent[b, i]).
+    """Multi-head scaled dot-product softmax attention of the query at
+    position i over its sequence's keys [0, i].
 
     Head h's weights are the softmax of q_h·k_hᵀ / sqrt(d_h) over those keys,
-    zero elsewhere and in a row that attends none; its output is those
-    weights times v_h, and the heads are concatenated. q, k and v are packed
-    as ctx lays out (see above); the output is packed as q.
+    zero elsewhere; its output is those weights times v_h, and the heads are
+    concatenated. q, k and v are packed as ctx lays out (see above); the
+    output is packed as q.
     """
     return _attention(q, k, v, ctx, heads, [_Channel("softmax", 1.0 / np.sqrt(v.shape[-1] // heads))])
 

@@ -194,9 +194,10 @@ def reference_hstu_hidden(items, ts, valid_len, params, cfg):
 
 
 # Dense transcriptions of the fused attention ops from tape primitives: every
-# head's whole [B, m, n] weight maps, with gradients taken by the tape. Like
-# the ops, they take packed q, k and v at flat grid positions and return their
-# output packed; the layout goes through tape gathers.
+# head's whole [B, n, n] weight maps on the padded [B, n] grid, with gradients
+# taken by the tape. Like the ops, they take packed q, k and v as the
+# context lays them out and return their output packed; the layout goes
+# through tape gathers.
 
 
 def _on_grid(x: Tensor, at: np.ndarray, grid: tuple) -> Tensor:
@@ -210,14 +211,24 @@ def _packed(x: Tensor, at: np.ndarray) -> Tensor:
     return T.take(T.reshape(x, (-1, x.shape[-1])), at)
 
 
+def _query_positions(ctx) -> np.ndarray:
+    """bool [B, n]: the positions of the context's query rows."""
+    pos = np.arange(ctx.rel_idx.shape[0])
+    return pos < ctx.lengths[:, None] if ctx.positions is None else pos == ctx.positions[:, None]
+
+
 def dense_allowed(ctx) -> np.ndarray:
-    """The context's layout as a [B, m, n] bool mask: query row i of sequence b attends key j."""
-    return np.arange(ctx.n) < ctx.extent[..., None]
+    """The context's layout as a [B, n, n] bool mask: the query row at position i of sequence b attends key j."""
+    pos = np.arange(ctx.rel_idx.shape[0])
+    return _query_positions(ctx)[:, :, None] & (pos[None, :] <= pos[:, None])
 
 
 def _grids(q, k, v, ctx):
-    q_grid, kv_grid = ctx.extent.shape, (ctx.extent.shape[0], ctx.n)
-    return _on_grid(q, ctx.queries, q_grid), _on_grid(k, ctx.keys, kv_grid), _on_grid(v, ctx.keys, kv_grid)
+    """q, k and v on the [B, n] grid, and the flat grid positions of the query rows."""
+    grid = (len(ctx.lengths), ctx.rel_idx.shape[0])
+    keys = np.flatnonzero(np.arange(grid[1]) < ctx.lengths[:, None])
+    queries = np.flatnonzero(_query_positions(ctx))
+    return _on_grid(q, queries, grid), _on_grid(k, keys, grid), _on_grid(v, keys, grid), queries
 
 
 def _exp(x: Tensor) -> Tensor:
@@ -240,7 +251,7 @@ def _head(x: Tensor, h: int, heads: int) -> Tensor:
 
 def dense_silu_attention(q, k, v, alpha, beta, ctx, inv_n, summed):
     """tensor.silu_attention, each head's weight maps built whole and masked."""
-    q, k, v = _grids(q, k, v, ctx)
+    q, k, v, queries = _grids(q, k, v, ctx)
     heads = len(alpha)
     mask = Tensor(dense_allowed(ctx).astype(np.float64))
     channels = ([], [], [])
@@ -254,12 +265,12 @@ def dense_silu_attention(q, k, v, alpha, beta, ctx, inv_n, summed):
         if not summed:
             channels[1].append(T.matmul(T.mul(pos_bias, mask), vh))
             channels[2].append(T.matmul(T.mul(time_bias, mask), vh))
-    return _packed(T.concat([out for channel in channels for out in channel], axis=-1), ctx.queries)
+    return _packed(T.concat([out for channel in channels for out in channel], axis=-1), queries)
 
 
 def dense_softmax_attention(q, k, v, ctx, heads):
     """tensor.masked_softmax_attention, each head's weight map built whole."""
-    q, k, v = _grids(q, k, v, ctx)
+    q, k, v, queries = _grids(q, k, v, ctx)
     allowed = dense_allowed(ctx)
     inv_sqrt = 1.0 / np.sqrt(v.shape[-1] // heads)
     empty_rows = Tensor((~allowed.any(axis=-1, keepdims=True)).astype(np.float64))
@@ -273,7 +284,7 @@ def dense_softmax_attention(q, k, v, ctx, heads):
         e = _exp(T.add(s, Tensor(shift)))
         total = T.add(T.tsum(e, axis=-1, keepdims=True), empty_rows)  # a row with no key gives 0 / 1
         outs.append(T.matmul(T.mul(e, _reciprocal(total)), vh))
-    return _packed(T.concat(outs, axis=-1), ctx.queries)
+    return _packed(T.concat(outs, axis=-1), queries)
 
 
 # Loop transcription of the per-line `movielens_dat` parser that the array

@@ -22,7 +22,7 @@ from fuxi_alpha.tensor import Tape, Tensor
 from fuxi_alpha.train import AdamW, TrainConfig, next_item_negatives, next_item_targets, train_step
 
 
-def _padded_context(n: int, n_buckets: int, seed: int, lengths=None) -> M.AttnContext:
+def _padded_batch(n: int, n_buckets: int, seed: int, lengths=None) -> tuple[SequenceBatch, ModelConfig]:
     """A row per length; by default two rows, the second padded after three events."""
     cfg = ModelConfig(vocab=9, d=4, d_h=4, n=n, n_buckets=n_buckets, negatives=2, max_time_span=200)
     rng = np.random.default_rng(seed)
@@ -32,17 +32,21 @@ def _padded_context(n: int, n_buckets: int, seed: int, lengths=None) -> M.AttnCo
     for row, length in enumerate(lens):
         items[row, :length] = rng.integers(1, cfg.vocab, size=length)
         ts[row, :length] = np.cumsum(rng.integers(1, 40, size=length))
-    return M.build_attn_context(SequenceBatch(items, ts, lens), cfg)
+    return SequenceBatch(items, ts, lens), cfg
+
+
+def _padded_context(n: int, n_buckets: int, seed: int, lengths=None) -> M.AttnContext:
+    return M.build_attn_context(*_padded_batch(n, n_buckets, seed, lengths))
 
 
 def _pack(x: np.ndarray, ctx: M.AttnContext) -> np.ndarray:
-    """The rows of the [B, n, ·] grid array x at the context's valid positions, np.flatnonzero of the valid mask."""
-    return x.reshape(-1, x.shape[-1])[ctx.keys]
+    """The rows of the [B, n, ·] grid array x at the context's valid positions, in row-major order."""
+    return x[np.arange(x.shape[1]) < ctx.lengths[:, None]]
 
 
 def _operands(heads: int, ctx: M.AttnContext, d_h: int = 3, n_buckets: int = 6, seed: int = 0):
     """Random q, k, v drawn on the [B, n] grid and packed at ctx's valid positions, and the biases."""
-    b, n = ctx.extent.shape[0], ctx.n
+    b, n = len(ctx.lengths), ctx.rel_idx.shape[0]
     rng = np.random.default_rng(seed)
     q, k, v = (Tensor(_pack(rng.normal(size=(b, n, heads * d_h)), ctx)) for _ in range(3))
     alpha = [Tensor(rng.normal(size=n_buckets)) for _ in range(heads)]
@@ -118,20 +122,31 @@ def test_ops_reject_operands_of_the_wrong_shape(kind):
         op(q, Tensor(k.data[:, :8]), v, alpha, beta)
     with pytest.raises(T.ShapeError, match=r"one width, got \(1, 8, 10\)"):
         op(Tensor(q.data[None]), k, v, alpha, beta)
+    # the context lays out 8 query rows and 8 keys (lengths 5 and 3)
+    rows = r"the context has 8 query rows and 8 keys, got q, k and v of {} rows"
+    with pytest.raises(T.ShapeError, match=rows.format("7, 8 and 8")):
+        op(Tensor(q.data[:7]), k, v, alpha, beta)
+    with pytest.raises(T.ShapeError, match=rows.format("8, 9 and 8")):
+        op(q, Tensor(np.vstack([k.data, k.data[:1]])), v, alpha, beta)
+    with pytest.raises(T.ShapeError, match=rows.format("8, 8 and 7")):
+        op(q, k, Tensor(v.data[1:]), alpha, beta)
+    ranked = _ops(kind, 2, ctx.at_rows(np.array([4, 2])))[0]  # one query row per sequence
+    with pytest.raises(T.ShapeError, match=r"the context has 2 query rows and 8 keys, got q, k and v of 8, 8 and 8 rows"):
+        ranked(q, k, v, alpha, beta)
     if kind != "softmax":
         with pytest.raises(T.ShapeError, match=r"2 heads need 2 vectors per bias, got \[(2, 1|1, 2)\]"):
             op(q, k, v, alpha, beta[:1])
 
 
 def test_context_holds_no_b_m_n_array_but_narrow_buckets():
-    # the layout is the [B, m] extents; of one query row per sequence, the
-    # position map is the picked rows' [B, 1, n] too
+    # the layout is each sequence's first packed row and length; the time
+    # buckets are the one [B, n, n] map, kept whole for one query row per sequence
     ctx = _padded_context(5, 6, seed=0)
-    for c, dense in ((ctx, ["bucket_idx"]), (ctx.at_rows(np.array([3, 1])), ["bucket_idx", "rel_idx"])):
-        b, m = c.extent.shape
+    for c in (ctx, ctx.at_rows(np.array([3, 1]))):
+        b, n = len(c.lengths), c.rel_idx.shape[0]
         arrays = {name: x for name, x in vars(c).items() if isinstance(x, np.ndarray)}
-        assert [name for name, x in arrays.items() if x.size == b * m * c.n] == dense
-    assert ctx.extent.dtype.kind == "i"
+        assert [name for name, x in arrays.items() if x.size >= b * n * n] == ["bucket_idx"]
+    assert ctx.first.dtype.kind == ctx.lengths.dtype.kind == "i"
     assert ctx.bucket_idx.dtype == np.uint8
     assert not any(isinstance(value, Tensor) for value in vars(ctx).values())
 
@@ -156,15 +171,14 @@ def test_context_matches_the_dense_formula(monkeypatch, b, n, block):
         pos = np.arange(n)
         valid = pos[None, :] < lens[:, None]
         allowed = (pos[:, None] >= pos[None, :])[None] & valid[:, None, :] & valid[:, :, None]
-        assert ctx.extent.shape == (b, n) and ctx.n == n
+        np.testing.assert_array_equal(ctx.lengths, lens)
+        np.testing.assert_array_equal(ctx.first, np.cumsum(lens) - lens)
         np.testing.assert_array_equal(dense_allowed(ctx), allowed)  # a padded query row attends nothing
         dense = M.bucket_indices(np.maximum(ts[:, :, None] - ts[:, None, :], 0), cfg)
         np.testing.assert_array_equal(ctx.bucket_idx[allowed], dense[allowed])
         causal = pos[:, None] >= pos[None, :]
         np.testing.assert_array_equal(ctx.rel_idx[causal], (pos[:, None] - pos[None, :])[causal])
-        np.testing.assert_array_equal(ctx.keys, np.flatnonzero(valid))
-        np.testing.assert_array_equal(ctx.queries, ctx.keys)
-        assert ctx.rows is None
+        assert ctx.positions is None and ctx.rows is None
 
 
 def test_at_rows_picks_one_query_row_per_sequence():
@@ -181,18 +195,11 @@ def test_at_rows_picks_one_query_row_per_sequence():
         positions = rng.integers(0, lens)
         picked = ctx.at_rows(positions)
         np.testing.assert_array_equal(picked.rows, np.cumsum(lens) - lens + positions)
-        seq = np.arange(b)
-        assert picked.extent.shape == (b, 1) and picked.n == n
-        np.testing.assert_array_equal(picked.extent[:, 0], ctx.extent[seq, positions])
-        for got, want in (
-            (picked.bucket_idx, ctx.bucket_idx[seq, positions]),
-            (picked.rel_idx, ctx.rel_idx[positions]),
-        ):
-            assert got.shape == (b, 1, n)
-            np.testing.assert_array_equal(got[:, 0], want)
-        np.testing.assert_array_equal(picked.keys, ctx.keys)
-        np.testing.assert_array_equal(picked.queries, seq)
-        x = Tensor(rng.normal(size=(len(ctx.keys), 3)))
+        np.testing.assert_array_equal(picked.positions, positions)
+        # the layout and the maps are the context's own
+        for name in ("first", "lengths", "bucket_idx", "rel_idx"):
+            assert getattr(picked, name) is getattr(ctx, name)
+        x = Tensor(rng.normal(size=(int(lens.sum()), 3)))
         assert ctx.query(x) is x
         np.testing.assert_array_equal(picked.query(x).data, x.data[picked.rows])
 
@@ -275,15 +282,18 @@ def _ops(kind: str, heads: int, ctx: M.AttnContext):
     )
 
 
-def _output_and_grads(op, operands, seed: int = 6):
-    """op's output and the gradient of every operand it reads, for a fixed random weighting of it."""
+def _output_and_grads(op, operands, seed: int = 6, weights=None):
+    """op's output and the gradient of every operand it reads, for a fixed
+    weighting of it: `weights`, or random ones drawn from seed."""
     q, k, v, alpha, beta = operands
     leaves = [q, k, v, *alpha, *beta]
     for t in leaves:
         t.requires_grad, t.grad = True, None
     with Tape() as tape:
         out = op(q, k, v, alpha, beta)
-        loss = T.mul(out, Tensor(np.random.default_rng(seed).normal(size=out.shape))).sum()
+        if weights is None:
+            weights = np.random.default_rng(seed).normal(size=out.shape)
+        loss = T.mul(out, Tensor(weights)).sum()
     T.backward(loss, tape)
     return [out.data] + [t.grad for t in leaves if t.grad is not None]
 
@@ -309,65 +319,52 @@ def test_tiled_ops_match_dense_transcription(small_tiles, kind, heads, path):
     _assert_close(_output_and_grads(tiled, operands), _output_and_grads(dense, operands))
 
 
-@pytest.mark.parametrize("kind", ["ams", "hstu", "softmax"])
-def test_rows_that_attend_no_key_give_zeros(small_tiles, kind):
-    # the first four rows attend nothing, in both sequences (the first tile is
-    # skipped whole and the second starts with such a row) or in the first only
-    # (the first tile runs over the second sequence alone, the second tile
-    # over the first alone)
-    for blank in ([0, 1], [0]):
-        ctx = _padded_context(TILED_N, 6, seed=2)
-        ctx.extent = ctx.extent.copy()
-        ctx.extent[blank, :4] = 0
-        operands = _operands(2, ctx, seed=50)
-        tiled, dense = _ops(kind, 2, ctx)
-        got = _output_and_grads(tiled, operands)
-        _assert_close(got, _output_and_grads(dense, operands))
-        out, dq = got[0], got[1]
-        first = (ctx.keys % TILED_N < 4) & np.isin(ctx.keys // TILED_N, blank)  # the blank rows, packed
-        np.testing.assert_array_equal(out[first], 0.0)
-        np.testing.assert_array_equal(dq[first], 0.0)
+# The tile walk. The lengths are n, 1, 6 (ending on a tile boundary), 4
+# (ending inside a tile) and 0.
 
-
-# The tile rule. The lengths are n, 1, 6 (ending on a tile boundary) and 4
-# (ending inside a tile), in an order that leaves the second tile's
-# sequences non-consecutive.
-
-RULE_LENGTHS = (TILED_N, 1, 6, 4)
+RULE_LENGTHS = (TILED_N, 1, 6, 4, 0)
 RULE_ROWS = np.array([7, 0, 5, 2])  # one valid position per sequence, for the at_rows path
 
 
-def test_each_tile_lists_the_sequences_with_a_valid_row_in_it(small_tiles):
-    ctx = _padded_context(TILED_N, 6, seed=0, lengths=RULE_LENGTHS)
-    lens, seq = np.array(RULE_LENGTHS), np.arange(len(RULE_LENGTHS))
-    tiles = T._tiles(ctx.extent)
-    assert [t.rows for t in tiles] == [slice(r, min(r + SMALL_TILE, TILED_N)) for r in range(0, TILED_N, SMALL_TILE)]
-    for tile in tiles:
-        live = seq[tile.seqs]
-        np.testing.assert_array_equal(live, np.flatnonzero(lens > tile.rows.start))
-        assert tile.kend == min(tile.rows.stop, lens[live].max())
-        assert tile.mask.shape == (len(live), tile.rows.stop - tile.rows.start, tile.kend)
-        assert isinstance(tile.seqs, slice) == (live[-1] - live[0] + 1 == len(live))
-    assert [isinstance(t.seqs, slice) for t in tiles] == [True, False, True, True]
-    # the ranked rows: one tile, every sequence, keys up to the last ranked position
-    (tile,) = T._tiles(ctx.at_rows(RULE_ROWS).extent)
-    assert (tile.seqs, tile.rows, tile.kend) == (slice(0, 4), slice(0, 1), RULE_ROWS.max() + 1)
-
-
-def test_a_full_batch_keeps_every_sequence_in_every_tile(small_tiles):
-    # the tiles of the rule without row validity: every sequence, as a slice
-    # (so every operand is a view), and keys up to the tile's last row
-    ctx = _padded_context(TILED_N, 6, seed=0, lengths=(TILED_N,) * 3)
-    starts = range(0, TILED_N, SMALL_TILE)
-    want = [(slice(0, 3), slice(r, min(r + SMALL_TILE, TILED_N)), min(r + SMALL_TILE, TILED_N)) for r in starts]
-    assert [(t.seqs, t.rows, t.kend) for t in T._tiles(ctx.extent)] == want
+def _rule_context(path: str) -> M.AttnContext:
+    if path == "all_rows":
+        return _padded_context(TILED_N, 6, seed=0, lengths=RULE_LENGTHS)
+    return _padded_context(TILED_N, 6, seed=0, lengths=RULE_LENGTHS[:-1]).at_rows(RULE_ROWS)
 
 
 @pytest.mark.parametrize("path", ["all_rows", "rows"])
-def test_tiles_from_extents_follow_the_dense_mask(small_tiles, path):
-    # random lengths, some of them 0 on the every-row path, so that some
-    # tiles attend nothing; on the rows path one drawn position a sequence
-    skipped = 0
+def test_every_query_row_lies_in_exactly_one_tile(small_tiles, path):
+    ctx = _rule_context(path)
+    rows = int(ctx.lengths.sum()) if path == "all_rows" else len(RULE_ROWS)
+    covered = np.zeros(rows, dtype=int)
+    for tile in T._tiles(ctx):
+        covered[tile.rows] += 1
+    np.testing.assert_array_equal(covered, 1)
+
+
+def test_each_tile_is_a_run_of_one_sequence(small_tiles):
+    # every row: each sequence's rows in order, in tiles of SMALL_TILE rows
+    # (the last one partial), reading the sequence's first packed rows up to
+    # the tile's last query; a sequence of length 0 has no tile
+    ctx = _rule_context("all_rows")
+    first = np.cumsum(RULE_LENGTHS) - RULE_LENGTHS
+    want = []
+    for seq, (f, length) in enumerate(zip(first.tolist(), RULE_LENGTHS)):
+        for r0 in range(0, length, SMALL_TILE):
+            r1 = min(length, r0 + SMALL_TILE)
+            want.append((seq, slice(f + r0, f + r1), slice(r0, r1), slice(f, f + r1)))
+    assert T._tiles(ctx) == want
+    # the ranked rows: one one-row tile per sequence, keys up to its ranked position
+    ranked = _rule_context("rows")
+    want = [(seq, slice(seq, seq + 1), slice(p, p + 1), slice(f, f + p + 1)) for seq, (f, p) in enumerate(zip(first, RULE_ROWS))]
+    assert T._tiles(ranked) == want
+
+
+@pytest.mark.parametrize("path", ["all_rows", "rows"])
+def test_tiles_follow_the_dense_mask(small_tiles, path):
+    # random lengths, some of them 0 on the every-row path; on the rows path
+    # one drawn position a sequence. Each tile's causal mask is the dense
+    # layout at its query rows, and its keys hold every key those rows attend.
     for seed in range(8):
         rng = np.random.default_rng(seed)
         lens = rng.integers(0 if path == "all_rows" else 1, TILED_N + 1, size=3)
@@ -375,22 +372,14 @@ def test_tiles_from_extents_follow_the_dense_mask(small_tiles, path):
         if path == "rows":
             ctx = ctx.at_rows(rng.integers(0, lens))
         allowed = dense_allowed(ctx)
-        b, m = ctx.extent.shape
-        tiles = {t.rows.start: t for t in T._tiles(ctx.extent)}
-        for r0 in range(0, m, SMALL_TILE):
-            rows = slice(r0, min(m, r0 + SMALL_TILE))
-            live = np.flatnonzero(allowed[:, rows].any(axis=(1, 2)))
-            if not live.size:
-                assert r0 not in tiles
-                skipped += 1
-                continue
-            tile = tiles.pop(r0)
-            assert tile.rows == rows
-            np.testing.assert_array_equal(np.arange(b)[tile.seqs], live)
-            assert tile.kend == np.flatnonzero(allowed[:, rows].any(axis=(0, 1)))[-1] + 1
-            np.testing.assert_array_equal(tile.mask, allowed[live, rows, : tile.kend])
-        assert not tiles
-    assert skipped > 0 or path == "rows"
+        seen = np.zeros(allowed.shape[:2], dtype=bool)
+        causal = np.tri(TILED_N, dtype=bool)
+        for tile in T._tiles(ctx):
+            assert tile.keys.stop - tile.keys.start == tile.pos.stop <= ctx.lengths[tile.seq]
+            np.testing.assert_array_equal(T._at(causal, tile), allowed[tile.seq, tile.pos, : tile.pos.stop])
+            assert not allowed[tile.seq, tile.pos, tile.pos.stop :].any()
+            seen[tile.seq, tile.pos] = True
+        np.testing.assert_array_equal(seen, allowed.any(axis=-1))  # every query row, and nothing else
 
 
 def test_context_buckets_only_the_sequences_with_a_valid_row(monkeypatch):
@@ -408,32 +397,34 @@ def test_context_buckets_only_the_sequences_with_a_valid_row(monkeypatch):
     assert bucketed == [int(np.sum(np.array(RULE_LENGTHS) > r)) for r in range(1, TILED_N)]
 
 
+INDEPENDENT_LENGTHS = (150, 3, 97, 150, 1, 64)  # 64-row tiles, full and partial, and a one-row sequence
+
+
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("kind", ["ams", "hstu", "softmax"])
 @pytest.mark.parametrize("path", ["all_rows", "rows"])
-def test_live_sequence_tiles_are_bitwise_equal_to_every_sequence_tiles(monkeypatch, small_tiles, kind, heads, path):
-    ctx = _padded_context(TILED_N, 6, seed=heads, lengths=RULE_LENGTHS)
+def test_each_sequence_is_bitwise_what_it_is_alone(kind, heads, path):
+    # each sequence's output rows and its q, k and v gradients are bitwise
+    # those of a batch that holds that sequence alone, at the same width
+    lens = np.array(INDEPENDENT_LENGTHS)
+    batch, cfg = _padded_batch(int(lens.max()), 6, seed=heads, lengths=lens)
+    ctx = M.build_attn_context(batch, cfg)
     q, k, v, alpha, beta = _operands(heads, ctx, seed=80 + heads)
+    ranked = np.random.default_rng(81).integers(0, lens)
     if path == "rows":
-        ctx = ctx.at_rows(RULE_ROWS)
+        ctx = ctx.at_rows(ranked)
         q = ctx.query(q)
-    operands = (q, k, v, alpha, beta)
-    tiled, _ = _ops(kind, heads, ctx)
-    got = _output_and_grads(tiled, operands)
-    live_tiles = T._tiles
-
-    def every_sequence(extent):
-        b = extent.shape[0]
-        return [
-            T._Tile(slice(0, b), rows, kend, np.arange(kend) < extent[:, rows, None])
-            for _, rows, kend, _ in live_tiles(extent)
-        ]
-
-    monkeypatch.setattr(T, "_tiles", every_sequence)
-    want = _output_and_grads(tiled, operands)
-    assert len(got) == len(want) == 4 + (0 if kind == "softmax" else 2 * heads)  # the output and every gradient
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
+    weights = np.random.default_rng(82).normal(size=(q.shape[0], (3 if kind == "ams" else 1) * q.shape[1]))
+    out, dq, dk, dv = _output_and_grads(_ops(kind, heads, ctx)[0], (q, k, v, alpha, beta), weights=weights)[:4]
+    for b, (first, length) in enumerate(zip(ctx.first, lens)):
+        keys = slice(first, first + length)
+        rows = keys if path == "all_rows" else slice(b, b + 1)
+        alone = M.build_attn_context(SequenceBatch(batch.items[b : b + 1], batch.timestamps[b : b + 1], lens[b : b + 1]), cfg)
+        alone = alone.at_rows(None if path == "all_rows" else ranked[b : b + 1])
+        operands = (Tensor(q.data[rows]), Tensor(k.data[keys]), Tensor(v.data[keys]), alpha, beta)
+        got = _output_and_grads(_ops(kind, heads, alone)[0], operands, weights=weights[rows])[:4]
+        for g, want in zip(got, (out[rows], dq[rows], dk[keys], dv[keys])):
+            np.testing.assert_array_equal(g, want)
 
 
 @pytest.mark.parametrize("heads", [1, 2])

@@ -57,6 +57,14 @@ def test_batch_names_a_negative_item_and_where_it_is():
         SequenceBatch.from_sequences([[3], [1, -2]], [[5], [1, 2]], 3)
 
 
+def test_batch_rejects_a_valid_len_outside_its_width():
+    # a length past the width would claim more packed rows than the row holds
+    with pytest.raises(ValueError, match=r"valid_len 5 of row 0 is outside \[0, 3\]"):
+        SequenceBatch(np.array([[1, 2, 3], [4, 5, 0]]), np.array([[1, 2, 3], [4, 5, 0]]), np.array([5, 2]))
+    with pytest.raises(ValueError, match=r"valid_len -1 of row 1 is outside \[0, 3\]"):
+        SequenceBatch(np.array([[1, 2, 3], [0, 0, 0]]), np.array([[1, 2, 3], [0, 0, 0]]), np.array([3, -1]))
+
+
 def test_batch_rejects_a_width_below_one():
     with pytest.raises(ValueError, match="n=0"):
         SequenceBatch.from_sequences([[1, 2]], [[1, 2]], 0)

@@ -5,7 +5,6 @@ import pytest
 from conftest import random_batch, random_params, tiny_config
 
 from fuxi_alpha import model as M
-from fuxi_alpha import tensor as T
 from fuxi_alpha.model import SequenceBatch
 from fuxi_alpha.tensor import Tape, backward
 from fuxi_alpha.train import next_item_negatives, next_item_targets
@@ -76,17 +75,3 @@ def test_next_item_targets_are_packed():
     targets = next_item_targets(batch)
     # one entry per valid position, 0 at each sequence's last one
     assert targets.tolist() == [5, 7, 0, 9, 4, 1, 0, 0]
-
-
-def test_full_grids_are_views_of_the_packed_rows():
-    x = np.arange(12.0).reshape(6, 2)
-    full = np.arange(6)
-    grid = T._grid(x, full, (2, 3))
-    assert grid.shape == (2, 3, 2) and np.shares_memory(grid, x)
-    assert np.shares_memory(T._packed(grid, full), x)
-    # a partial grid is a zero-filled copy, and packing it again gives the rows back
-    partial = np.array([0, 1, 3])
-    grid = T._grid(x[:3], partial, (2, 3))
-    assert not np.shares_memory(grid, x)
-    np.testing.assert_array_equal(grid[0, 2], 0.0)
-    np.testing.assert_array_equal(T._packed(grid, partial), x[:3])

@@ -112,17 +112,20 @@ def test_rms_norm_scale_invariance():
     np.testing.assert_allclose(a, b, atol=1e-8)
 
 
-def test_masked_softmax_zeroes_disallowed_and_handles_empty_rows():
+def test_masked_softmax_zeroes_disallowed_keys():
     # with V the identity the attention output is its weight matrix, here the
-    # masked softmax of the scores [1, 2, 3] in both rows
-    q = Tensor(np.array([[np.sqrt(3.0), 0.0, 0.0]] * 2))
+    # causal softmax of the scores [1, 2, 3] of one sequence of three positions
+    q = Tensor(np.array([[np.sqrt(3.0), 0.0, 0.0]] * 3))
     k = Tensor(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
-    # the first row attends keys 0 and 1, the second none
-    ctx = T.AttnContext(np.array([[2, 0]]), 3, bucket_idx=None, rel_idx=None, keys=np.arange(3), queries=np.arange(2))
+    ctx = T.AttnContext(first=np.array([0]), lengths=np.array([3]), bucket_idx=None, rel_idx=None)
     p = T.masked_softmax_attention(q, k, Tensor(np.eye(3)), ctx, heads=1).data
-    assert p[0, 2] == 0.0
-    np.testing.assert_allclose(p[0, :2].sum(), 1.0, atol=1e-12)
-    np.testing.assert_array_equal(p[1], np.zeros(3))
+    np.testing.assert_array_equal(p[0], [1.0, 0.0, 0.0])  # position 0 attends key 0 alone
+    assert p[1, 2] == 0.0
+    np.testing.assert_allclose(p[1, :2].sum(), 1.0, atol=1e-12)
+    np.testing.assert_allclose(p[2], np.exp([1.0, 2.0, 3.0]) / np.exp([1.0, 2.0, 3.0]).sum(), atol=1e-12)
+    # the ranked position 1 alone: its row of the above
+    ranked = T.masked_softmax_attention(Tensor(q.data[:1]), k, Tensor(np.eye(3)), ctx.at_rows(np.array([1])), heads=1)
+    np.testing.assert_array_equal(ranked.data, p[1:2])
 
 
 def test_backward_sum_gives_ones():
@@ -222,7 +225,7 @@ def _gradcheck_cases(rng):
     ridx = rng.integers(0, 5, size=(4, 2))
     xq = Tensor(rng.normal(size=(4, 3)))
     cand = rng.integers(0, 5, size=(4, 3))
-    causal4 = T.AttnContext(np.arange(1, 5)[None], 4, None, None, keys=np.arange(4), queries=np.arange(4))
+    causal4 = T.AttnContext(np.array([0]), np.array([4]), None, None)
     return [
         (lambda: T.matmul(a, b).sum(), [a, b]),
         (lambda: T.silu(c).sum(), [c]),

@@ -12,8 +12,8 @@ It prints:
 - one sha256 per variant at 1 and 2 heads over the loss, every parameter
   gradient, forward_hidden (every row, and one row per sequence) and
   forward, on a fixed batch of six sequences whose lengths (150, 3, 97, 150,
-  1, 64) span several attention tiles and leave some tiles' sequences
-  non-consecutive.
+  1, 64) give full and partial 64-row attention tiles and a one-row
+  sequence.
 
 Every file is written in a temporary directory, removed on exit.
 """
