@@ -341,6 +341,7 @@ def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
     # block's entries on and above the diagonal are set back to 0.
     ts = batch.timestamps
     bucket_idx = np.zeros((b, n, n), dtype=np.min_scalar_type(cfg.n_buckets - 1))
+    max_bucket = 0
     step = max(1, _BUCKET_BLOCK // max(1, b * n))
     for r0 in range(1, n, step):
         r1 = min(n, r0 + step)
@@ -351,8 +352,11 @@ def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
         block = bucket_indices(np.maximum(ts[seqs, r0:r1, None] - ts[seqs, None, : r1 - 1], 0), cfg)
         block[:, pos[None, : r1 - 1] >= pos[r0:r1, None]] = 0
         bucket_idx[seqs, r0:r1, : r1 - 1] = block
+        max_bucket = max(max_bucket, int(block.max()))
     lengths = batch.valid_len
-    return AttnContext(first=np.cumsum(lengths) - lengths, lengths=lengths, bucket_idx=bucket_idx, rel_idx=rel)
+    return AttnContext(
+        first=np.cumsum(lengths) - lengths, lengths=lengths, bucket_idx=bucket_idx, rel_idx=rel, max_bucket=max_bucket
+    )
 
 
 # layers ----------------------------------------------------------------------
@@ -537,7 +541,11 @@ def predict_next(
     # padding changes no hidden state, so the history is padded to its own width
     batch = SequenceBatch.from_sequences([items], [timestamps], min(len(items), cfg.n))
     hidden = forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data[0]
-    scores = params.item_emb.data[1:] @ hidden
-    ids = np.arange(1, cfg.vocab)
-    order = np.lexsort((ids, -scores))
-    return [int(ids[i]) for i in order[:k]]
+    key = -(params.item_emb.data[1:] @ hidden)  # ascending key, then ascending id
+    # Only the ids whose key is at most the k-th smallest are sorted. A NaN
+    # compares false, so a NaN key stays a candidate, sorted last as a full
+    # sort would, and a NaN k-th key keeps every id.
+    kth = np.partition(key, k - 1)[k - 1]
+    cand = np.flatnonzero(~(key > kth))
+    order = cand[np.lexsort((cand, key[cand]))]
+    return (order[:k] + 1).tolist()

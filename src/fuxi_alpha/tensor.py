@@ -4,12 +4,21 @@ Small by design: exactly the operations the FuXi block needs, each with a
 hand-written backward rule that grad_check can verify against central
 differences. Arrays are numpy float64 throughout; reductions keep numpy's
 fixed evaluation order so repeated runs are bitwise identical.
+
+A training step's memory is what the tape keeps alive, so the tape keeps
+only what backward reads. Each tensor has a gradient slot (grad,
+requires_grad, tape and shape, never the data); the tape records the output
+slot and the backward rule of every op, and a rule captures its inputs'
+slots and the arrays it reads; the only Tensors a rule reaches are
+attention's bias parameters. An op output that no rule reads, such as a
+projection fed only to a residual add or the scores fed to the loss's
+concat, is freed as soon as the model drops it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -34,9 +43,11 @@ __all__ = [
     "grad_check_params",
 ]
 
-# Element budget of one chunk's gathered [rows, k, d] block in rows_dot, so
-# scoring large negative-sample blocks keeps peak memory bounded.
-_CHUNK_ELEMS = 4_000_000
+# Element budget of one chunk's gathered [rows, k, d] block in rows_dot:
+# 512 KB of float64, so the block is still in cache when the einsum reads
+# it. It sizes a scratch block, not the op's memory, which its [P, k]
+# scores and gradients set.
+_CHUNK_ELEMS = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -46,13 +57,21 @@ class ShapeError(ValueError):
 class Tape:
     """Records operations in execution order for one reverse pass.
 
+    Each node is an op's output slot and its backward rule. The tape holds
+    no Tensor and no output array: the arrays backward reads live in the
+    rules' closures, each rule keeping only what its formula reads (matmul
+    and mul their operands, silu, relu and rows_dot their inputs, rms_norm
+    its input and row scales, logsumexp its probabilities, attention q, k
+    and v), and add, scale, reshape, swap_last, concat, sum and take keep
+    no activation (take only its index array).
+
     Execution order is a topological order, so `backward` replays the node
     list reversed and visits every recorded op exactly once. A tape can be
     consumed by backward() only once.
     """
 
     def __init__(self) -> None:
-        self._nodes: list[tuple["Tensor", Callable[[np.ndarray], None]]] = []
+        self._nodes: list[tuple[_Slot, Callable[[np.ndarray], None]]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -73,20 +92,49 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-class Tensor:
-    """A dense float64 array plus an optional gradient buffer."""
+class _Slot:
+    """What the tape and the backward rules keep of a tensor: its gradient,
+    whether it wants one, the tape that recorded it and its shape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "tape")
+    __slots__ = ("grad", "requires_grad", "tape", "shape")
+
+    def __init__(self, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.tape: Tape | None = None
+        self.shape: tuple[int, ...] = ()
+
+
+def _through(name: str) -> property:
+    """A Tensor attribute read and written through to its slot."""
+    return property(lambda t: getattr(t.slot, name), lambda t, value: setattr(t.slot, name, value))
+
+
+class Tensor:
+    """A dense float64 array plus its gradient slot."""
+
+    __slots__ = ("_data", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
+        self.slot = _Slot(bool(requires_grad))
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self.tape: Tape | None = None
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._data = value
+        self.slot.shape = value.shape  # kept true when a parameter's array is replaced
+
+    grad = _through("grad")
+    requires_grad = _through("requires_grad")
+    tape = _through("tape")
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self.slot.shape
 
     @property
     def ndim(self) -> int:
@@ -146,18 +194,22 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+def _record(out: Tensor, inputs: Sequence[_Slot | Tensor], backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    """Put out's slot and its backward rule on the active tape if an input
+    wants a gradient. The rule must capture no op output (see Tape): each
+    op rebinds its input names to their slots before defining its rule."""
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.tape = tape
-        tape._nodes.append((out, backward_fn))
+        tape._nodes.append((out.slot, backward_fn))
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, own: bool = False) -> None:
-    """Add g into t's grad. own=True promises g is freshly allocated and not
-    aliased anywhere else, so it may be adopted without a defensive copy."""
+def _accumulate(t: _Slot | Tensor, g: np.ndarray, own: bool = False) -> None:
+    """Add g into the grad of slot (or tensor) t. own=True promises g is
+    freshly allocated and not aliased anywhere else, so it may be adopted
+    without a defensive copy."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -182,6 +234,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
+    a, b = a.slot, b.slot
 
     def bwd(g: np.ndarray) -> None:
         ga = _unbroadcast(g, a.shape)
@@ -194,16 +247,19 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+    a, b = a.slot, b.slot
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g * b.data, a.shape), own=True)
-        _accumulate(b, _unbroadcast(g * a.data, b.shape), own=True)
+        _accumulate(a, _unbroadcast(g * bd, a.shape), own=True)
+        _accumulate(b, _unbroadcast(g * ad, b.shape), own=True)
 
     return _record(out, (a, b), bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
+    a = a.slot
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g * c, own=True)
@@ -216,10 +272,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = Tensor(np.matmul(a.data, b.data))
+    ad, bd = a.data, b.data
+    a, b = a.slot, b.slot
 
     def bwd(g: np.ndarray) -> None:
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
         _accumulate(a, _unbroadcast(ga, a.shape), own=True)
         _accumulate(b, _unbroadcast(gb, b.shape), own=True)
 
@@ -250,12 +308,13 @@ def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), the gating nonlinearity used throughout the model.
 
     Only x is kept for the backward pass, which recomputes the sigmoid."""
-    out = _sigmoid(x.data)
-    out *= x.data
+    x, xd = x.slot, x.data
+    out = _sigmoid(xd)
+    out *= xd
     result = Tensor(out)
 
     def bwd(g: np.ndarray) -> None:
-        dx = _silu_grad(x.data, _sigmoid(x.data))
+        dx = _silu_grad(xd, _sigmoid(xd))
         dx *= g
         _accumulate(x, dx, own=True)
 
@@ -264,9 +323,10 @@ def silu(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
+    x, xd = x.slot, x.data
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate(x, g * (x.data > 0.0), own=True)
+        _accumulate(x, g * (xd > 0.0), own=True)
 
     return _record(out, (x,), bwd)
 
@@ -279,20 +339,22 @@ def rms_norm(x: Tensor, gain: Tensor | None = None, eps: float = 1e-6) -> Tensor
     if eps <= 0:
         raise ValueError("rms_norm: eps must be positive")
     d = x.shape[-1]
-    r = np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + eps)
-    normed = x.data / r
-    gd = gain.data if gain is not None else None
-    out = Tensor(normed * gd if gd is not None else normed)
+    xd, gd = x.data, gain.data if gain is not None else None
+    r = np.sqrt(np.mean(xd * xd, axis=-1, keepdims=True) + eps)
+    out = xd / r
+    if gd is not None:
+        out *= gd
+    inputs = (x,) if gain is None else (x, gain)
+    x, gain = x.slot, gain.slot if gain is not None else None
 
     def bwd(g: np.ndarray) -> None:
         gg = g * gd if gd is not None else g
-        dot = np.sum(gg * x.data, axis=-1, keepdims=True)
-        _accumulate(x, gg / r - x.data * (dot / (d * r**3)), own=True)
-        if gain is not None:
-            _accumulate(gain, _unbroadcast(g * normed, gain.shape), own=True)
+        dot = np.sum(gg * xd, axis=-1, keepdims=True)
+        _accumulate(x, gg / r - xd * (dot / (d * r**3)), own=True)
+        if gain is not None:  # x / r again, rather than a second [.., d] array kept from forward
+            _accumulate(gain, _unbroadcast(g * (xd / r), gain.shape), own=True)
 
-    inputs = (x,) if gain is None else (x, gain)
-    return _record(out, inputs, bwd)
+    return _record(Tensor(out), inputs, bwd)
 
 
 def _masked_softmax_rows(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -308,10 +370,12 @@ def _masked_softmax_rows(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def logsumexp(x: Tensor) -> Tensor:
     """log(sum(exp(x))) over the last axis, max-shifted for stability."""
     m = np.max(x.data, axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    s = np.sum(e, axis=-1, keepdims=True)
+    p = x.data - m
+    np.exp(p, out=p)
+    s = np.sum(p, axis=-1, keepdims=True)
     out = Tensor((m + np.log(s)).squeeze(-1))
-    p = e / s
+    p /= s  # the probabilities, the one array the rule keeps
+    x = x.slot
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(x, np.expand_dims(g, -1) * p, own=True)
@@ -321,6 +385,7 @@ def logsumexp(x: Tensor) -> Tensor:
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(np.sum(x.data, axis=axis, keepdims=keepdims))
+    x = x.slot
 
     def bwd(g: np.ndarray) -> None:
         if axis is None:
@@ -339,6 +404,7 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     out = Tensor(x.data.reshape(shape))
+    x = x.slot
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(x, g.reshape(x.shape))
@@ -349,6 +415,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 def swap_last(x: Tensor) -> Tensor:
     """Transpose the last two axes."""
     out = Tensor(np.swapaxes(x.data, -1, -2))
+    x = x.slot
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(x, np.swapaxes(g, -1, -2))
@@ -360,6 +427,7 @@ def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
     parts = list(parts)
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     widths = [p.shape[axis] for p in parts]
+    parts = [p.slot for p in parts]
 
     def bwd(g: np.ndarray) -> None:
         offset = 0
@@ -396,6 +464,7 @@ def take(values: Tensor, idx: np.ndarray) -> Tensor:
     if values.ndim not in (1, 2):
         raise ShapeError(f"take: values must be a vector or a 2-D table, got {values.shape}")
     out = Tensor(values.data[idx])
+    values = values.slot
 
     def bwd(g: np.ndarray) -> None:
         cols = g.reshape(idx.size, math.prod(values.shape[1:]))
@@ -407,8 +476,9 @@ def take(values: Tensor, idx: np.ndarray) -> Tensor:
 def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
     """Score rows of x against gathered table rows without materializing the gather.
 
-    out[p, k] = x[p, :] . table[idx[p, k], :] for x [P, d] and idx [P, K]. Work
-    is chunked so peak memory stays bounded even for large candidate counts.
+    out[p, k] = x[p, :] . table[idx[p, k], :] for x [P, d] and idx [P, K]. The
+    gather goes in chunks of rows of at most _CHUNK_ELEMS elements; a row's
+    result does not depend on the chunking.
     """
     if table.ndim != 2:
         raise ShapeError(f"rows_dot: table must be 2-D, got {table.shape}")
@@ -416,20 +486,22 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
         raise ShapeError(f"rows_dot: index shape {idx.shape} does not match x shape {x.shape}")
     rows, d = x.shape
     k = idx.shape[1]
+    xd, td = x.data, table.data
+    x, table = x.slot, table.slot
     scores = np.empty((rows, k))
     chunk = max(1, _CHUNK_ELEMS // max(1, k * d))
     for s in range(0, rows, chunk):
-        scores[s : s + chunk] = np.einsum("rd,rkd->rk", x.data[s : s + chunk], table.data[idx[s : s + chunk]])
+        scores[s : s + chunk] = np.einsum("rd,rkd->rk", xd[s : s + chunk], td[idx[s : s + chunk]])
     out = Tensor(scores)
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
-            gx = np.empty_like(x.data)
+            gx = np.empty_like(xd)
             for s in range(0, rows, chunk):
-                gx[s : s + chunk] = np.einsum("rk,rkd->rd", g[s : s + chunk], table.data[idx[s : s + chunk]])
+                gx[s : s + chunk] = np.einsum("rk,rkd->rd", g[s : s + chunk], td[idx[s : s + chunk]])
             _accumulate(x, gx, own=True)
         if table.requires_grad:
-            _accumulate(table, _scatter(idx, lambda j: g * x.data[:, j : j + 1], table.shape), own=True)
+            _accumulate(table, _scatter(idx, lambda j: g * xd[:, j : j + 1], table.shape), own=True)
 
     return _record(out, (x, table), bwd)
 
@@ -474,6 +546,7 @@ class AttnContext:
     lengths: np.ndarray     # [B] each sequence's valid positions
     bucket_idx: np.ndarray  # [B, n, n] time bucket of t_i - t_j (clipped at 0) where j < i, else 0; narrowest unsigned dtype
     rel_idx: np.ndarray     # [n, n] index distance i - j (clipped at 0)
+    max_bucket: int         # the largest entry of bucket_idx
     positions: np.ndarray | None = None  # [B] the one query position of each sequence; None for every row
 
     @property
@@ -486,7 +559,7 @@ class AttnContext:
         positions[b] of sequence b. positions=None keeps every query row."""
         if positions is None:
             return self
-        return AttnContext(self.first, self.lengths, self.bucket_idx, self.rel_idx, positions)
+        return replace(self, positions=positions)
 
     def query(self, x: Tensor) -> Tensor:
         """The query rows of the packed x [T, ·]: x itself, or its rows at `rows`."""
@@ -608,20 +681,23 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int, ch
     tiles = _tiles(ctx)
     causal = np.tri(max((t.pos.stop for t in tiles), default=0), dtype=bool)  # key j <= query i
     out = np.empty((queries, len(channels), width))  # every query row lies in one tile
+    qd, kd, vd = q.data, k.data, v.data
+    inputs = (q, k, v, *(t for bias in terms for t in bias))
+    q, k, v = q.slot, k.slot, v.slot
     views = _workspace(tiles, slots=2)
     for tile in tiles:
         mask = _at(causal, tile)
         tiled = [[(bias, _at(idx, tile)) for bias, idx in ch.biases] for ch in channels]
         ws = views(mask.shape)
         for h, cols in enumerate(head_cols):
-            qt, kt, vt = q.data[tile.rows, cols], k.data[tile.keys, cols], v.data[tile.keys, cols]
+            qt, kt, vt = qd[tile.rows, cols], kd[tile.keys, cols], vd[tile.keys, cols]
             for c, ch in enumerate(channels):
                 w = _weights(ch, tiled[c], h, mask, qt, kt, ws)
                 out[tile.rows, c, cols] = np.matmul(w, vt)
     result = Tensor(out.reshape(queries, -1))
 
     def bwd(g: np.ndarray) -> None:
-        g = g.reshape(out.shape)
+        g = g.reshape(queries, len(channels), width)
         dq, dk, dv = np.empty(q.shape), np.zeros(k.shape), np.zeros(v.shape)
         d_bias = {t: np.zeros(t.shape) for bias in terms for t in bias if t.requires_grad}
         views = _workspace(tiles, slots=4)
@@ -630,7 +706,7 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int, ch
             tiled = [[(bias, _at(idx, tile)) for bias, idx in ch.biases] for ch in channels]
             ws = views(mask.shape)
             for h, cols in enumerate(head_cols):
-                qt, kt, vt = q.data[tile.rows, cols], k.data[tile.keys, cols], v.data[tile.keys, cols]
+                qt, kt, vt = qd[tile.rows, cols], kd[tile.keys, cols], vd[tile.keys, cols]
                 for c in reversed(range(len(channels))):  # as a tape replay would
                     ch, gc = channels[c], g[tile.rows, c, cols]
                     w = _weights(ch, tiled[c], h, mask, qt, kt, ws)
@@ -658,7 +734,7 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int, ch
         _accumulate(k, dk, own=True)
         _accumulate(v, dv, own=True)
 
-    return _record(result, (q, k, v, *(t for bias in terms for t in bias)), bwd)
+    return _record(result, inputs, bwd)
 
 
 def silu_attention(
@@ -682,6 +758,12 @@ def silu_attention(
     concatenated within each channel. q, k and v are packed as ctx lays out
     (see above); the output is packed as q.
     """
+    # the largest index each bias is read at: the context's largest bucket,
+    # and the longest sequence's last position
+    for name, vectors, top in (("alpha", alpha, ctx.max_bucket), ("beta", beta, int(ctx.lengths.max(initial=1)) - 1)):
+        if any(t.shape[0] <= top for t in vectors):
+            sizes = [t.shape[0] for t in vectors]
+            raise ShapeError(f"silu_attention: {name} vectors of {sizes} entries are read at index {top}")
     temporal, positional = (alpha, ctx.bucket_idx), (beta, ctx.rel_idx)
     if summed:  # HSTU
         channels = [_Channel("silu", inv_n, (temporal, positional))]
@@ -722,9 +804,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
     nodes = tape._nodes
     while nodes:
         # Each node is dropped once replayed, and its output's gradient once
-        # passed on, so the arrays they hold are freed as the pass proceeds.
-        out, bwd = nodes.pop()
-        g, out.grad = out.grad, None
+        # passed on, so the arrays its rule keeps are freed as the pass proceeds.
+        slot, bwd = nodes.pop()
+        g, slot.grad = slot.grad, None
         if g is not None:
             bwd(g)
 

@@ -19,7 +19,7 @@ from fuxi_alpha import model as M
 from fuxi_alpha import tensor as T
 from fuxi_alpha.model import ModelConfig, SequenceBatch
 from fuxi_alpha.tensor import Tape, Tensor
-from fuxi_alpha.train import AdamW, TrainConfig, next_item_negatives, next_item_targets, train_step
+from fuxi_alpha.train import AdamW, TrainConfig, batch_loss, next_item_negatives, next_item_targets, train_step
 
 
 def _padded_batch(n: int, n_buckets: int, seed: int, lengths=None) -> tuple[SequenceBatch, ModelConfig]:
@@ -138,6 +138,27 @@ def test_ops_reject_operands_of_the_wrong_shape(kind):
             op(q, k, v, alpha, beta[:1])
 
 
+@pytest.mark.parametrize("summed", [False, True], ids=["ams", "hstu"])
+def test_a_bias_shorter_than_its_index_map_is_rejected(summed):
+    # one sequence of 8: beta is read up to index 7 and alpha up to the
+    # context's largest bucket; a shorter vector used to be read clipped in
+    # forward, and backward then failed inside numpy
+    batch, cfg = _padded_batch(8, 16, seed=0, lengths=[8])
+    ctx = M.build_attn_context(batch, cfg)
+    top = int(ctx.bucket_idx.max())
+    assert ctx.max_bucket == top > 0
+    q, k, v = (Tensor(np.random.default_rng(i).normal(size=(8, 4)), requires_grad=True) for i in range(3))
+    alpha, beta = [Tensor(np.zeros(top + 1))], [Tensor(np.zeros(8))]
+    with pytest.raises(T.ShapeError, match=r"beta vectors of \[3\] entries are read at index 7"):
+        T.silu_attention(q, k, v, alpha, [Tensor(np.zeros(3))], ctx, 1.0 / 8, summed)
+    with pytest.raises(T.ShapeError, match=rf"alpha vectors of \[{top}\] entries are read at index {top}"):
+        T.silu_attention(q, k, v, [Tensor(np.zeros(top))], beta, ctx, 1.0 / 8, summed)
+    with Tape() as tape:  # long enough: forward and backward run
+        loss = T.silu_attention(q, k, v, alpha, beta, ctx, 1.0 / 8, summed).sum()
+    T.backward(loss, tape)
+    assert q.grad is not None
+
+
 def test_context_holds_no_b_m_n_array_but_narrow_buckets():
     # the layout is each sequence's first packed row and length; the time
     # buckets are the one [B, n, n] map, kept whole for one query row per sequence
@@ -176,6 +197,7 @@ def test_context_matches_the_dense_formula(monkeypatch, b, n, block):
         np.testing.assert_array_equal(dense_allowed(ctx), allowed)  # a padded query row attends nothing
         dense = M.bucket_indices(np.maximum(ts[:, :, None] - ts[:, None, :], 0), cfg)
         np.testing.assert_array_equal(ctx.bucket_idx[allowed], dense[allowed])
+        assert ctx.max_bucket == dense[allowed].max(initial=0)
         causal = pos[:, None] >= pos[None, :]
         np.testing.assert_array_equal(ctx.rel_idx[causal], (pos[:, None] - pos[None, :])[causal])
         assert ctx.positions is None and ctx.rows is None
@@ -217,8 +239,20 @@ def test_forward_tape_holds_no_n_by_n_array(kind):
     params = M.init_params(cfg, kind, seed=0)
     with Tape() as tape:
         M.forward_hidden(_step_batch(cfg, 2), params, cfg)
-    shapes = [out.shape for out, _ in tape._nodes]
+    shapes = [slot.shape for slot, _ in tape._nodes]
     assert shapes and all(shape[-2:] != (cfg.n, cfg.n) for shape in shapes)
+
+
+@pytest.mark.parametrize("kind", M.VARIANT_KINDS)
+def test_step_rules_capture_no_tensor(kind):
+    # a rule keeps the arrays it reads and its inputs' gradient slots, so an
+    # op output no rule reads is freed once the model drops it
+    cfg = ModelConfig(vocab=20, d=4, d_h=3, heads=2, d_ffn=6, layers=2, n=7, n_buckets=8, negatives=3)
+    params = M.init_params(cfg, kind, seed=0)
+    with Tape() as tape:
+        batch_loss(_step_batch(cfg, 2), params, cfg, np.random.default_rng(0))
+    cells = [cell.cell_contents for _, rule in tape._nodes for cell in rule.__closure__ or ()]
+    assert cells and not [x for x in cells if isinstance(x, Tensor)]
 
 
 def test_desk_shaped_step_tape_length():

@@ -554,6 +554,28 @@ def test_predict_breaks_ties_by_ascending_id():
     assert M.predict_next([1], [5], params, cfg, k=5) == [1, 2, 3, 4, 5]
 
 
+def test_predict_top_k_matches_a_full_sort():
+    # duplicate embedding rows put ties across the k-th score; inf and NaN
+    # rows give non-finite scores, a NaN sorting after every number
+    cfg = tiny_config(vocab=12, d=2, layers=0)
+    params = M.init_params(cfg, "full", seed=0)
+    params.pos_emb.data[:] = 0.0
+    e = np.random.default_rng(3).normal(size=(12, 2))
+    e[[4, 7, 9]] = e[2]
+    e[[5, 11]] = e[8]
+    for rows in ([], [3], [3, 6, 10]):
+        rows_e = e.copy()
+        rows_e[rows[:1]] = [np.inf, 0.0]
+        rows_e[rows[1:]] = np.nan
+        params.item_emb.data = rows_e
+        hidden = M.forward_hidden(SequenceBatch(np.array([[1]]), np.array([[5]]), np.array([1])), params, cfg).data[0]
+        scores = rows_e[1:] @ hidden
+        ids = np.arange(1, cfg.vocab)
+        full = ids[np.lexsort((ids, -scores))].tolist()
+        for k in range(1, cfg.vocab):
+            assert M.predict_next([1], [5], params, cfg, k=k) == full[:k]
+
+
 def test_predict_rejects_empty_history():
     cfg = tiny_config()
     params = random_params(cfg)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -79,6 +80,48 @@ def test_silu_keeps_only_its_input_for_backward():
     np.testing.assert_allclose(x.grad, s * (1.0 + x.data * (1.0 - s)), rtol=0, atol=1e-15)
 
 
+_UNREAD_OUTPUTS = {
+    # an op output, and the op it is fed to, whose rule reads no array
+    "matmul_into_add": (lambda x, table, idx: T.matmul(x, T.swap_last(table)), lambda y, x: T.add(y, y)),
+    "rows_dot_into_concat": (lambda x, table, idx: T.rows_dot(x, table, idx), lambda y, x: T.concat([y, y])),
+    "take_into_add": (lambda x, table, idx: T.take(table, idx[:, 0]), lambda y, x: T.add(y, x)),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREAD_OUTPUTS))
+def test_an_output_no_rule_reads_is_freed_when_dropped(case):
+    produce, consume = _UNREAD_OUTPUTS[case]
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    table = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    idx = rng.integers(0, 5, size=(6, 3))
+    with Tape() as tape:
+        y = produce(x, table, idx)
+        freed = weakref.ref(y.data)
+        loss = T.tsum(consume(y, x))
+        del y
+        assert freed() is None
+    backward(loss, tape)
+    assert x.grad is not None and table.grad is not None
+
+
+def test_arrays_a_rule_reads_live_until_backward_replays_it():
+    # matmul keeps its operands and silu its input; once backward has popped
+    # their nodes they are freed
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    with Tape() as tape:
+        h = T.scale(x, 2.0)
+        pre = T.matmul(h, w)
+        kept = [weakref.ref(h.data), weakref.ref(pre.data)]
+        loss = T.tsum(T.silu(pre))
+        del h, pre
+    assert all(ref() is not None for ref in kept)
+    backward(loss, tape)
+    assert all(ref() is None for ref in kept)
+
+
 def test_silu_no_overflow_for_extreme_inputs():
     out = T.silu(Tensor([-800.0, 800.0, 0.0]))
     assert np.all(np.isfinite(out.data))
@@ -117,7 +160,7 @@ def test_masked_softmax_zeroes_disallowed_keys():
     # causal softmax of the scores [1, 2, 3] of one sequence of three positions
     q = Tensor(np.array([[np.sqrt(3.0), 0.0, 0.0]] * 3))
     k = Tensor(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
-    ctx = T.AttnContext(first=np.array([0]), lengths=np.array([3]), bucket_idx=None, rel_idx=None)
+    ctx = T.AttnContext(first=np.array([0]), lengths=np.array([3]), bucket_idx=None, rel_idx=None, max_bucket=0)
     p = T.masked_softmax_attention(q, k, Tensor(np.eye(3)), ctx, heads=1).data
     np.testing.assert_array_equal(p[0], [1.0, 0.0, 0.0])  # position 0 attends key 0 alone
     assert p[1, 2] == 0.0
@@ -225,7 +268,7 @@ def _gradcheck_cases(rng):
     ridx = rng.integers(0, 5, size=(4, 2))
     xq = Tensor(rng.normal(size=(4, 3)))
     cand = rng.integers(0, 5, size=(4, 3))
-    causal4 = T.AttnContext(np.array([0]), np.array([4]), None, None)
+    causal4 = T.AttnContext(np.array([0]), np.array([4]), None, None, 0)
     return [
         (lambda: T.matmul(a, b).sum(), [a, b]),
         (lambda: T.silu(c).sum(), [c]),
