@@ -77,9 +77,8 @@ def evaluate(
     chunks of batch_size in order of history length (stably); each chunk is
     padded to its longest history (at most n), and only the last position of
     each history is computed in the last block. Padding costs no attention
-    work; sorting keeps each chunk's padded width, and with it the
-    [B, n, n] time-bucket map, close to its histories' lengths, so
-    batch_size bounds memory. The ranks are reported in input order.
+    work; sorting keeps a chunk's width, padded inputs and shared time-bucket
+    blocks close to its histories' lengths. Ranks are reported in input order.
     """
     if not instances:
         raise ValueError("evaluate: empty partition")

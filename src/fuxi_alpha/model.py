@@ -29,6 +29,7 @@ Feed-forward halves, each starting with a fusion projection plus residual:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -82,7 +83,7 @@ class ModelConfig:
             problems.append("layers must be >= 0")
         if self.time_bucket_base <= 0 or self.max_time_span <= 0 or self.rms_eps <= 0:
             problems.append("time_bucket_base, max_time_span and rms_eps must be positive")
-        for name in ("time_bucket_base", "rms_eps"):
+        for name in ("time_bucket_base", "max_time_span", "rms_eps"):
             if not math.isfinite(getattr(self, name)):
                 problems.append(f"{name} must be finite")
         if self.negatives > self.vocab - 2:
@@ -300,10 +301,7 @@ def bucket_indices(delta: np.ndarray, cfg: ModelConfig) -> np.ndarray:
         out[~small] = cfg.n_buckets - 1
     else:
         frac = np.log(u[~small] / half) / math.log(max_u / half)
-        out[~small] = np.minimum(
-            half + (frac * (cfg.n_buckets - half)).astype(np.int64),
-            cfg.n_buckets - 1,
-        )
+        out[~small] = np.minimum(half + (frac * (cfg.n_buckets - half)).astype(np.int64), cfg.n_buckets - 1)
     return out
 
 
@@ -312,51 +310,64 @@ def relative_time_bucket(delta_t: float, cfg: ModelConfig) -> int:
     return int(bucket_indices(np.array([delta_t]), cfg)[0])
 
 
+def bucket_edges(cfg: ModelConfig) -> np.ndarray:
+    """The exact integer edges E [n_buckets] of `bucket_indices`, read-only,
+    found once per bucketing config. E[b] is the smallest integer difference
+    in bucket b or above (int64 max if no int64 one is); bucketing never
+    falls as a difference grows, so d >= 0 lies in bucket
+    searchsorted(E, d, side="right") - 1."""
+    return _edges(cfg.n_buckets, cfg.time_bucket_base, cfg.max_time_span)
+
+
+@functools.lru_cache(maxsize=None)
+def _edges(n_buckets: int, base: float, span: int) -> np.ndarray:
+    cfg = ModelConfig(vocab=3, negatives=1, n_buckets=n_buckets, time_bucket_base=base, max_time_span=span)
+    lo, hi = np.zeros(n_buckets - 1, dtype=np.int64), np.full(n_buckets - 1, np.iinfo(np.int64).max)
+    while np.any(hi - lo > 1):  # bisection for buckets 1, 2, ...: lo lies below, hi in or above, or is int64 max
+        mid = lo + (hi - lo) // 2
+        up = bucket_indices(mid, cfg) >= np.arange(1, n_buckets)
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    edges = np.concatenate([[0], hi])
+    edges.flags.writeable = False
+    return edges
+
+
 # attention context ------------------------------------------------------------
 
-# query rows per block of `build_attn_context`'s bucketing, as entries of [B, rows, n]
-_BUCKET_BLOCK = 1 << 16
 
-
-def _consecutive(idx: np.ndarray) -> slice | np.ndarray:
-    """The ascending indices idx as a slice when they are consecutive, so
-    that indexing by them gives views; else idx itself."""
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
+@functools.lru_cache(maxsize=None)
+def _distances(n: int) -> np.ndarray:
+    """[n, n] index distance i - j, clipped at 0; read-only, built once per model width."""
+    pos = np.arange(n, dtype=np.min_scalar_type(-n))
+    rel = np.maximum(np.subtract.outer(pos, pos), 0)
+    rel.flags.writeable = False
+    return rel
 
 
 def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
-    """The batch's attention layout (`tensor.AttnContext`), with every valid position a query row."""
-    b, n = batch.items.shape
-    pos = np.arange(n, dtype=np.min_scalar_type(-n))
-    rel = np.subtract.outer(pos, pos)
-    np.maximum(rel, 0, out=rel)
-    # Only keys j < query i of a valid row need a bucket: the diagonal has
-    # t_i - t_j = 0, which is bucket 0, and no other entry is attended. The
-    # query rows go in blocks over the keys before the block's last row, and
-    # each block over the sequences that have a valid row in it, so
-    # bucketing's float and int64 temporaries stay block-sized and neither
-    # the upper half of the [n, n] map nor a padded block is bucketed; the
-    # block's entries on and above the diagonal are set back to 0.
-    ts = batch.timestamps
-    bucket_idx = np.zeros((b, n, n), dtype=np.min_scalar_type(cfg.n_buckets - 1))
-    max_bucket = 0
-    step = max(1, _BUCKET_BLOCK // max(1, b * n))
-    for r0 in range(1, n, step):
-        r1 = min(n, r0 + step)
-        live = np.flatnonzero(batch.valid_len > r0)
-        if not live.size:
-            break
-        seqs = _consecutive(live)
-        block = bucket_indices(np.maximum(ts[seqs, r0:r1, None] - ts[seqs, None, : r1 - 1], 0), cfg)
-        block[:, pos[None, : r1 - 1] >= pos[r0:r1, None]] = 0
-        bucket_idx[seqs, r0:r1, : r1 - 1] = block
-        max_bucket = max(max_bucket, int(block.max()))
-    lengths = batch.valid_len
-    return AttnContext(
-        first=np.cumsum(lengths) - lengths, lengths=lengths, bucket_idx=bucket_idx, rel_idx=rel, max_bucket=max_bucket
-    )
+    """The batch's attention layout (`tensor.AttnContext`): every valid
+    position a query row, in tiles of up to `tensor._TILE_ROWS` rows of one
+    sequence, each with the buckets of t_i - t_j at queries i and keys j:
+    the count of `bucket_edges` after E[0] it reaches, exact, and 0 if j > i."""
+    lengths, ts, n, step = batch.valid_len, batch.timestamps, batch.items.shape[1], T._TILE_ROWS
+    first, edges, longest = np.cumsum(lengths) - lengths, bucket_edges(cfg)[1:], int(lengths.max(initial=0))
+    # The tiles at rows [r0, r0 + step) of all sequences that reach r0 share
+    # [G, t, r1] blocks of up to _CHUNK_ELEMS entries, so short histories
+    # share a call and int64 temporaries stay cache-sized. A tile's buckets
+    # are a view of its block; entries past a sequence's length go unread.
+    tiles, tops, by_length = [[] for _ in lengths], [0], np.argsort(lengths, kind="stable")
+    for r0 in range(0, longest, step):
+        live, r1 = by_length[lengths[by_length] > r0], min(r0 + step, longest)
+        group = max(1, T._CHUNK_ELEMS // ((r1 - r0) * r1))  # sequences a block
+        for seqs in np.split(live, range(group, live.size, group)):
+            stops = np.minimum(lengths[seqs], r1)  # each tile's end; the last is the block's
+            gaps = ts[seqs, r0 : stops[-1], None] - ts[seqs, None, : stops[-1]]
+            block = np.searchsorted(edges, gaps, side="right").astype(np.min_scalar_type(cfg.n_buckets - 1))
+            tops.append(int(block[np.arange(len(seqs)), stops - r0 - 1, 0].max()))  # a tile's largest: last row, key 0
+            for seq, f, stop, buckets in zip(seqs.tolist(), first[seqs].tolist(), stops.tolist(), block):
+                tile = T._Tile(seq, slice(f + r0, f + stop), slice(r0, stop), slice(f, f + stop), buckets[: stop - r0, :stop])
+                tiles[seq].append(tile)
+    return AttnContext(first, lengths, tiles, _distances(max(n, cfg.n))[:n, :n], max(tops))
 
 
 # layers ----------------------------------------------------------------------

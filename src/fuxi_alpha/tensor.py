@@ -43,10 +43,10 @@ __all__ = [
     "grad_check_params",
 ]
 
-# Element budget of one chunk's gathered [rows, k, d] block in rows_dot:
-# 512 KB of float64, so the block is still in cache when the einsum reads
-# it. It sizes a scratch block, not the op's memory, which its [P, k]
-# scores and gradients set.
+# Element budget of one scratch block: rows_dot's gathered [rows, k, d] block
+# and build_attn_context's [G, t, r1] time differences, 512 KB of 8-byte
+# entries, so the block is still in cache when the next pass reads it. It
+# sizes a scratch block, not an op's memory.
 _CHUNK_ELEMS = 1 << 16
 
 
@@ -358,9 +358,9 @@ def rms_norm(x: Tensor, gain: Tensor | None = None, eps: float = 1e-6) -> Tensor
 
 
 def _masked_softmax_rows(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of x restricted to `mask`, in place in x;
-    every row's mask holds at least one entry."""
-    np.copyto(x, -np.inf, where=~mask)
+    """Softmax over the last axis of the 2-D x, in place in x, restricted in
+    its last len(mask) columns to `mask`; every row keeps at least one entry."""
+    np.copyto(x[:, -len(mask) :], -np.inf, where=~mask)
     x -= np.max(x, axis=-1, keepdims=True)
     np.exp(x, out=x)  # exactly 0 outside the mask
     x /= np.sum(x, axis=-1, keepdims=True)
@@ -514,19 +514,30 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
 # [softmax]. q, k and v arrive packed, one row per valid position, each
 # sequence's rows consecutive from its first packed row (AttnContext); q
 # holds every row, or one per sequence after `at_rows`. The query at
-# position i of a sequence attends that sequence's keys [0, i], so the op
-# walks each sequence's query rows in tiles of up to _TILE_ROWS consecutive
-# rows: a tile of positions [r0, r1) reads the sequence's first r1 key rows,
-# and its q, k and v are slices of the packed arrays. For each head and
-# channel it computes q·kᵀ, the [t, r1] weight map under the causal mask,
-# W·V and every gradient, and writes them to the packed output and to the
-# packed dq, dk and dv in place; nothing is laid out on a padded grid. A
+# position i of a sequence attends that sequence's keys [0, i], so the
+# context cuts each sequence's query rows into tiles (_Tile) of up to
+# _TILE_ROWS consecutive rows, once per batch: a tile of positions [r0, r1)
+# reads the sequence's first r1 key rows, its q, k and v are slices of the
+# packed arrays, and it carries its [t, r1] time buckets. All its rows attend
+# every key before r0, so the causal mask covers only the last t columns.
+# For each head and channel the op computes q·kᵀ, the weight map, W·V and
+# every gradient, written in place to the packed output, dq, dk and dv. The
 # tile's [t, r1] arrays are views of a float64 workspace allocated once per
 # call for the largest tile and reused across tiles, heads and channels.
 # Backward rebuilds each map with the code forward ran (_weights), replaying
 # the channels in reverse as a tape would, so no weight map stays on the
 # tape. Head h is the h-th equal slice of the last axis of q, k and v, and
 # the heads are concatenated within each channel of the output.
+
+_TILE_ROWS = 64
+
+
+class _Tile(NamedTuple):
+    seq: int             # the sequence
+    rows: slice          # the tile's query rows, packed
+    pos: slice           # their positions [r0, r1) in the sequence
+    keys: slice          # the sequence's first r1 packed rows, every key the rows attend
+    buckets: np.ndarray  # [t, r1] time bucket of t_i - t_j at query i and key j (0 where j > i), narrowest uint
 
 
 @dataclass
@@ -539,14 +550,14 @@ class AttnContext:
     rows [first[b], first[b] + lengths[b]). Valid positions are a prefix and
     attention is causal: the query at position i attends the sequence's keys
     [0, i]. The query rows are every packed row (positions=None), or one per
-    sequence, at positions[b], after `at_rows`.
+    sequence, at positions[b], after `at_rows`; each lies in one tile.
     """
 
-    first: np.ndarray       # [B] each sequence's first packed row
-    lengths: np.ndarray     # [B] each sequence's valid positions
-    bucket_idx: np.ndarray  # [B, n, n] time bucket of t_i - t_j (clipped at 0) where j < i, else 0; narrowest unsigned dtype
-    rel_idx: np.ndarray     # [n, n] index distance i - j (clipped at 0)
-    max_bucket: int         # the largest entry of bucket_idx
+    first: np.ndarray         # [B] each sequence's first packed row
+    lengths: np.ndarray       # [B] each sequence's valid positions
+    tiles: list[list[_Tile]]  # [B] each sequence's tiles of query rows, in order of position
+    rel_idx: np.ndarray       # [n, n] index distance i - j (clipped at 0), read-only
+    max_bucket: int           # the largest time bucket a tile reads
     positions: np.ndarray | None = None  # [B] the one query position of each sequence; None for every row
 
     @property
@@ -555,46 +566,21 @@ class AttnContext:
         return None if self.positions is None else self.first + self.positions
 
     def at_rows(self, positions: np.ndarray | None) -> AttnContext:
-        """The context of one query row per sequence, at the valid position
-        positions[b] of sequence b. positions=None keeps every query row."""
+        """The every-row context narrowed to one query row per sequence, at
+        valid position p = positions[b] of sequence b: row p alone of the tile
+        holding p, over keys [0, p + 1). positions=None keeps every query row."""
         if positions is None:
             return self
-        return replace(self, positions=positions)
+        tiles = []
+        for seq, p in enumerate(positions.tolist()):
+            tile = self.tiles[seq][p // _TILE_ROWS]
+            row, keys = p - tile.pos.start, slice(tile.keys.start, tile.keys.start + p + 1)
+            tiles.append([_Tile(seq, slice(seq, seq + 1), slice(p, p + 1), keys, tile.buckets[row : row + 1, : p + 1])])
+        return replace(self, tiles=tiles, positions=positions)
 
     def query(self, x: Tensor) -> Tensor:
         """The query rows of the packed x [T, ·]: x itself, or its rows at `rows`."""
         return x if self.positions is None else take(x, self.rows)
-
-
-_TILE_ROWS = 64
-
-
-class _Tile(NamedTuple):
-    seq: int     # the sequence
-    rows: slice  # the tile's query rows, packed
-    pos: slice   # their positions [r0, r1) in the sequence
-    keys: slice  # the sequence's first r1 packed rows, every key the rows attend
-
-
-def _tiles(ctx: AttnContext) -> list[_Tile]:
-    """Every query row's tile: up to _TILE_ROWS consecutive query rows of one sequence."""
-    first = ctx.first.tolist()
-    if ctx.positions is None:  # sequence b's query rows are its packed rows, at positions [0, length)
-        spans = [(row, 0, length) for row, length in zip(first, ctx.lengths.tolist())]
-    else:  # query row b is sequence b's position positions[b]
-        spans = [(b, p, p + 1) for b, p in enumerate(ctx.positions.tolist())]
-    tiles = []
-    for seq, (row, start, stop) in enumerate(spans):
-        for r0 in range(start, stop, _TILE_ROWS):
-            r1 = min(stop, r0 + _TILE_ROWS)
-            rows = slice(row + r0 - start, row + r1 - start)
-            tiles.append(_Tile(seq, rows, slice(r0, r1), slice(first[seq], first[seq] + r1)))
-    return tiles
-
-
-def _at(x: np.ndarray, tile: _Tile) -> np.ndarray:
-    """The tile's [t, r1] entries of a [B, n, n] map, or of an [n, n] map shared by every sequence."""
-    return (x if x.ndim == 2 else x[tile.seq])[tile.pos, : tile.pos.stop]
 
 
 def _workspace(tiles: list[_Tile], slots: int) -> Callable[[tuple[int, ...]], list[np.ndarray]]:
@@ -629,32 +615,34 @@ class _Channel(NamedTuple):
     the query row does not attend, is SiLU(q·kᵀ)·scale plus each bias term
     in order (score "silu"), the softmax of q·kᵀ·scale over the attended
     keys ("softmax"), or the one bias term (None). A bias term (vectors,
-    index map) is vectors[h] gathered through a [B, n, n] map or an [n, n]
-    map shared by every sequence."""
+    index) is vectors[h] gathered through index(tile), the tile's [t, r1]
+    index map."""
 
     score: str | None
     scale: float = 1.0
-    biases: tuple[tuple[Sequence[Tensor], np.ndarray], ...] = ()
+    biases: tuple[tuple[Sequence[Tensor], Callable[[_Tile], np.ndarray]], ...] = ()
 
 
 def _weights(ch: _Channel, biases, h: int, mask: np.ndarray, qt: np.ndarray, kt: np.ndarray, ws) -> np.ndarray:
-    """Head h's weight map of channel ch on a tile with the given mask, from
-    the tile's q and k rows qt and kt and the channel's bias terms cut to the
-    tile; forward and backward both build it here. Of the workspace slots
-    ws, the score stays in slot 0 and its sigmoid in slot 1, the map is in
-    slot 0 (softmax) or 2, and a gathered bias passes through slot 3."""
+    """Head h's weight map of channel ch on a tile, from the tile's q and k
+    rows qt and kt and the channel's bias terms cut to the tile; forward and
+    backward both build it here. mask is the causal mask of the map's last t
+    columns, the only keys a row may not attend. Of the workspace slots ws,
+    the score stays in slot 0 and its sigmoid in slot 1, the map is in slot
+    0 (softmax) or 2, and a gathered bias passes through slot 3."""
     if ch.score is None:
         ((bias, idx),) = biases
-        return np.multiply(_gather(bias[h], idx, ws[3]), mask, out=ws[2])
-    s = np.matmul(qt, kt.T, out=ws[0])
-    if ch.score == "softmax":
-        s *= ch.scale
-        return _masked_softmax_rows(s, mask)
-    w = np.multiply(s, _sigmoid(s, ws[1]), out=ws[2])
-    w *= ch.scale
-    for bias, idx in biases:
-        w += _gather(bias[h], idx, ws[3])
-    w *= mask
+        w = _gather(bias[h], idx, ws[2])
+    else:
+        s = np.matmul(qt, kt.T, out=ws[0])
+        if ch.score == "softmax":
+            s *= ch.scale
+            return _masked_softmax_rows(s, mask)
+        w = np.multiply(s, _sigmoid(s, ws[1]), out=ws[2])
+        w *= ch.scale
+        for bias, idx in biases:
+            w += _gather(bias[h], idx, ws[3])
+    w[:, -len(mask) :] *= mask
     return w
 
 
@@ -678,17 +666,17 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int, ch
         raise ShapeError(f"attention: {heads} heads need {heads} vectors per bias, got {[len(bias) for bias in terms]}")
     d_h = width // heads
     head_cols = [slice(h * d_h, (h + 1) * d_h) for h in range(heads)]
-    tiles = _tiles(ctx)
-    causal = np.tri(max((t.pos.stop for t in tiles), default=0), dtype=bool)  # key j <= query i
+    tiles = [tile for own in ctx.tiles for tile in own]
+    causal = np.tri(max((len(t.buckets) for t in tiles), default=0), dtype=bool)  # key j <= query i
     out = np.empty((queries, len(channels), width))  # every query row lies in one tile
     qd, kd, vd = q.data, k.data, v.data
     inputs = (q, k, v, *(t for bias in terms for t in bias))
     q, k, v = q.slot, k.slot, v.slot
     views = _workspace(tiles, slots=2)
     for tile in tiles:
-        mask = _at(causal, tile)
-        tiled = [[(bias, _at(idx, tile)) for bias, idx in ch.biases] for ch in channels]
-        ws = views(mask.shape)
+        mask = causal[: len(tile.buckets), : len(tile.buckets)]  # on the tile's own positions
+        tiled = [[(bias, index(tile)) for bias, index in ch.biases] for ch in channels]
+        ws = views(tile.buckets.shape)
         for h, cols in enumerate(head_cols):
             qt, kt, vt = qd[tile.rows, cols], kd[tile.keys, cols], vd[tile.keys, cols]
             for c, ch in enumerate(channels):
@@ -702,9 +690,9 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int, ch
         d_bias = {t: np.zeros(t.shape) for bias in terms for t in bias if t.requires_grad}
         views = _workspace(tiles, slots=4)
         for tile in tiles:
-            mask = _at(causal, tile)
-            tiled = [[(bias, _at(idx, tile)) for bias, idx in ch.biases] for ch in channels]
-            ws = views(mask.shape)
+            mask = causal[: len(tile.buckets), : len(tile.buckets)]
+            tiled = [[(bias, index(tile)) for bias, index in ch.biases] for ch in channels]
+            ws = views(tile.buckets.shape)
             for h, cols in enumerate(head_cols):
                 qt, kt, vt = qd[tile.rows, cols], kd[tile.keys, cols], vd[tile.keys, cols]
                 for c in reversed(range(len(channels))):  # as a tape replay would
@@ -719,7 +707,7 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int, ch
                         dw -= np.sum(np.multiply(dw, w, out=ws[2]), axis=-1, keepdims=True)
                         dw *= w
                     else:
-                        dw *= mask
+                        dw[:, -len(mask) :] *= mask
                     for grad, idx in grads:
                         grad += _scatter(idx, lambda j: dw, grad.shape)
                     if ch.score is not None:
@@ -751,12 +739,12 @@ def silu_attention(
 
     Head h weighs value j at query i of sequence b by the semantic score
     SiLU(q_i·k_j)·inv_n, the position bias beta[h][ctx.rel_idx[i, j]] and the
-    time bias alpha[h][ctx.bucket_idx[b, i, j]], over the sequence's keys
-    [0, i] and zero elsewhere. summed=False applies the three to V
-    separately and returns the channels [semantic | positional | temporal];
-    summed=True applies their sum and returns one channel. Heads are
-    concatenated within each channel. q, k and v are packed as ctx lays out
-    (see above); the output is packed as q.
+    time bias alpha[h] at the bucket of t_i - t_j (its tile's `buckets`),
+    over the sequence's keys [0, i] and zero elsewhere. summed=False applies
+    the three to V separately and returns the channels [semantic | positional
+    | temporal]; summed=True applies their sum and returns one channel. Heads
+    are concatenated within each channel. q, k and v are packed as ctx lays
+    out (see above); the output is packed as q.
     """
     # the largest index each bias is read at: the context's largest bucket,
     # and the longest sequence's last position
@@ -764,7 +752,8 @@ def silu_attention(
         if any(t.shape[0] <= top for t in vectors):
             sizes = [t.shape[0] for t in vectors]
             raise ShapeError(f"silu_attention: {name} vectors of {sizes} entries are read at index {top}")
-    temporal, positional = (alpha, ctx.bucket_idx), (beta, ctx.rel_idx)
+    temporal = (alpha, lambda tile: tile.buckets)
+    positional = (beta, lambda tile: ctx.rel_idx[tile.pos, : tile.pos.stop])
     if summed:  # HSTU
         channels = [_Channel("silu", inv_n, (temporal, positional))]
     else:  # AMS

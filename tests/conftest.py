@@ -249,16 +249,33 @@ def _head(x: Tensor, h: int, heads: int) -> Tensor:
     return T.matmul(x, Tensor(select))
 
 
-def dense_silu_attention(q, k, v, alpha, beta, ctx, inv_n, summed):
-    """tensor.silu_attention, each head's weight maps built whole and masked."""
+def dense_buckets(timestamps: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """[B, n, n] time bucket of t_i - t_j (clipped at 0) at every pair of the
+    padded grid, one `_bucket_scalar` call an entry."""
+    b, n = timestamps.shape
+    ts = timestamps.tolist()
+    out = np.zeros((b, n, n), dtype=np.int64)
+    for s in range(b):
+        for i in range(n):
+            for j in range(n):
+                out[s, i, j] = _bucket_scalar(max(ts[s][i] - ts[s][j], 0), cfg)
+    return out
+
+
+def dense_silu_attention(q, k, v, alpha, beta, ctx, inv_n, summed, timestamps, cfg):
+    """tensor.silu_attention, each head's weight maps built whole and masked.
+    The time-bucket and distance maps are its own, from the batch timestamps
+    [B, n] and cfg; the context gives only the layout."""
     q, k, v, queries = _grids(q, k, v, ctx)
     heads = len(alpha)
     mask = Tensor(dense_allowed(ctx).astype(np.float64))
+    pos = np.arange(timestamps.shape[1])
+    buckets, distances = dense_buckets(timestamps, cfg), np.maximum(pos[:, None] - pos[None, :], 0)
     channels = ([], [], [])
     for h in range(heads):
         qh, kh, vh = (_head(x, h, heads) for x in (q, k, v))
         w = T.scale(T.silu(T.matmul(qh, T.swap_last(kh))), inv_n)
-        time_bias, pos_bias = T.take(alpha[h], ctx.bucket_idx), T.take(beta[h], ctx.rel_idx)
+        time_bias, pos_bias = T.take(alpha[h], buckets), T.take(beta[h], distances)
         if summed:
             w = T.add(T.add(w, time_bias), pos_bias)
         channels[0].append(T.matmul(T.mul(w, mask), vh))

@@ -1,11 +1,13 @@
 """The fused attention ops: gradients, tiling, the tape they leave, and the memory they take."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import (
     dense_allowed,
+    dense_buckets,
     dense_silu_attention,
     dense_softmax_attention,
     random_params,
@@ -145,8 +147,9 @@ def test_a_bias_shorter_than_its_index_map_is_rejected(summed):
     # forward, and backward then failed inside numpy
     batch, cfg = _padded_batch(8, 16, seed=0, lengths=[8])
     ctx = M.build_attn_context(batch, cfg)
-    top = int(ctx.bucket_idx.max())
+    top = int(dense_buckets(batch.timestamps, cfg)[0][np.tri(8, dtype=bool)].max())  # over the attended keys
     assert ctx.max_bucket == top > 0
+    assert max(int(tile.buckets.max()) for own in ctx.tiles for tile in own) == top
     q, k, v = (Tensor(np.random.default_rng(i).normal(size=(8, 4)), requires_grad=True) for i in range(3))
     alpha, beta = [Tensor(np.zeros(top + 1))], [Tensor(np.zeros(8))]
     with pytest.raises(T.ShapeError, match=r"beta vectors of \[3\] entries are read at index 7"):
@@ -161,27 +164,37 @@ def test_a_bias_shorter_than_its_index_map_is_rejected(summed):
 
 def test_context_holds_no_b_m_n_array_but_narrow_buckets():
     # the layout is each sequence's first packed row and length; the time
-    # buckets are the one [B, n, n] map, kept whole for one query row per sequence
+    # buckets are each tile's own narrow [t, r1] block, a view, for every row
+    # and for one query row per sequence; no [B, n, n] array is left
     ctx = _padded_context(5, 6, seed=0)
     for c in (ctx, ctx.at_rows(np.array([3, 1]))):
         b, n = len(c.lengths), c.rel_idx.shape[0]
         arrays = {name: x for name, x in vars(c).items() if isinstance(x, np.ndarray)}
-        assert [name for name, x in arrays.items() if x.size >= b * n * n] == ["bucket_idx"]
+        assert [name for name, x in arrays.items() if x.size >= b * n * n] == []
+        tiles = [tile for own in c.tiles for tile in own]
+        assert tiles and sum(tile.buckets.size for tile in tiles) < b * n * n
+        for tile in tiles:
+            assert tile.buckets.dtype == np.uint8 and tile.buckets.base is not None
+            assert tile.buckets.shape == (tile.pos.stop - tile.pos.start, tile.pos.stop)
     assert ctx.first.dtype.kind == ctx.lengths.dtype.kind == "i"
-    assert ctx.bucket_idx.dtype == np.uint8
     assert not any(isinstance(value, Tensor) for value in vars(ctx).values())
 
 
 @pytest.mark.parametrize("b, n, block", [(5, 9, 1 << 16), (5, 9, 3 * 5 * 9), (3, 70, 1)])
 def test_context_matches_the_dense_formula(monkeypatch, b, n, block):
-    # bucketing all query rows at once, in blocks of three rows (the last one
-    # partial) or one row at a time, each block over the sequences with a
-    # valid row in it; large gaps reach the log-spaced and the clamped buckets
-    monkeypatch.setattr(M, "_BUCKET_BLOCK", block)
-    for seed in range(3):
+    # tiles of 3, 4 or 64 rows, bucketed in blocks of up to `block` entries:
+    # all sequences in one block, some (with 4-row tiles, n=9 and block 135,
+    # blocks of 4 and 1 full rows from row 4 on) or one a block; each block
+    # over the sequences with a valid row in its tiles. Three random length
+    # draws and one of full rows; large gaps reach the log-spaced and the
+    # clamped buckets. Every tile's block is the dense formula at its rows
+    # and keys, 0 above the diagonal.
+    monkeypatch.setattr(T, "_CHUNK_ELEMS", block)
+    for tile_rows, seed in itertools.product((3, 4, 64), range(4)):
+        monkeypatch.setattr(T, "_TILE_ROWS", tile_rows)
         cfg = ModelConfig(vocab=9, d=4, d_h=4, n=n, n_buckets=16, negatives=2, max_time_span=5000)
         rng = np.random.default_rng(seed)
-        lens = rng.integers(0, n + 1, size=b)
+        lens = rng.integers(0, n + 1, size=b) if seed < 3 else np.full(b, n)
         items = np.zeros((b, n), dtype=np.int64)
         ts = np.zeros((b, n), dtype=np.int64)
         for row, length in enumerate(lens):
@@ -196,7 +209,15 @@ def test_context_matches_the_dense_formula(monkeypatch, b, n, block):
         np.testing.assert_array_equal(ctx.first, np.cumsum(lens) - lens)
         np.testing.assert_array_equal(dense_allowed(ctx), allowed)  # a padded query row attends nothing
         dense = M.bucket_indices(np.maximum(ts[:, :, None] - ts[:, None, :], 0), cfg)
-        np.testing.assert_array_equal(ctx.bucket_idx[allowed], dense[allowed])
+        seen = np.zeros(allowed.shape, dtype=bool)
+        for seq, own in enumerate(ctx.tiles):
+            for tile in own:
+                assert tile.seq == seq and tile.buckets.dtype == np.uint8
+                keys = slice(0, tile.pos.stop)
+                want = np.where(allowed[seq, tile.pos, keys], dense[seq, tile.pos, keys], 0)
+                np.testing.assert_array_equal(tile.buckets, want)
+                seen[seq, tile.pos, keys] = True
+        np.testing.assert_array_equal(seen & allowed, allowed)  # every attended key has its bucket
         assert ctx.max_bucket == dense[allowed].max(initial=0)
         causal = pos[:, None] >= pos[None, :]
         np.testing.assert_array_equal(ctx.rel_idx[causal], (pos[:, None] - pos[None, :])[causal])
@@ -218,9 +239,14 @@ def test_at_rows_picks_one_query_row_per_sequence():
         picked = ctx.at_rows(positions)
         np.testing.assert_array_equal(picked.rows, np.cumsum(lens) - lens + positions)
         np.testing.assert_array_equal(picked.positions, positions)
-        # the layout and the maps are the context's own
-        for name in ("first", "lengths", "bucket_idx", "rel_idx"):
+        # the layout and the maps are the context's own; each tile's buckets a view of its row
+        for name in ("first", "lengths", "rel_idx", "max_bucket"):
             assert getattr(picked, name) is getattr(ctx, name)
+        for seq, (own, p) in enumerate(zip(picked.tiles, positions)):
+            (tile,) = own
+            held = ctx.tiles[seq][p // T._TILE_ROWS]
+            assert np.shares_memory(tile.buckets, held.buckets)
+            np.testing.assert_array_equal(tile.buckets, held.buckets[p - held.pos.start, : p + 1][None])
         x = Tensor(rng.normal(size=(int(lens.sum()), 3)))
         assert ctx.query(x) is x
         np.testing.assert_array_equal(picked.query(x).data, x.data[picked.rows])
@@ -302,8 +328,9 @@ def small_tiles(monkeypatch):
     monkeypatch.setattr(T, "_TILE_ROWS", SMALL_TILE)
 
 
-def _ops(kind: str, heads: int, ctx: M.AttnContext):
-    """(tiled op, its dense transcription), each a function of (q, k, v, alpha, beta)."""
+def _ops(kind: str, heads: int, ctx: M.AttnContext, batch: SequenceBatch | None = None, cfg: ModelConfig | None = None):
+    """(tiled op, its dense transcription), each a function of (q, k, v,
+    alpha, beta); the dense SiLU op reads the time buckets of batch under cfg."""
     if kind == "softmax":
         return (
             lambda q, k, v, alpha, beta: T.masked_softmax_attention(q, k, v, ctx, heads),
@@ -312,7 +339,7 @@ def _ops(kind: str, heads: int, ctx: M.AttnContext):
     args = (ctx, 1.0 / TILED_N, kind == "hstu")
     return (
         lambda q, k, v, alpha, beta: T.silu_attention(q, k, v, alpha, beta, *args),
-        lambda q, k, v, alpha, beta: dense_silu_attention(q, k, v, alpha, beta, *args),
+        lambda q, k, v, alpha, beta: dense_silu_attention(q, k, v, alpha, beta, *args, batch.timestamps, cfg),
     )
 
 
@@ -343,12 +370,13 @@ def _assert_close(got, want, rel=1e-12):
 @pytest.mark.parametrize("kind", ["ams", "hstu", "softmax"])
 @pytest.mark.parametrize("path", ["all_rows", "rows"])
 def test_tiled_ops_match_dense_transcription(small_tiles, kind, heads, path):
-    ctx = _padded_context(TILED_N, 6, seed=heads)
+    batch, cfg = _padded_batch(TILED_N, 6, seed=heads)
+    ctx = M.build_attn_context(batch, cfg)
     q, k, v, alpha, beta = _operands(heads, ctx, seed=40 + heads)
     if path == "rows":  # one arbitrary query row per sequence, as the ranked position is
         ctx = ctx.at_rows(np.array([7, 1]))  # position 7 of the first sequence, 1 of the second
         q = ctx.query(q)
-    tiled, dense = _ops(kind, heads, ctx)
+    tiled, dense = _ops(kind, heads, ctx, batch, cfg)
     operands = (q, k, v, alpha, beta)
     _assert_close(_output_and_grads(tiled, operands), _output_and_grads(dense, operands))
 
@@ -371,7 +399,7 @@ def test_every_query_row_lies_in_exactly_one_tile(small_tiles, path):
     ctx = _rule_context(path)
     rows = int(ctx.lengths.sum()) if path == "all_rows" else len(RULE_ROWS)
     covered = np.zeros(rows, dtype=int)
-    for tile in T._tiles(ctx):
+    for tile in (tile for own in ctx.tiles for tile in own):
         covered[tile.rows] += 1
     np.testing.assert_array_equal(covered, 1)
 
@@ -379,7 +407,14 @@ def test_every_query_row_lies_in_exactly_one_tile(small_tiles, path):
 def test_each_tile_is_a_run_of_one_sequence(small_tiles):
     # every row: each sequence's rows in order, in tiles of SMALL_TILE rows
     # (the last one partial), reading the sequence's first packed rows up to
-    # the tile's last query; a sequence of length 0 has no tile
+    # the tile's last query, with a [t, r1] bucket block; a sequence of length
+    # 0 has no tile
+    def layout(c):
+        """Each sequence's tiles as (seq, rows, pos, keys), and their bucket shapes."""
+        tiles = [tile for own in c.tiles for tile in own]
+        assert all(tile.buckets.shape == (tile.pos.stop - tile.pos.start, tile.pos.stop) for tile in tiles)
+        return [tuple(tile[:4]) for tile in tiles]
+
     ctx = _rule_context("all_rows")
     first = np.cumsum(RULE_LENGTHS) - RULE_LENGTHS
     want = []
@@ -387,18 +422,22 @@ def test_each_tile_is_a_run_of_one_sequence(small_tiles):
         for r0 in range(0, length, SMALL_TILE):
             r1 = min(length, r0 + SMALL_TILE)
             want.append((seq, slice(f + r0, f + r1), slice(r0, r1), slice(f, f + r1)))
-    assert T._tiles(ctx) == want
+    assert layout(ctx) == want
+    assert [len(own) for own in ctx.tiles] == [-(-length // SMALL_TILE) for length in RULE_LENGTHS]
     # the ranked rows: one one-row tile per sequence, keys up to its ranked position
     ranked = _rule_context("rows")
     want = [(seq, slice(seq, seq + 1), slice(p, p + 1), slice(f, f + p + 1)) for seq, (f, p) in enumerate(zip(first, RULE_ROWS))]
-    assert T._tiles(ranked) == want
+    assert layout(ranked) == want
+    assert [len(own) for own in ranked.tiles] == [1] * len(RULE_ROWS)
 
 
 @pytest.mark.parametrize("path", ["all_rows", "rows"])
 def test_tiles_follow_the_dense_mask(small_tiles, path):
     # random lengths, some of them 0 on the every-row path; on the rows path
-    # one drawn position a sequence. Each tile's causal mask is the dense
-    # layout at its query rows, and its keys hold every key those rows attend.
+    # one drawn position a sequence. Each tile's rows attend every key before
+    # its first position and, on its own positions, the causal [t, t] mask
+    # the op applies to its last t columns, as the dense layout at its rows
+    # has it; its keys hold every key those rows attend.
     for seed in range(8):
         rng = np.random.default_rng(seed)
         lens = rng.integers(0 if path == "all_rows" else 1, TILED_N + 1, size=3)
@@ -407,28 +446,62 @@ def test_tiles_follow_the_dense_mask(small_tiles, path):
             ctx = ctx.at_rows(rng.integers(0, lens))
         allowed = dense_allowed(ctx)
         seen = np.zeros(allowed.shape[:2], dtype=bool)
-        causal = np.tri(TILED_N, dtype=bool)
-        for tile in T._tiles(ctx):
+        for tile in (tile for own in ctx.tiles for tile in own):
             assert tile.keys.stop - tile.keys.start == tile.pos.stop <= ctx.lengths[tile.seq]
-            np.testing.assert_array_equal(T._at(causal, tile), allowed[tile.seq, tile.pos, : tile.pos.stop])
+            t = tile.pos.stop - tile.pos.start
+            mask = np.hstack([np.ones((t, tile.pos.start), dtype=bool), np.tri(t, dtype=bool)])
+            np.testing.assert_array_equal(mask, allowed[tile.seq, tile.pos, : tile.pos.stop])
             assert not allowed[tile.seq, tile.pos, tile.pos.stop :].any()
             seen[tile.seq, tile.pos] = True
         np.testing.assert_array_equal(seen, allowed.any(axis=-1))  # every query row, and nothing else
 
 
-def test_context_buckets_only_the_sequences_with_a_valid_row(monkeypatch):
-    # one query row per block: block r buckets the sequences longer than r
-    monkeypatch.setattr(M, "_BUCKET_BLOCK", 1)
-    bucketed = []
-    bucket_indices = M.bucket_indices
+def test_context_buckets_only_the_sequences_with_a_valid_row(small_tiles, monkeypatch):
+    # the tiles at rows [r0, r0 + 3) are bucketed together over the sequences
+    # longer than r0, in order of length, as one [G, t, r1] block of the G of
+    # them, or one block a sequence when the budget holds a single entry; a
+    # block's rows and keys end at the tiles' end or its longest sequence's
+    batch, cfg = _padded_batch(TILED_N, 6, seed=0, lengths=RULE_LENGTHS)
+    M.bucket_edges(cfg)  # found once, before the spy
+    searchsorted = np.searchsorted
+    for block in (1 << 16, 1):
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", block)
+        bucketed = []
 
-    def spy(delta, cfg):
-        bucketed.append(delta.shape[0])
-        return bucket_indices(delta, cfg)
+        def spy(edges, gaps, side):
+            bucketed.append(gaps.shape)
+            return searchsorted(edges, gaps, side=side)
 
-    monkeypatch.setattr(M, "bucket_indices", spy)
-    _padded_context(TILED_N, 6, seed=0, lengths=RULE_LENGTHS)
-    assert bucketed == [int(np.sum(np.array(RULE_LENGTHS) > r)) for r in range(1, TILED_N)]
+        monkeypatch.setattr(M.np, "searchsorted", spy)
+        M.build_attn_context(batch, cfg)
+        monkeypatch.setattr(M.np, "searchsorted", searchsorted)
+        want = []
+        for r0 in range(0, TILED_N, SMALL_TILE):
+            live = sorted(length for length in RULE_LENGTHS if length > r0)
+            r1 = min(r0 + SMALL_TILE, TILED_N)
+            for group in [live] if block > 1 else [[length] for length in live]:
+                end = min(r1, group[-1])
+                want.append((len(group), end - r0, end))
+        assert bucketed == want
+
+
+def test_at_rows_tiles_are_views_of_the_dense_bucket_rows(small_tiles):
+    # three full sequences ranked in their first tile (position 1), a middle
+    # one (5) and the last, partial one (10): each one-row tile is row p of
+    # the dense bucket map over keys [0, p + 1), a view of its tile's block
+    batch, cfg = _padded_batch(TILED_N, 6, seed=3, lengths=[TILED_N] * 3)
+    ctx = M.build_attn_context(batch, cfg)
+    positions = np.array([1, 5, TILED_N - 1])
+    ranked = ctx.at_rows(positions)
+    dense = dense_buckets(batch.timestamps, cfg)
+    for seq, (own, p) in enumerate(zip(ranked.tiles, positions.tolist())):
+        (tile,) = own
+        held = ctx.tiles[seq][p // SMALL_TILE]
+        assert held.pos.start <= p < held.pos.stop
+        assert tile.buckets.base is not None and np.shares_memory(tile.buckets, held.buckets)
+        assert (tile.pos, tile.keys.stop - tile.keys.start) == (slice(p, p + 1), p + 1)
+        np.testing.assert_array_equal(tile.buckets, dense[seq, p : p + 1, : p + 1])
+    assert [p // SMALL_TILE for p in positions] == [0, 1, len(ctx.tiles[0]) - 1]
 
 
 INDEPENDENT_LENGTHS = (150, 3, 97, 150, 1, 64)  # 64-row tiles, full and partial, and a one-row sequence

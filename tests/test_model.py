@@ -5,6 +5,8 @@ import pytest
 from conftest import random_batch, random_params, reference_logits, tiny_config
 
 from fuxi_alpha import model as M
+from fuxi_alpha.cli import build_model_config
+from fuxi_alpha.config import ConfigError
 from fuxi_alpha import tensor as T
 from fuxi_alpha.model import ModelConfig, SequenceBatch, Tensor
 from fuxi_alpha.tensor import Tape, backward
@@ -35,6 +37,18 @@ def test_config_rejects_bad_values():
     for name in ("time_bucket_base", "rms_eps"):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ModelConfig(vocab=10, negatives=4, **{name: math.nan})
+
+
+def test_config_rejects_a_non_finite_max_time_span():
+    # an infinite span put every difference of n_buckets // 2 units or more
+    # in bucket n_buckets // 2 and left the last bucket unreachable; it is a
+    # config error (exit code 2) like every other bad ModelConfig value
+    for span in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="max_time_span must be finite"):
+            ModelConfig(vocab=10, negatives=2, max_time_span=span)
+    document = {"model": {"variant": "full", "max_time_span": math.inf}, "data": {"n": 8}}
+    with pytest.raises(ConfigError, match="max_time_span must be finite"):
+        build_model_config(document, vocab=10)
 
 
 def test_batch_invariants_enforced():
@@ -180,6 +194,47 @@ def test_bucket_base_rescales_units():
     deltas = np.arange(0, 60 * 300, 37)
     buckets = M.bucket_indices(deltas, cfg)
     assert np.all(np.diff(buckets) >= 0)
+
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+# bucketing configs for the edge table: time_bucket_base 1 and 60 at 4 to
+# 128 buckets over the default two-year span, and two spans at or below
+# n_buckets // 2 units, where every difference past the exact half is the
+# last bucket and the buckets between are skipped
+EDGE_CONFIGS = [
+    *[dict(n_buckets=nb, time_bucket_base=base) for base in (1.0, 60.0) for nb in (4, 8, 16, 128)],
+    dict(n_buckets=16, max_time_span=5),
+    dict(n_buckets=8, time_bucket_base=60.0, max_time_span=120),
+]
+
+
+@pytest.mark.parametrize("spec", EDGE_CONFIGS, ids=lambda spec: "-".join(f"{k}={v}" for k, v in spec.items()))
+def test_bucket_edges_bucket_every_integer_difference_exactly(spec):
+    cfg = ModelConfig(vocab=10, negatives=2, **spec)
+    edges = M.bucket_edges(cfg)
+    assert edges.dtype == np.int64 and edges.shape == (cfg.n_buckets,) and not edges.flags.writeable
+    assert edges[0] == 0 and np.all(np.diff(edges) >= 0)
+    assert M.bucket_edges(ModelConfig(vocab=20, negatives=5, n=9, **spec)) is edges  # once per bucketing config
+    # every integer within 2 of each finite edge, and a seeded sample up to twice the span
+    near = sorted({e + k for e in edges.tolist() if e < INT64_MAX for k in range(-2, 3) if e + k >= 0})
+    sample = np.random.default_rng(len(near)).integers(0, 2 * cfg.max_time_span + 1, size=20_000)
+    for gaps in (np.array(near, dtype=np.int64), sample):
+        np.testing.assert_array_equal(np.searchsorted(edges, gaps, side="right") - 1, M.bucket_indices(gaps, cfg))
+
+
+def test_bucket_edges_end_where_no_int64_difference_reaches():
+    # with a span of 10**300 seconds int64 differences reach only the first
+    # log-spaced buckets: the bisection still ends, giving the rest int64 max
+    cfg = ModelConfig(vocab=10, negatives=2, max_time_span=10**300)
+    edges = M.bucket_edges(cfg)
+    top = int(M.bucket_indices(np.array([INT64_MAX]), cfg)[0])
+    assert cfg.n_buckets // 2 < top < cfg.n_buckets - 1
+    assert edges[top] < INT64_MAX and np.all(edges[top + 1 :] == INT64_MAX)
+    near = np.array([e + k for e in edges[: top + 1].tolist() for k in range(-2, 3) if 0 <= e + k < INT64_MAX])
+    sample = np.random.default_rng(1).integers(0, INT64_MAX, size=20_000)
+    for gaps in (near, sample):
+        np.testing.assert_array_equal(np.searchsorted(edges, gaps, side="right") - 1, M.bucket_indices(gaps, cfg))
 
 
 # ams_attention ------------------------------------------------------------------

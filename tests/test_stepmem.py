@@ -20,7 +20,10 @@ def test_stepmem_prints_the_step_memory_and_the_faults_of_each_phase():
     name, *pairs = line.split()
     fields = dict(pair.split("=") for pair in pairs)
     assert name == "train_desk"
-    assert list(fields) == ["tape_mb", "step_peak_mb", "faults_step", "faults_evaluate", "faults_request", "faults_setup"]
+    assert list(fields) == [
+        "tape_mb", "step_peak_mb", "faults_step", "faults_evaluate", "faults_request", "faults_setup",
+        "request_ms", "ctx_ms_request",
+    ]
     # the step's peak includes what its forward end holds
     assert 0 < float(fields["tape_mb"]) <= float(fields["step_peak_mb"])
     counts = r"\d+(,\d+)*"
@@ -29,3 +32,5 @@ def test_stepmem_prints_the_step_memory_and_the_faults_of_each_phase():
     assert re.fullmatch(counts, fields["faults_evaluate"]) and len(fields["faults_evaluate"].split(",")) == 2
     assert re.fullmatch(counts, fields["faults_setup"]) and len(fields["faults_setup"].split(",")) == 2
     assert float(fields["faults_request"]) >= 0
+    # a request's time includes its context's, one context a request
+    assert 0 < float(fields["ctx_ms_request"]) < float(fields["request_ms"])

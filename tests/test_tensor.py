@@ -5,8 +5,15 @@ import weakref
 import numpy as np
 import pytest
 
+from fuxi_alpha import model as M
 from fuxi_alpha import tensor as T
 from fuxi_alpha.tensor import Tape, Tensor, backward, grad_check
+
+
+def _one_sequence(length: int) -> T.AttnContext:
+    """The attention layout of one sequence of `length` positions, as the model builds it."""
+    items, ts = np.ones((1, length), dtype=np.int64), np.zeros((1, length), dtype=np.int64)
+    return M.build_attn_context(M.SequenceBatch(items, ts, [length]), M.ModelConfig(vocab=3, negatives=1, n=length))
 
 
 def test_matmul_identity():
@@ -160,7 +167,7 @@ def test_masked_softmax_zeroes_disallowed_keys():
     # causal softmax of the scores [1, 2, 3] of one sequence of three positions
     q = Tensor(np.array([[np.sqrt(3.0), 0.0, 0.0]] * 3))
     k = Tensor(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
-    ctx = T.AttnContext(first=np.array([0]), lengths=np.array([3]), bucket_idx=None, rel_idx=None, max_bucket=0)
+    ctx = _one_sequence(3)
     p = T.masked_softmax_attention(q, k, Tensor(np.eye(3)), ctx, heads=1).data
     np.testing.assert_array_equal(p[0], [1.0, 0.0, 0.0])  # position 0 attends key 0 alone
     assert p[1, 2] == 0.0
@@ -268,7 +275,7 @@ def _gradcheck_cases(rng):
     ridx = rng.integers(0, 5, size=(4, 2))
     xq = Tensor(rng.normal(size=(4, 3)))
     cand = rng.integers(0, 5, size=(4, 3))
-    causal4 = T.AttnContext(np.array([0]), np.array([4]), None, None, 0)
+    causal4 = _one_sequence(4)
     return [
         (lambda: T.matmul(a, b).sum(), [a, b]),
         (lambda: T.silu(c).sum(), [c]),

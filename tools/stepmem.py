@@ -1,5 +1,6 @@
-"""Print what one training step holds in memory, and the minor page faults of
-each phase, at the shape of every perfbench workload.
+"""Print what one training step holds in memory, the minor page faults of
+each phase and the time of a request, at the shape of every perfbench
+workload.
 
     PYTHONPATH=src python tools/stepmem.py [--workload NAME]
 
@@ -15,7 +16,10 @@ does and prints one line:
 - `faults_step`, `faults_evaluate`, `faults_setup`: the process's minor page
   faults (getrusage) in each train step, `evaluate` call and setup pass
   after a warm-up of each, one number per call;
-- `faults_request`: the mean per `predict_next` request.
+- `faults_request`: the mean per `predict_next` request;
+- `request_ms`: the median wall time of a `predict_next` request;
+- `ctx_ms_request`: the mean wall time a request spends in
+  `model.build_attn_context`.
 
 tracemalloc counts the bytes numpy allocates, the same on every run; faults
 depend on what the process freed before, so they are measured in the order
@@ -29,16 +33,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):  # r
     os.environ.setdefault(_var, "1")
 
 import argparse
+import contextlib
 import resource
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 import fuxi_alpha as F
+from fuxi_alpha import model as M
 from fuxi_alpha.checkpoint import load_checkpoint, save_checkpoint
 from fuxi_alpha.data import batch_iterator
 from fuxi_alpha.tensor import Tape, backward
@@ -62,6 +69,25 @@ def faults(fn) -> int:
     before = minor_faults()
     fn()
     return minor_faults() - before
+
+
+@contextlib.contextmanager
+def timing(module, name: str, spent: list):
+    """Within the block, each call of module.name appends its wall seconds to spent."""
+    fn = getattr(module, name)
+
+    def timed(*args):
+        start = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            spent.append(time.perf_counter() - start)
+
+    setattr(module, name, timed)
+    try:
+        yield
+    finally:
+        setattr(module, name, fn)
 
 
 def setup(path: Path, work: Path, n: int):
@@ -109,13 +135,19 @@ def measure(name: str) -> str:
         def evaluate(chunk):
             F.evaluate(params, chunk, [10], cfg, batch_size=w.eval_users)
 
+        request_s, ctx_s = [], []  # wall seconds of each request, and of each context it builds
+
         def serve(first):
-            for items, ts in histories[first : first + REQUESTS]:
-                F.predict_next(items, ts, params, cfg, 10)
+            with timing(M, "build_attn_context", ctx_s):
+                for items, ts in histories[first : first + REQUESTS]:
+                    start = time.perf_counter()
+                    F.predict_next(items, ts, params, cfg, 10)
+                    request_s.append(time.perf_counter() - start)
 
         step()  # warm-up of each phase, as perfbench's
         evaluate(chunks[0])
         serve(0)
+        del request_s[:], ctx_s[:]  # the warm-up's
         steps, evals, requests, setups = [], [], [], []
         for r in range(1, ROUNDS + 1):
             setups.append(faults(lambda: setup(work / "log.dat", work, w.n)))
@@ -126,7 +158,8 @@ def measure(name: str) -> str:
     return (
         f"{name} tape_mb={tape_mb:.1f} step_peak_mb={peak_mb:.1f} faults_step={','.join(map(str, steps))} "
         f"faults_evaluate={','.join(map(str, evals))} faults_request={np.mean(requests):.1f} "
-        f"faults_setup={','.join(map(str, setups))}"
+        f"faults_setup={','.join(map(str, setups))} request_ms={1e3 * np.median(request_s):.2f} "
+        f"ctx_ms_request={1e3 * sum(ctx_s) / len(request_s):.2f}"
     )
 
 
