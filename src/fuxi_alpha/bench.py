@@ -61,6 +61,12 @@ def _openblas_thread_setters():
     return None
 
 
+def blas_threads() -> int | None:
+    """The thread count of the OpenBLAS numpy loaded; None if none is loaded."""
+    setters = _openblas_thread_setters()
+    return setters[0]() if setters else None
+
+
 @contextmanager
 def single_blas_thread():
     """Run the block with OpenBLAS on one thread, then restore its thread count.
@@ -98,7 +104,7 @@ def _median_seconds(runs: list[Callable[[], None]], rounds: int, largest: int, c
 
     Untimed first: one call of runs[largest], then one call of each run.
     glibc raises its mmap and trim thresholds to the largest block freed so
-    far; before that, every step returns its [B, n, n] temporaries to the OS
+    far; before that, every step returns its largest temporaries to the OS
     and page-faults them back in. Growing the allocator with the largest run
     first times every run in the same allocator state, whatever ran earlier
     in the process. The timed rounds go round-robin over the runs, so a slow

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .bench import _openblas_thread_setters, scaling_probe, tps_benchmark
+from .bench import blas_threads, scaling_probe, tps_benchmark
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic, write_csv
 from .config import ConfigError, resolve_config
 from .data import (
@@ -231,17 +231,16 @@ DISPATCH = {
 
 
 def _write_provenance(cfg: dict, outdir: Path, command: str, overrides) -> None:
-    blas = _openblas_thread_setters()
     write_atomic(outdir / "resolved_config.json", json.dumps(cfg, indent=2, sort_keys=True))
     manifest = {
         "command": command,
         "overrides": list(overrides),
         "train_seed": cfg["train"]["seed"],
-        "data_seed": cfg["data"]["synthetic"]["seed"],
+        "data_seed": cfg["data"]["synthetic"]["seed"] if cfg["data"]["format"] == "synthetic" else None,
         "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas_threads": blas[0]() if blas else None,  # OpenBLAS threads; null if none is loaded
+        "blas_threads": blas_threads(),  # OpenBLAS threads; null if none is loaded
         "platform": platform.platform(),
         "machine": platform.node() or platform.machine(),
     }

@@ -36,12 +36,18 @@ def _ranked(who: str, vocab: int, targets: list[int], excluded: Iterable[int], f
     return keep
 
 
+def _ranks(logits: np.ndarray, targets: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """1-based rank of each row's target among the ids `keep` marks in that
+    row of logits [B, vocab]; ties count against the target (conservative)."""
+    tvals = logits[np.arange(len(targets)), targets]
+    return ((logits >= tvals[:, None]) & keep).sum(axis=1)
+
+
 def rank_of_target(logits_row: np.ndarray, target: int, excluded: Iterable[int] = ()) -> int:
     """1-based rank of the target; ties count against it (conservative)."""
     logits_row = np.asarray(logits_row)
     keep = _ranked("rank_of_target", logits_row.shape[0], [target], excluded, first=0)
-    ge = (logits_row >= logits_row[target]) & keep
-    return int(ge.sum())
+    return int(_ranks(logits_row[None], np.array([target]), keep)[0])
 
 
 def compute_metrics(ranks: Sequence[int], ks: Sequence[int]) -> MetricsReport:
@@ -77,8 +83,8 @@ def evaluate(
     chunks of batch_size in order of history length (stably); each chunk is
     padded to its longest history (at most n), and only the last position of
     each history is computed in the last block. Padding costs no attention
-    work; sorting keeps a chunk's width, padded inputs and shared time-bucket
-    blocks close to its histories' lengths. Ranks are reported in input order.
+    work; sorting keeps a chunk's width and padded inputs close to its
+    histories' lengths. Ranks are reported in input order.
     """
     if not instances:
         raise ValueError("evaluate: empty partition")
@@ -93,15 +99,10 @@ def evaluate(
     for start in range(0, len(instances), batch_size):
         picked = by_length[start : start + batch_size]
         chunk = [instances[i] for i in picked]
-        b = len(chunk)
         width = min(max(len(inst.items) for inst in chunk), cfg.n)
         batch = SequenceBatch.from_sequences([inst.items for inst in chunk], [inst.timestamps for inst in chunk], width)
-        targets = np.array([inst.target for inst in chunk], dtype=np.int64)
         last = forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data
-        logits = last @ params.item_emb.data.T
-        tvals = logits[np.arange(b), targets]
-        ge = (logits >= tvals[:, None]) & keep[None, :]
-        ranks[picked] = ge.sum(axis=1)
+        ranks[picked] = _ranks(last @ params.item_emb.data.T, np.array([inst.target for inst in chunk]), keep)
     return compute_metrics(ranks, ks)
 
 

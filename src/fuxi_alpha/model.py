@@ -335,39 +335,10 @@ def _edges(n_buckets: int, base: float, span: int) -> np.ndarray:
 # attention context ------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _distances(n: int) -> np.ndarray:
-    """[n, n] index distance i - j, clipped at 0; read-only, built once per model width."""
-    pos = np.arange(n, dtype=np.min_scalar_type(-n))
-    rel = np.maximum(np.subtract.outer(pos, pos), 0)
-    rel.flags.writeable = False
-    return rel
-
-
 def build_attn_context(batch: SequenceBatch, cfg: ModelConfig) -> AttnContext:
-    """The batch's attention layout (`tensor.AttnContext`): every valid
-    position a query row, in tiles of up to `tensor._TILE_ROWS` rows of one
-    sequence, each with the buckets of t_i - t_j at queries i and keys j:
-    the count of `bucket_edges` after E[0] it reaches, exact, and 0 if j > i."""
-    lengths, ts, n, step = batch.valid_len, batch.timestamps, batch.items.shape[1], T._TILE_ROWS
-    first, edges, longest = np.cumsum(lengths) - lengths, bucket_edges(cfg)[1:], int(lengths.max(initial=0))
-    # The tiles at rows [r0, r0 + step) of all sequences that reach r0 share
-    # [G, t, r1] blocks of up to _CHUNK_ELEMS entries, so short histories
-    # share a call and int64 temporaries stay cache-sized. A tile's buckets
-    # are a view of its block; entries past a sequence's length go unread.
-    tiles, tops, by_length = [[] for _ in lengths], [0], np.argsort(lengths, kind="stable")
-    for r0 in range(0, longest, step):
-        live, r1 = by_length[lengths[by_length] > r0], min(r0 + step, longest)
-        group = max(1, T._CHUNK_ELEMS // ((r1 - r0) * r1))  # sequences a block
-        for seqs in np.split(live, range(group, live.size, group)):
-            stops = np.minimum(lengths[seqs], r1)  # each tile's end; the last is the block's
-            gaps = ts[seqs, r0 : stops[-1], None] - ts[seqs, None, : stops[-1]]
-            block = np.searchsorted(edges, gaps, side="right").astype(np.min_scalar_type(cfg.n_buckets - 1))
-            tops.append(int(block[np.arange(len(seqs)), stops - r0 - 1, 0].max()))  # a tile's largest: last row, key 0
-            for seq, f, stop, buckets in zip(seqs.tolist(), first[seqs].tolist(), stops.tolist(), block):
-                tile = T._Tile(seq, slice(f + r0, f + stop), slice(r0, stop), slice(f, f + stop), buckets[: stop - r0, :stop])
-                tiles[seq].append(tile)
-    return AttnContext(first, lengths, tiles, _distances(max(n, cfg.n))[:n, :n], max(tops))
+    """The batch's attention layout (`tensor.AttnContext.build`), every valid position a query
+    row, in tiles holding the exact `bucket_edges` buckets of t_i - t_j (0 if key j > query i)."""
+    return AttnContext.build(batch.valid_len, batch.timestamps, bucket_edges(cfg), cfg.n)
 
 
 # layers ----------------------------------------------------------------------

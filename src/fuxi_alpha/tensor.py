@@ -17,6 +17,7 @@ concat, is freed as soon as the model drops it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -43,10 +44,9 @@ __all__ = [
     "grad_check_params",
 ]
 
-# Element budget of one scratch block: rows_dot's gathered [rows, k, d] block
-# and build_attn_context's [G, t, r1] time differences, 512 KB of 8-byte
-# entries, so the block is still in cache when the next pass reads it. It
-# sizes a scratch block, not an op's memory.
+# Element budget of rows_dot's gathered [rows, k, d] scratch block, 512 KB of
+# 8-byte entries, so the block is still in cache when the next pass reads it.
+# It sizes a scratch block, not an op's memory.
 _CHUNK_ELEMS = 1 << 16
 
 
@@ -514,30 +514,38 @@ def rows_dot(x: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
 # [softmax]. q, k and v arrive packed, one row per valid position, each
 # sequence's rows consecutive from its first packed row (AttnContext); q
 # holds every row, or one per sequence after `at_rows`. The query at
-# position i of a sequence attends that sequence's keys [0, i], so the
-# context cuts each sequence's query rows into tiles (_Tile) of up to
-# _TILE_ROWS consecutive rows, once per batch: a tile of positions [r0, r1)
-# reads the sequence's first r1 key rows, its q, k and v are slices of the
-# packed arrays, and it carries its [t, r1] time buckets. All its rows attend
-# every key before r0, so the causal mask covers only the last t columns.
-# For each head and channel the op computes q·kᵀ, the weight map, W·V and
-# every gradient, written in place to the packed output, dq, dk and dv. The
-# tile's [t, r1] arrays are views of a float64 workspace allocated once per
-# call for the largest tile and reused across tiles, heads and channels.
-# Backward rebuilds each map with the code forward ran (_weights), replaying
-# the channels in reverse as a tape would, so no weight map stays on the
-# tape. Head h is the h-th equal slice of the last axis of q, k and v, and
-# the heads are concatenated within each channel of the output.
+# position i of a sequence attends that sequence's keys [0, i], so
+# AttnContext.build cuts each sequence's query rows into tiles (_Tile) of up
+# to _TILE_ROWS rows, once per batch: a tile of positions [r0, r1) reads the
+# sequence's first r1 key rows, its q, k and v are slices of the packed
+# arrays, and it owns its [t, r1] time buckets. All its rows attend every key
+# before r0, so the causal mask covers only the last t columns. Forward and
+# backward walk the same tiles and heads, and for each head and channel
+# compute q·kᵀ, the weight map, W·V and every gradient, written in place to
+# the packed output, dq, dk and dv. The tile's [t, r1] arrays are views of a
+# float64 workspace allocated once per call for the largest tile. Backward
+# rebuilds each map with the code forward ran (_weights), replaying the
+# channels in reverse as a tape would, so no weight map stays on the tape.
+# Head h is the h-th equal slice of the last axis of q, k and v, and the
+# heads are concatenated within each channel of the output.
 
 _TILE_ROWS = 64
 
 
 class _Tile(NamedTuple):
-    seq: int             # the sequence
     rows: slice          # the tile's query rows, packed
     pos: slice           # their positions [r0, r1) in the sequence
     keys: slice          # the sequence's first r1 packed rows, every key the rows attend
     buckets: np.ndarray  # [t, r1] time bucket of t_i - t_j at query i and key j (0 where j > i), narrowest uint
+
+
+@functools.lru_cache(maxsize=None)
+def _distances(n: int) -> np.ndarray:
+    """[n, n] index distance i - j, clipped at 0; read-only, built once per model width."""
+    pos = np.arange(n, dtype=np.min_scalar_type(-n))
+    rel = np.maximum(np.subtract.outer(pos, pos), 0)
+    rel.flags.writeable = False
+    return rel
 
 
 @dataclass
@@ -560,6 +568,23 @@ class AttnContext:
     max_bucket: int           # the largest time bucket a tile reads
     positions: np.ndarray | None = None  # [B] the one query position of each sequence; None for every row
 
+    @classmethod
+    def build(cls, lengths: np.ndarray, timestamps: np.ndarray, edges: np.ndarray, n: int) -> AttnContext:
+        """Every valid position of the int64 [B, width] `timestamps` a query row,
+        in tiles of up to _TILE_ROWS rows. A tile's buckets of t_i - t_j are the
+        count of `edges` after edges[0] it reaches (0 if key j > query i), from one
+        search over its own gaps; rel_idx is a cut of the model width n's map."""
+        width, narrow, cuts = timestamps.shape[1], np.min_scalar_type(len(edges) - 1), edges[1:]
+        first, tiles, top = np.cumsum(lengths) - lengths, [], 0
+        for f, length, ts in zip(first.tolist(), lengths.tolist(), timestamps):
+            tiles.append([])
+            for r0 in range(0, length, _TILE_ROWS):
+                r1 = min(r0 + _TILE_ROWS, length)
+                buckets = np.searchsorted(cuts, ts[r0:r1, None] - ts[None, :r1], side="right").astype(narrow)
+                top = max(top, int(buckets[-1, 0]))  # a tile's largest: last row, key 0
+                tiles[-1].append(_Tile(slice(f + r0, f + r1), slice(r0, r1), slice(f, f + r1), buckets))
+        return cls(first, lengths, tiles, _distances(max(width, n))[:width, :width], top)
+
     @property
     def rows(self) -> np.ndarray | None:
         """The packed ids of the query rows among the T; None for every row."""
@@ -575,7 +600,7 @@ class AttnContext:
         for seq, p in enumerate(positions.tolist()):
             tile = self.tiles[seq][p // _TILE_ROWS]
             row, keys = p - tile.pos.start, slice(tile.keys.start, tile.keys.start + p + 1)
-            tiles.append([_Tile(seq, slice(seq, seq + 1), slice(p, p + 1), keys, tile.buckets[row : row + 1, : p + 1])])
+            tiles.append([_Tile(slice(seq, seq + 1), slice(p, p + 1), keys, tile.buckets[row : row + 1, : p + 1])])
         return replace(self, tiles=tiles, positions=positions)
 
     def query(self, x: Tensor) -> Tensor:
@@ -664,58 +689,56 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int, ch
     terms = [bias for ch in channels for bias, _ in ch.biases]
     if any(len(bias) != heads for bias in terms):
         raise ShapeError(f"attention: {heads} heads need {heads} vectors per bias, got {[len(bias) for bias in terms]}")
-    d_h = width // heads
-    head_cols = [slice(h * d_h, (h + 1) * d_h) for h in range(heads)]
-    tiles = [tile for own in ctx.tiles for tile in own]
-    causal = np.tri(max((len(t.buckets) for t in tiles), default=0), dtype=bool)  # key j <= query i
-    out = np.empty((queries, len(channels), width))  # every query row lies in one tile
     qd, kd, vd = q.data, k.data, v.data
     inputs = (q, k, v, *(t for bias in terms for t in bias))
     q, k, v = q.slot, k.slot, v.slot
-    views = _workspace(tiles, slots=2)
-    for tile in tiles:
-        mask = causal[: len(tile.buckets), : len(tile.buckets)]  # on the tile's own positions
-        tiled = [[(bias, index(tile)) for bias, index in ch.biases] for ch in channels]
-        ws = views(tile.buckets.shape)
-        for h, cols in enumerate(head_cols):
-            qt, kt, vt = qd[tile.rows, cols], kd[tile.keys, cols], vd[tile.keys, cols]
-            for c, ch in enumerate(channels):
-                w = _weights(ch, tiled[c], h, mask, qt, kt, ws)
-                out[tile.rows, c, cols] = np.matmul(w, vt)
+
+    def walk(slots: int):
+        """Each tile and head: the tile, the causal mask on its own positions, the
+        bias terms cut to it, its workspace slots, the head, its columns and q, k, v."""
+        tiles, d_h = [tile for own in ctx.tiles for tile in own], width // heads
+        causal = np.tri(max((len(t.buckets) for t in tiles), default=0), dtype=bool)  # key j <= query i
+        views = _workspace(tiles, slots)
+        for tile in tiles:
+            mask = causal[: len(tile.buckets), : len(tile.buckets)]
+            tiled = [[(bias, index(tile)) for bias, index in ch.biases] for ch in channels]
+            ws = views(tile.buckets.shape)
+            for h in range(heads):
+                cols = slice(h * d_h, (h + 1) * d_h)
+                yield tile, mask, tiled, ws, h, cols, qd[tile.rows, cols], kd[tile.keys, cols], vd[tile.keys, cols]
+
+    out = np.empty((queries, len(channels), width))  # every query row lies in one tile
+    for tile, mask, tiled, ws, h, cols, qt, kt, vt in walk(slots=2):
+        for c, ch in enumerate(channels):
+            out[tile.rows, c, cols] = np.matmul(_weights(ch, tiled[c], h, mask, qt, kt, ws), vt)
     result = Tensor(out.reshape(queries, -1))
 
     def bwd(g: np.ndarray) -> None:
         g = g.reshape(queries, len(channels), width)
         dq, dk, dv = np.empty(q.shape), np.zeros(k.shape), np.zeros(v.shape)
         d_bias = {t: np.zeros(t.shape) for bias in terms for t in bias if t.requires_grad}
-        views = _workspace(tiles, slots=4)
-        for tile in tiles:
-            mask = causal[: len(tile.buckets), : len(tile.buckets)]
-            tiled = [[(bias, index(tile)) for bias, index in ch.biases] for ch in channels]
-            ws = views(tile.buckets.shape)
-            for h, cols in enumerate(head_cols):
-                qt, kt, vt = qd[tile.rows, cols], kd[tile.keys, cols], vd[tile.keys, cols]
-                for c in reversed(range(len(channels))):  # as a tape replay would
-                    ch, gc = channels[c], g[tile.rows, c, cols]
-                    w = _weights(ch, tiled[c], h, mask, qt, kt, ws)
-                    dv[tile.keys, cols] += w.T @ gc
-                    grads = [(d_bias[bias[h]], idx) for bias, idx in tiled[c] if bias[h] in d_bias]
-                    if ch.score is None and not grads:  # frozen biases need no weight gradient
-                        continue
-                    dw = np.matmul(gc, vt.T, out=ws[3])
-                    if ch.score == "softmax":
-                        dw -= np.sum(np.multiply(dw, w, out=ws[2]), axis=-1, keepdims=True)
-                        dw *= w
-                    else:
-                        dw[:, -len(mask) :] *= mask
-                    for grad, idx in grads:
-                        grad += _scatter(idx, lambda j: dw, grad.shape)
-                    if ch.score is not None:
-                        dw *= ch.scale
-                        if ch.score == "silu":
-                            dw *= _silu_grad(ws[0], ws[1], out=ws[2])
-                        dq[tile.rows, cols] = dw @ kt  # one score channel a list
-                        dk[tile.keys, cols] += dw.T @ qt
+        for tile, mask, tiled, ws, h, cols, qt, kt, vt in walk(slots=4):
+            for c in reversed(range(len(channels))):  # as a tape replay would
+                ch, gc = channels[c], g[tile.rows, c, cols]
+                w = _weights(ch, tiled[c], h, mask, qt, kt, ws)
+                dv[tile.keys, cols] += w.T @ gc
+                grads = [(d_bias[bias[h]], idx) for bias, idx in tiled[c] if bias[h] in d_bias]
+                if ch.score is None and not grads:  # frozen biases need no weight gradient
+                    continue
+                dw = np.matmul(gc, vt.T, out=ws[3])
+                if ch.score == "softmax":
+                    dw -= np.sum(np.multiply(dw, w, out=ws[2]), axis=-1, keepdims=True)
+                    dw *= w
+                else:
+                    dw[:, -len(mask) :] *= mask
+                for grad, idx in grads:
+                    grad += _scatter(idx, lambda j: dw, grad.shape)
+                if ch.score is not None:
+                    dw *= ch.scale
+                    if ch.score == "silu":
+                        dw *= _silu_grad(ws[0], ws[1], out=ws[2])
+                    dq[tile.rows, cols] = dw @ kt  # one score channel a list
+                    dk[tile.keys, cols] += dw.T @ qt
         for bias, grad in d_bias.items():
             _accumulate(bias, grad, own=True)
         _accumulate(q, dq, own=True)

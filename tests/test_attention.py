@@ -164,32 +164,37 @@ def test_a_bias_shorter_than_its_index_map_is_rejected(summed):
 
 def test_context_holds_no_b_m_n_array_but_narrow_buckets():
     # the layout is each sequence's first packed row and length; the time
-    # buckets are each tile's own narrow [t, r1] block, a view, for every row
-    # and for one query row per sequence; no [B, n, n] array is left
+    # buckets are each tile's own narrow [t, r1] block, for every row and for
+    # one query row per sequence; no [B, n, n] array is left. An every-row
+    # tile owns its block; a one-row tile's is a view of its held tile's row
     ctx = _padded_context(5, 6, seed=0)
-    for c in (ctx, ctx.at_rows(np.array([3, 1]))):
+    positions = np.array([3, 1])
+    ranked = ctx.at_rows(positions)
+    for c in (ctx, ranked):
         b, n = len(c.lengths), c.rel_idx.shape[0]
         arrays = {name: x for name, x in vars(c).items() if isinstance(x, np.ndarray)}
         assert [name for name, x in arrays.items() if x.size >= b * n * n] == []
         tiles = [tile for own in c.tiles for tile in own]
         assert tiles and sum(tile.buckets.size for tile in tiles) < b * n * n
         for tile in tiles:
-            assert tile.buckets.dtype == np.uint8 and tile.buckets.base is not None
+            assert tile.buckets.dtype == np.uint8
             assert tile.buckets.shape == (tile.pos.stop - tile.pos.start, tile.pos.stop)
+    assert all(tile.buckets.flags.owndata for own in ctx.tiles for tile in own)
+    for seq, ((tile,), p) in enumerate(zip(ranked.tiles, positions.tolist())):
+        held = ctx.tiles[seq][p // T._TILE_ROWS]
+        assert not tile.buckets.flags.owndata and np.shares_memory(tile.buckets, held.buckets)
+        np.testing.assert_array_equal(tile.buckets, held.buckets[p - held.pos.start, : p + 1][None])
     assert ctx.first.dtype.kind == ctx.lengths.dtype.kind == "i"
     assert not any(isinstance(value, Tensor) for value in vars(ctx).values())
 
 
-@pytest.mark.parametrize("b, n, block", [(5, 9, 1 << 16), (5, 9, 3 * 5 * 9), (3, 70, 1)])
-def test_context_matches_the_dense_formula(monkeypatch, b, n, block):
-    # tiles of 3, 4 or 64 rows, bucketed in blocks of up to `block` entries:
-    # all sequences in one block, some (with 4-row tiles, n=9 and block 135,
-    # blocks of 4 and 1 full rows from row 4 on) or one a block; each block
-    # over the sequences with a valid row in its tiles. Three random length
+@pytest.mark.parametrize("b, n", [(5, 9), (3, 70)])
+def test_context_matches_the_dense_formula(monkeypatch, b, n):
+    # tiles of 3, 4 or 64 rows, each bucketed on its own: the last tile of a
+    # sequence partial, or the whole sequence one tile. Three random length
     # draws and one of full rows; large gaps reach the log-spaced and the
     # clamped buckets. Every tile's block is the dense formula at its rows
     # and keys, 0 above the diagonal.
-    monkeypatch.setattr(T, "_CHUNK_ELEMS", block)
     for tile_rows, seed in itertools.product((3, 4, 64), range(4)):
         monkeypatch.setattr(T, "_TILE_ROWS", tile_rows)
         cfg = ModelConfig(vocab=9, d=4, d_h=4, n=n, n_buckets=16, negatives=2, max_time_span=5000)
@@ -212,7 +217,7 @@ def test_context_matches_the_dense_formula(monkeypatch, b, n, block):
         seen = np.zeros(allowed.shape, dtype=bool)
         for seq, own in enumerate(ctx.tiles):
             for tile in own:
-                assert tile.seq == seq and tile.buckets.dtype == np.uint8
+                assert tile.buckets.dtype == np.uint8
                 keys = slice(0, tile.pos.stop)
                 want = np.where(allowed[seq, tile.pos, keys], dense[seq, tile.pos, keys], 0)
                 np.testing.assert_array_equal(tile.buckets, want)
@@ -411,9 +416,9 @@ def test_each_tile_is_a_run_of_one_sequence(small_tiles):
     # 0 has no tile
     def layout(c):
         """Each sequence's tiles as (seq, rows, pos, keys), and their bucket shapes."""
-        tiles = [tile for own in c.tiles for tile in own]
-        assert all(tile.buckets.shape == (tile.pos.stop - tile.pos.start, tile.pos.stop) for tile in tiles)
-        return [tuple(tile[:4]) for tile in tiles]
+        tiles = [(seq, tile) for seq, own in enumerate(c.tiles) for tile in own]
+        assert all(tile.buckets.shape == (tile.pos.stop - tile.pos.start, tile.pos.stop) for _, tile in tiles)
+        return [(seq, tile.rows, tile.pos, tile.keys) for seq, tile in tiles]
 
     ctx = _rule_context("all_rows")
     first = np.cumsum(RULE_LENGTHS) - RULE_LENGTHS
@@ -446,43 +451,35 @@ def test_tiles_follow_the_dense_mask(small_tiles, path):
             ctx = ctx.at_rows(rng.integers(0, lens))
         allowed = dense_allowed(ctx)
         seen = np.zeros(allowed.shape[:2], dtype=bool)
-        for tile in (tile for own in ctx.tiles for tile in own):
-            assert tile.keys.stop - tile.keys.start == tile.pos.stop <= ctx.lengths[tile.seq]
+        for seq, tile in ((seq, tile) for seq, own in enumerate(ctx.tiles) for tile in own):
+            assert tile.keys.stop - tile.keys.start == tile.pos.stop <= ctx.lengths[seq]
             t = tile.pos.stop - tile.pos.start
             mask = np.hstack([np.ones((t, tile.pos.start), dtype=bool), np.tri(t, dtype=bool)])
-            np.testing.assert_array_equal(mask, allowed[tile.seq, tile.pos, : tile.pos.stop])
-            assert not allowed[tile.seq, tile.pos, tile.pos.stop :].any()
-            seen[tile.seq, tile.pos] = True
+            np.testing.assert_array_equal(mask, allowed[seq, tile.pos, : tile.pos.stop])
+            assert not allowed[seq, tile.pos, tile.pos.stop :].any()
+            seen[seq, tile.pos] = True
         np.testing.assert_array_equal(seen, allowed.any(axis=-1))  # every query row, and nothing else
 
 
 def test_context_buckets_only_the_sequences_with_a_valid_row(small_tiles, monkeypatch):
-    # the tiles at rows [r0, r0 + 3) are bucketed together over the sequences
-    # longer than r0, in order of length, as one [G, t, r1] block of the G of
-    # them, or one block a sequence when the budget holds a single entry; a
-    # block's rows and keys end at the tiles' end or its longest sequence's
+    # one search a tile, over that tile's own [t, r1] gaps: each sequence's
+    # tiles in order of position, rows [r0, r1) against keys [0, r1), the last
+    # one ending at the sequence's length; a sequence of length 0 has no tile
+    # and no search
     batch, cfg = _padded_batch(TILED_N, 6, seed=0, lengths=RULE_LENGTHS)
     M.bucket_edges(cfg)  # found once, before the spy
-    searchsorted = np.searchsorted
-    for block in (1 << 16, 1):
-        monkeypatch.setattr(T, "_CHUNK_ELEMS", block)
-        bucketed = []
+    searchsorted, bucketed = np.searchsorted, []
 
-        def spy(edges, gaps, side):
-            bucketed.append(gaps.shape)
-            return searchsorted(edges, gaps, side=side)
+    def spy(edges, gaps, side):
+        bucketed.append(gaps.shape)
+        return searchsorted(edges, gaps, side=side)
 
-        monkeypatch.setattr(M.np, "searchsorted", spy)
-        M.build_attn_context(batch, cfg)
-        monkeypatch.setattr(M.np, "searchsorted", searchsorted)
-        want = []
-        for r0 in range(0, TILED_N, SMALL_TILE):
-            live = sorted(length for length in RULE_LENGTHS if length > r0)
-            r1 = min(r0 + SMALL_TILE, TILED_N)
-            for group in [live] if block > 1 else [[length] for length in live]:
-                end = min(r1, group[-1])
-                want.append((len(group), end - r0, end))
-        assert bucketed == want
+    monkeypatch.setattr(np, "searchsorted", spy)
+    ctx = M.build_attn_context(batch, cfg)
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    ends = [(r0, min(r0 + SMALL_TILE, length)) for length in RULE_LENGTHS for r0 in range(0, length, SMALL_TILE)]
+    assert bucketed == [(r1 - r0, r1) for r0, r1 in ends]
+    assert [tile.buckets.shape for own in ctx.tiles for tile in own] == bucketed
 
 
 def test_at_rows_tiles_are_views_of_the_dense_bucket_rows(small_tiles):

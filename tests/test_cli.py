@@ -125,6 +125,20 @@ def test_ingest_writes_manifest(tmp_path):
     assert (out / "resolved_config.json").exists()
     run = json.loads((out / "run_manifest.json").read_text())
     assert run["blas_threads"] is None or run["blas_threads"] >= 1
+    assert run["data_seed"] == 7  # the default synthetic generator seed
+
+
+@pytest.mark.parametrize("fmt", ["movielens_dat", "csv"])
+def test_manifest_has_no_data_seed_for_a_log_file(tmp_path, fmt):
+    # the synthetic seed moves no number of a run that reads a log file
+    log = DATA / "sample.dat"
+    if fmt == "csv":
+        log = tmp_path / "sample.csv"
+        rows = [line.split("::") for line in (DATA / "sample.dat").read_text().splitlines()]
+        log.write_text("user,item,timestamp\n" + "".join(f"{u},{i},{t}\n" for u, i, _, t in rows))
+    out = tmp_path / "run"
+    assert main(["ingest"] + _fast_overrides(out, **{"data.format": fmt, "data.path": log, "data.synthetic.seed": 5})) == 0
+    assert json.loads((out / "run_manifest.json").read_text())["data_seed"] is None
 
 
 @pytest.mark.parametrize("text", ["5", "[1]", '"model"', "null"])

@@ -6,8 +6,8 @@ workload.
 
 For each workload of perfbench/workloads.py (all of them by default, each in
 a fresh process with one BLAS thread, as perfbench runs them) it generates
-the workload's log with perfbench/gen.py, sets up the model as the benchmark
-does and prints one line:
+the workload's log with perfbench/gen.py, sets up the model with the
+benchmark's own setup pass (perfbench/worker.py) and prints one line:
 
 - `tape_mb`: tracemalloc bytes held at the end of one training step's
   forward pass, almost all of it what the tape keeps for backward;
@@ -46,13 +46,13 @@ import numpy as np
 
 import fuxi_alpha as F
 from fuxi_alpha import model as M
-from fuxi_alpha.checkpoint import load_checkpoint, save_checkpoint
 from fuxi_alpha.data import batch_iterator
 from fuxi_alpha.tensor import Tape, backward
 from fuxi_alpha.train import AdamW, TrainConfig, batch_loss, train_step
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402
+import worker  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEED = 1
@@ -90,16 +90,6 @@ def timing(module, name: str, spent: list):
         setattr(module, name, fn)
 
 
-def setup(path: Path, work: Path, n: int):
-    """perfbench's setup pass: ingest, split, init, checkpoint round trip."""
-    events, remap = F.parse_interactions(path, "movielens_dat")
-    split = F.split_leave_last(F.build_sequences(events, n), remap)
-    cfg = F.ModelConfig(vocab=split.vocab, n=n)
-    save_checkpoint(work / "model.ckpt", F.init_params(cfg, "full", SEED), cfg)
-    params, _, _ = load_checkpoint(work / "model.ckpt")
-    return split, params, cfg
-
-
 def traced_step(batch, params, cfg, opt, rng) -> tuple[float, float]:
     """The tracemalloc bytes at forward end and the peak of one training step, in MB."""
     tracemalloc.start()
@@ -122,7 +112,7 @@ def measure(name: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         gen.write_movielens(work / "log.dat", *gen.generate(w.users, SEED, w.min_length))
-        split, params, cfg = setup(work / "log.dat", work, w.n)
+        split, _, cfg, params, _ = worker.setup(work / "log.dat", work, w, SEED)  # trains the loaded params, as perfbench
         opt = AdamW(params.named(), TrainConfig(batch_size=w.batch))
         rng = np.random.default_rng(SEED)
         batches = batch_iterator(split.train, w.batch, w.n, shuffle_seed=SEED)
@@ -150,7 +140,7 @@ def measure(name: str) -> str:
         del request_s[:], ctx_s[:]  # the warm-up's
         steps, evals, requests, setups = [], [], [], []
         for r in range(1, ROUNDS + 1):
-            setups.append(faults(lambda: setup(work / "log.dat", work, w.n)))
+            setups.append(faults(lambda: worker.setup(work / "log.dat", work, w, SEED)))
             steps += [faults(step) for _ in range(w.train_batches)]
             evals.append(faults(lambda: evaluate(chunks[r])))
             requests.append(faults(lambda: serve(r * REQUESTS)) / REQUESTS)
