@@ -188,16 +188,20 @@ def test_context_holds_no_b_m_n_array_but_narrow_buckets():
     assert not any(isinstance(value, Tensor) for value in vars(ctx).values())
 
 
-@pytest.mark.parametrize("b, n", [(5, 9), (3, 70)])
-def test_context_matches_the_dense_formula(monkeypatch, b, n):
+@pytest.mark.parametrize("b, n, base", [(5, 9, 1 << 16), (5, 9, 3 * 5 * 9), (3, 70, 1)])
+def test_context_matches_the_dense_formula(monkeypatch, b, n, base):
     # tiles of 3, 4 or 64 rows, each bucketed on its own: the last tile of a
     # sequence partial, or the whole sequence one tile. Three random length
-    # draws and one of full rows; large gaps reach the log-spaced and the
-    # clamped buckets. Every tile's block is the dense formula at its rows
-    # and keys, 0 above the diagonal.
+    # draws and one of full rows. The bucketing unit `base` (seconds) moves
+    # the edges: at 1 and 135 large gaps reach the log-spaced and the clamped
+    # buckets; at 65536 the span is under the exact half, so buckets 8..15
+    # share one edge and every gap here falls in bucket 0. Every tile's block
+    # is the dense formula at its rows and keys, 0 above the diagonal.
     for tile_rows, seed in itertools.product((3, 4, 64), range(4)):
         monkeypatch.setattr(T, "_TILE_ROWS", tile_rows)
-        cfg = ModelConfig(vocab=9, d=4, d_h=4, n=n, n_buckets=16, negatives=2, max_time_span=5000)
+        cfg = ModelConfig(
+            vocab=9, d=4, d_h=4, n=n, n_buckets=16, negatives=2, time_bucket_base=base, max_time_span=5000
+        )
         rng = np.random.default_rng(seed)
         lens = rng.integers(0, n + 1, size=b) if seed < 3 else np.full(b, n)
         items = np.zeros((b, n), dtype=np.int64)
