@@ -313,7 +313,9 @@ def split_leave_last(
     """Last item becomes the test target, second-to-last the validation target.
 
     Users with fewer than 3 interactions cannot populate all three partitions
-    and are dropped (counted in the stats).
+    and are dropped (counted in the stats). The catalogue counts the remap's
+    items, or without one the largest item id, since ids index the embedding
+    rows as they are; either way the split's vocab covers every id.
     """
     train, val, test = [], [], []
     dropped = 0
@@ -330,10 +332,10 @@ def split_leave_last(
         test.append(EvalInstance(seq.user, seq.items[:-1], seq.timestamps[:-1], int(seq.items[-1])))
     if not train:
         raise DataError("split_leave_last: no users with >= 3 interactions")
-    catalogue = item_remap if item_remap is not None else np.unique(np.concatenate([seq.items for seq in sequences]))
+    items = len(item_remap) if item_remap is not None else max(int(seq.items.max(initial=0)) for seq in sequences)
     stats = SplitStats(
         users=len(train),
-        items=len(catalogue),
+        items=items,
         interactions=interactions,
         mean_length=interactions / len(sequences),
         dropped_users=dropped,

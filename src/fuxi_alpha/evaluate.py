@@ -38,13 +38,15 @@ def _ranked(who: str, vocab: int, targets: list[int], excluded: Iterable[int], f
 
 def _ranks(logits: np.ndarray, targets: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """1-based rank of each row's target among the ids `keep` marks in that
-    row of logits [B, vocab]; ties count against the target (conservative)."""
+    row of logits [B, vocab]: every kept id not scored strictly below the
+    target counts, so ties and a NaN on either side count against it
+    (conservative)."""
     tvals = logits[np.arange(len(targets)), targets]
-    return ((logits >= tvals[:, None]) & keep).sum(axis=1)
+    return keep.sum() - ((logits < tvals[:, None]) & keep).sum(axis=1)
 
 
 def rank_of_target(logits_row: np.ndarray, target: int, excluded: Iterable[int] = ()) -> int:
-    """1-based rank of the target; ties count against it (conservative)."""
+    """1-based rank of the target; ties and NaN scores count against it (conservative)."""
     logits_row = np.asarray(logits_row)
     keep = _ranked("rank_of_target", logits_row.shape[0], [target], excluded, first=0)
     return int(_ranks(logits_row[None], np.array([target]), keep)[0])

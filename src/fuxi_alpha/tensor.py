@@ -9,10 +9,9 @@ A training step's memory is what the tape keeps alive, so the tape keeps
 only what backward reads. Each tensor has a gradient slot (grad,
 requires_grad, tape and shape, never the data); the tape records the output
 slot and the backward rule of every op, and a rule captures its inputs'
-slots and the arrays it reads; the only Tensors a rule reaches are
-attention's bias parameters. An op output that no rule reads, such as a
-projection fed only to a residual add or the scores fed to the loss's
-concat, is freed as soon as the model drops it.
+slots and the arrays it reads, never a Tensor. An op output that no rule
+reads, such as a projection fed only to a residual add or the scores fed to
+the loss's concat, is freed as soon as the model drops it.
 """
 
 from __future__ import annotations
@@ -626,13 +625,13 @@ def _workspace(tiles: list[_Tile], slots: int) -> Callable[[tuple[int, ...]], li
     return views
 
 
-def _gather(bias: Tensor, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _gather(bias: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """bias[idx], written to the workspace view buf of idx's shape.
 
     The indices are in range by construction; mode="clip" lets np.take write
     straight into buf, where the default mode would go through a buffer.
     """
-    return np.take(bias.data, idx, out=buf, mode="clip")
+    return np.take(bias, idx, out=buf, mode="clip")
 
 
 class _Channel(NamedTuple):
@@ -641,7 +640,7 @@ class _Channel(NamedTuple):
     in order (score "silu"), the softmax of q·kᵀ·scale over the attended
     keys ("softmax"), or the one bias term (None). A bias term (vectors,
     index) is vectors[h] gathered through index(tile), the tile's [t, r1]
-    index map."""
+    index map; _attention rebinds the vectors to their (arrays, slots)."""
 
     score: str | None
     scale: float = 1.0
@@ -656,8 +655,8 @@ def _weights(ch: _Channel, biases, h: int, mask: np.ndarray, qt: np.ndarray, kt:
     the score stays in slot 0 and its sigmoid in slot 1, the map is in slot
     0 (softmax) or 2, and a gathered bias passes through slot 3."""
     if ch.score is None:
-        ((bias, idx),) = biases
-        w = _gather(bias[h], idx, ws[2])
+        (((arrays, _), idx),) = biases
+        w = _gather(arrays[h], idx, ws[2])
     else:
         s = np.matmul(qt, kt.T, out=ws[0])
         if ch.score == "softmax":
@@ -665,8 +664,8 @@ def _weights(ch: _Channel, biases, h: int, mask: np.ndarray, qt: np.ndarray, kt:
             return _masked_softmax_rows(s, mask)
         w = np.multiply(s, _sigmoid(s, ws[1]), out=ws[2])
         w *= ch.scale
-        for bias, idx in biases:
-            w += _gather(bias[h], idx, ws[3])
+        for (arrays, _), idx in biases:
+            w += _gather(arrays[h], idx, ws[3])
     w[:, -len(mask) :] *= mask
     return w
 
@@ -691,7 +690,11 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int, ch
         raise ShapeError(f"attention: {heads} heads need {heads} vectors per bias, got {[len(bias) for bias in terms]}")
     qd, kd, vd = q.data, k.data, v.data
     inputs = (q, k, v, *(t for bias in terms for t in bias))
-    q, k, v = q.slot, k.slot, v.slot
+    q, k, v = q.slot, k.slot, v.slot  # and each bias term's vectors to their (arrays, slots)
+    channels = [
+        ch._replace(biases=tuple((([t.data for t in bias], [t.slot for t in bias]), index) for bias, index in ch.biases))
+        for ch in channels
+    ]
 
     def walk(slots: int):
         """Each tile and head: the tile, the causal mask on its own positions, the
@@ -716,13 +719,13 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, ctx: AttnContext, heads: int, ch
     def bwd(g: np.ndarray) -> None:
         g = g.reshape(queries, len(channels), width)
         dq, dk, dv = np.empty(q.shape), np.zeros(k.shape), np.zeros(v.shape)
-        d_bias = {t: np.zeros(t.shape) for bias in terms for t in bias if t.requires_grad}
+        d_bias = {s: np.zeros(s.shape) for ch in channels for (_, slots), _ in ch.biases for s in slots if s.requires_grad}
         for tile, mask, tiled, ws, h, cols, qt, kt, vt in walk(slots=4):
             for c in reversed(range(len(channels))):  # as a tape replay would
                 ch, gc = channels[c], g[tile.rows, c, cols]
                 w = _weights(ch, tiled[c], h, mask, qt, kt, ws)
                 dv[tile.keys, cols] += w.T @ gc
-                grads = [(d_bias[bias[h]], idx) for bias, idx in tiled[c] if bias[h] in d_bias]
+                grads = [(d_bias[slots[h]], idx) for (_, slots), idx in tiled[c] if slots[h] in d_bias]
                 if ch.score is None and not grads:  # frozen biases need no weight gradient
                     continue
                 dw = np.matmul(gc, vt.T, out=ws[3])

@@ -43,6 +43,8 @@ class TrainConfig:
                 problems.append(f"{name} must be finite")
         if self.epochs < 0 or self.batch_size < 1 or self.eval_every < 0 or self.patience < 0:
             problems.append("epochs/batch_size/eval_every/patience out of range")
+        if self.patience > 0 and self.eval_every == 0:
+            problems.append("patience needs eval_every >= 1, or it never validates")
         if problems:
             raise ValueError("invalid TrainConfig: " + "; ".join(problems))
 
@@ -194,13 +196,7 @@ def train(
             if value is not None:
                 losses.append(value)
         result.loss_history.append(float(np.mean(losses)) if losses else float("nan"))
-        run_eval = (
-            train_cfg.eval_every > 0
-            and (epoch + 1) % train_cfg.eval_every == 0
-            and split.validation
-            and train_cfg.patience > 0
-        )
-        if run_eval:
+        if train_cfg.patience > 0 and (epoch + 1) % train_cfg.eval_every == 0 and split.validation:
             report = evaluate(params, split.validation, [10], model_cfg)
             metric = report.ndcg[10]
             result.val_history.append((epoch, metric))

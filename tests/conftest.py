@@ -51,7 +51,18 @@ def random_batch(cfg: ModelConfig, batch_size: int, seed: int = 0, width: int | 
     return SequenceBatch(items, ts, lens)
 
 
-# Independent loop-transcription reference for the full model (single head).
+# One loop transcription of the block stack for every model kind. Its own
+# table names each kind's attention and feed-forward halves, so a mis-wired
+# `model.VARIANTS` still fails against it; each half is written once.
+
+REFERENCE_HALVES = {
+    "full": ("ams", "mffn"),
+    "base": ("softmax", "fusion"),
+    "no_ams": ("softmax", "mffn"),
+    "no_mffn": ("ams", "fusion"),
+    "vanilla": ("softmax", "relu"),
+    "hstu_like": ("hstu", "fusion"),
+}
 
 
 def _sigmoid(z):
@@ -103,93 +114,64 @@ def _channel_weight_rows(items, ts, valid_len, cfg, q, k, blk, head):
     return sem, posw, tmpw
 
 
-def reference_hidden(items, ts, valid_len, params, cfg):
-    """Plain-loop re-derivation of the stacked-block hidden states (any head count)."""
-    m = len(items)
-    eps = cfg.rms_eps
-    x = _embed_rows(items, valid_len, params, cfg)
-    for blk in params.blocks:
-        xt = np.stack([_rms_row(x[i], blk.attn_gain.data, eps) for i in range(m)])
-        q = _silu(xt @ blk.w_q.data)
-        k = _silu(xt @ blk.w_k.data)
-        v = _silu(xt @ blk.w_v.data)
-        gate = _silu(xt @ blk.w_u.data)
-        sem_parts, pos_parts, tmp_parts = [], [], []
-        for head in range(cfg.heads):
-            lo, hi = head * cfg.d_h, (head + 1) * cfg.d_h
-            sem, posw, tmpw = _channel_weight_rows(items, ts, valid_len, cfg, q, k, blk, head)
-            sem_parts.append(sem @ v[:, lo:hi])
-            pos_parts.append(posw @ v[:, lo:hi])
-            tmp_parts.append(tmpw @ v[:, lo:hi])
-        stacked = np.concatenate(sem_parts + pos_parts + tmp_parts, axis=-1)
-        normed = np.stack([_rms_row(stacked[i], None, eps) for i in range(m)])
-        h = normed * gate
-        o = h @ blk.w_o.data + x
-        on = np.stack([_rms_row(o[i], blk.ffn_gain.data, eps) for i in range(m)])
+def _softmax_head(q, k, v, valid_len, cfg, head):
+    """One head of causal softmax attention, a weighted sum of value rows per query."""
+    m = len(q)
+    lo, hi = head * cfg.d_h, (head + 1) * cfg.d_h
+    out = np.zeros((m, cfg.d_h))
+    for i in range(m):
+        cols = [j for j in range(m) if j <= i and j < valid_len]
+        if not cols:
+            continue
+        scores = np.array([float(q[i, lo:hi] @ k[j, lo:hi]) for j in cols]) / np.sqrt(cfg.d_h)
+        w = np.exp(scores - scores.max())
+        w /= w.sum()
+        out[i] = sum(wj * v[j, lo:hi] for wj, j in zip(w, cols))
+    return out
+
+
+def _attention_rows(attention, items, ts, valid_len, xt, blk, cfg):
+    """The attention half on the normalized rows xt, before the fusion projection:
+    heads concatenated per channel, then (ams, hstu) RMS-normalized and gated."""
+    gated = attention != "softmax"
+    q, k, v = (_silu(xt @ w.data) if gated else xt @ w.data for w in (blk.w_q, blk.w_k, blk.w_v))
+    heads = []  # each head's channel outputs
+    for head in range(cfg.heads):
+        if not gated:
+            heads.append([_softmax_head(q, k, v, valid_len, cfg, head)])
+            continue
+        sem, posw, tmpw = _channel_weight_rows(items, ts, valid_len, cfg, q, k, blk, head)
+        maps = [sem, posw, tmpw] if attention == "ams" else [sem + posw + tmpw]
+        heads.append([w @ v[:, head * cfg.d_h : (head + 1) * cfg.d_h] for w in maps])
+    stacked = np.concatenate([outs[c] for c in range(len(heads[0])) for outs in heads], axis=-1)
+    if not gated:
+        return stacked
+    normed = np.stack([_rms_row(row, None, cfg.rms_eps) for row in stacked])
+    return normed * _silu(xt @ blk.w_u.data)
+
+
+def _ffn_rows(ffn, h, x, blk, cfg):
+    """The feed-forward half: fusion projection plus residual, then (mffn, relu)
+    an RMS-normalized transform plus residual."""
+    o = h @ blk.w_o.data + x
+    if ffn == "fusion":
+        return o
+    on = np.stack([_rms_row(row, blk.ffn_gain.data, cfg.rms_eps) for row in o])
+    if ffn == "mffn":
         f = (_silu(on @ blk.w_1.data) * (on @ blk.w_2.data)) @ blk.w_3.data
-        x = f + o
-    return x
-
-
-def reference_logits(items, ts, valid_len, params, cfg):
-    return reference_hidden(items, ts, valid_len, params, cfg) @ params.item_emb.data.T
-
-
-def reference_vanilla_hidden(items, ts, valid_len, params, cfg):
-    """Loop re-derivation of the softmax-attention block stack (relu FFN)."""
-    m = len(items)
-    eps = cfg.rms_eps
-    x = _embed_rows(items, valid_len, params, cfg)
-    for blk in params.blocks:
-        xt = np.stack([_rms_row(x[i], blk.attn_gain.data, eps) for i in range(m)])
-        q = xt @ blk.w_q.data
-        k = xt @ blk.w_k.data
-        v = xt @ blk.w_v.data
-        head_outs = []
-        for head in range(cfg.heads):
-            lo, hi = head * cfg.d_h, (head + 1) * cfg.d_h
-            out = np.zeros((m, cfg.d_h))
-            for i in range(m):
-                cols = [j for j in range(m) if j <= i and j < valid_len]
-                if not cols:
-                    continue
-                scores = np.array([float(q[i, lo:hi] @ k[j, lo:hi]) for j in cols]) / np.sqrt(cfg.d_h)
-                w = np.exp(scores - scores.max())
-                w /= w.sum()
-                out[i] = sum(wj * v[j, lo:hi] for wj, j in zip(w, cols))
-            head_outs.append(out)
-        attn = np.concatenate(head_outs, axis=-1)
-        o = attn @ blk.w_o.data + x
-        on = np.stack([_rms_row(o[i], blk.ffn_gain.data, eps) for i in range(m)])
+    else:
         f = np.maximum(on @ blk.w_1.data, 0.0) @ blk.w_2.data
-        x = f + o
-    return x
+    return f + o
 
 
-def reference_hstu_hidden(items, ts, valid_len, params, cfg):
-    """Loop re-derivation of the gated additive-bias block stack."""
-    m = len(items)
-    eps = cfg.rms_eps
+def reference_hidden(kind, items, ts, valid_len, params, cfg):
+    """Plain-loop re-derivation of the stacked-block hidden states of one
+    history, [len(items), d], for any kind and head count."""
+    attention, ffn = REFERENCE_HALVES[kind]
     x = _embed_rows(items, valid_len, params, cfg)
     for blk in params.blocks:
-        xt = np.stack([_rms_row(x[i], blk.attn_gain.data, eps) for i in range(m)])
-        q = _silu(xt @ blk.w_q.data)
-        k = _silu(xt @ blk.w_k.data)
-        v = _silu(xt @ blk.w_v.data)
-        gate = _silu(xt @ blk.w_u.data)
-        head_outs = []
-        for head in range(cfg.heads):
-            lo, hi = head * cfg.d_h, (head + 1) * cfg.d_h
-            sem, posw, tmpw = _channel_weight_rows(items, ts, valid_len, cfg, q, k, blk, head)
-            combined = np.zeros((m, m))
-            for i in range(m):
-                for j in range(m):
-                    if j <= i and j < valid_len:
-                        combined[i, j] = sem[i, j] + posw[i, j] + tmpw[i, j]
-            head_outs.append(combined @ v[:, lo:hi])
-        attn = np.concatenate(head_outs, axis=-1)
-        normed = np.stack([_rms_row(attn[i], None, eps) for i in range(m)])
-        x = (normed * gate) @ blk.w_o.data + x
+        xt = np.stack([_rms_row(row, blk.attn_gain.data, cfg.rms_eps) for row in x])
+        x = _ffn_rows(ffn, _attention_rows(attention, items, ts, valid_len, xt, blk, cfg), x, blk, cfg)
     return x
 
 

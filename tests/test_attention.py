@@ -5,17 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (
-    dense_allowed,
-    dense_buckets,
-    dense_silu_attention,
-    dense_softmax_attention,
-    random_params,
-    reference_hidden,
-    reference_hstu_hidden,
-    reference_vanilla_hidden,
-    tiny_config,
-)
+from conftest import dense_allowed, dense_buckets, dense_silu_attention, dense_softmax_attention
 
 from fuxi_alpha import model as M
 from fuxi_alpha import tensor as T
@@ -286,8 +276,17 @@ def test_step_rules_capture_no_tensor(kind):
     params = M.init_params(cfg, kind, seed=0)
     with Tape() as tape:
         batch_loss(_step_batch(cfg, 2), params, cfg, np.random.default_rng(0))
-    cells = [cell.cell_contents for _, rule in tape._nodes for cell in rule.__closure__ or ()]
-    assert cells and not [x for x in cells if isinstance(x, Tensor)]
+    reached, seen = [rule for _, rule in tape._nodes], set()
+    for x in reached:  # grows as it goes: closures, lists, tuples and dicts, walked through
+        if id(x) not in seen:
+            seen.add(id(x))
+            if isinstance(x, (list, tuple)):
+                reached.extend(x)
+            elif isinstance(x, dict):
+                reached.extend([*x, *x.values()])
+            elif callable(x) and getattr(x, "__closure__", None):
+                reached.extend(cell.cell_contents for cell in x.__closure__)
+    assert len(reached) > len(tape) and not [x for x in reached if isinstance(x, Tensor)]
 
 
 def test_desk_shaped_step_tape_length():
@@ -557,31 +556,6 @@ def test_masked_softmax_attention_grad_check_across_tiles(small_tiles, heads):
         lambda: T.mul(T.masked_softmax_attention(q, k, v, ctx, heads), weights).sum(), [q, k, v]
     )
     assert err < 1e-7
-
-
-@pytest.mark.parametrize(
-    "kind, reference",
-    [("full", reference_hidden), ("hstu_like", reference_hstu_hidden), ("vanilla", reference_vanilla_hidden)],
-)
-def test_forward_hidden_matches_loop_transcription_across_tiles(kind, reference):
-    # the real tile height, with n above it and a second, shorter history
-    n = T._TILE_ROWS + 6
-    cfg = tiny_config(vocab=30, n=n, d=6, d_h=3, heads=2, d_ffn=7, max_time_span=3000)
-    params = random_params(cfg, kind, seed=21)
-    rng = np.random.default_rng(22)
-    lengths = [n, T._TILE_ROWS // 2]
-    batch = SequenceBatch.from_sequences(
-        [rng.integers(1, cfg.vocab, size=length) for length in lengths],
-        [np.cumsum(rng.integers(1, 50, size=length)) for length in lengths],
-        n,
-    )
-    hidden = M.forward_hidden(batch, params, cfg).data  # packed: each sequence's valid rows in turn
-    last = M.forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data
-    starts = np.cumsum(batch.valid_len) - batch.valid_len
-    for row, (start, length) in enumerate(zip(starts, batch.valid_len)):
-        want = reference(batch.items[row], batch.timestamps[row], length, params, cfg)
-        np.testing.assert_allclose(hidden[start : start + length], want[:length], atol=1e-9)
-        np.testing.assert_allclose(last[row], want[length - 1], atol=1e-9)
 
 
 @pytest.mark.parametrize("kind", ["ams", "hstu", "softmax"])

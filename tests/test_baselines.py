@@ -2,13 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (
-    random_batch,
-    random_params,
-    reference_hstu_hidden,
-    reference_vanilla_hidden,
-    tiny_config,
-)
+from conftest import random_batch, random_params, tiny_config
 
 from fuxi_alpha import model as M
 from fuxi_alpha import tensor as T
@@ -171,28 +165,6 @@ def test_hstu_scalar_transcription():
         an = a / math.sqrt(a * a + eps)
         gated = an * _silu(xt[i] * 0.5)
         np.testing.assert_allclose(out[i, 0], gated * 0.9 + xi, atol=1e-12)
-
-
-def test_vanilla_forward_matches_loop_transcription():
-    cfg = tiny_config(vocab=9, n=5, layers=2, d=6, d_h=3, heads=2, d_ffn=7)
-    params = random_params(cfg, kind="vanilla", seed=31)
-    batch = random_batch(cfg, 1, seed=32)
-    length = int(batch.valid_len[0])
-    got = M.forward(batch, params, cfg).data[0]
-    hidden = reference_vanilla_hidden(batch.items[0], batch.timestamps[0], length, params, cfg)
-    expected = hidden @ params.item_emb.data.T
-    np.testing.assert_allclose(got[:length], expected[:length], atol=1e-9)
-
-
-def test_hstu_forward_matches_loop_transcription():
-    cfg = tiny_config(vocab=9, n=5, layers=2, d=6, d_h=3, heads=2, d_ffn=7)
-    params = random_params(cfg, kind="hstu_like", seed=33)
-    batch = random_batch(cfg, 1, seed=34)
-    length = int(batch.valid_len[0])
-    got = M.forward(batch, params, cfg).data[0]
-    hidden = reference_hstu_hidden(batch.items[0], batch.timestamps[0], length, params, cfg)
-    expected = hidden @ params.item_emb.data.T
-    np.testing.assert_allclose(got[:length], expected[:length], atol=1e-9)
 
 
 def test_baseline_variants_grad_check():

@@ -158,6 +158,14 @@ def test_default_config_trains(tmp_path):
     assert (tmp_path / "checkpoint.bin").exists()
 
 
+def test_sparse_synthetic_catalogue_trains(tmp_path):
+    # 4 users over 200 items leave most ids unused; the vocab must still reach the largest
+    args = _fast_overrides(tmp_path, **{"data.synthetic.users": 4, "data.synthetic.items": 200})
+    assert main(["train"] + args) == 0
+    assert main(["eval"] + args) == 0
+    assert (tmp_path / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("section", ["data.synthetic", "bench"])
 def test_default_catalogues_fit_the_default_negatives(section):
     cfg = resolve_config({})
@@ -288,6 +296,7 @@ ERROR_CASES = [
     ("unknown_bench_variant", "bench", {"bench.variants": '["mystery"]'}, None, 2, "config"),
     ("zero_width", "train", {"model.d": 0}, None, 2, "config"),
     ("negative_lr", "train", {"train.lr": -1}, None, 2, "config"),
+    ("patience_without_eval", "train", {"train.eval_every": 0, "train.patience": 3}, None, 2, "config"),
     ("nan_lr", "train", {"train.lr": "NaN"}, None, 2, "config"),
     ("negatives_exceed_catalogue", "train", {"model.negatives": 64}, None, 2, "config"),
     ("list_element_type", "eval", {"eval.ks": '["x"]'}, None, 2, "config"),

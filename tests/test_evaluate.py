@@ -26,6 +26,12 @@ def test_rank_tie_counts_against_target():
     assert rank_of_target(np.array([3.0, 3.0]), target=1) == 2
 
 
+@pytest.mark.parametrize("row", [[0.5, 0.1, np.nan], [0.5, np.nan, 0.3]], ids=["nan_target", "nan_competitor"])
+def test_rank_counts_nan_against_the_target(row):
+    # every id not scored strictly below the target counts, itself included
+    assert rank_of_target(np.array(row), target=2) == 3
+
+
 def test_rank_respects_exclusions():
     # excluding the better-scored item promotes the target
     assert rank_of_target(np.array([5.0, 4.0, 3.0]), target=2, excluded=[0]) == 2
@@ -235,3 +241,22 @@ def test_evaluate_checks_targets_before_any_forward_pass(monkeypatch):
     with pytest.raises(ValueError, match="excluded"):
         evaluate(params, instances, ks=[5], cfg=cfg, batch_size=6, excluded=[2])
     assert calls == []
+
+
+def test_evaluate_counts_a_nan_item_row_against_every_target():
+    # no history holds item 3, so only its scores turn NaN: rank 8 of the 8
+    # ranked ids as the target, one place lower than with 3 excluded otherwise
+    cfg = tiny_config(vocab=9, n=6)
+    params = random_params(cfg, seed=19)
+    rng = np.random.default_rng(20)
+    instances = []
+    for u, target in enumerate([3, 1, 3, 5, 8, 2]):
+        length = int(rng.integers(1, 6))
+        items = rng.choice([1, 2, 4, 5, 6, 7, 8], size=length)
+        instances.append(EvalInstance(u, items, np.cumsum(rng.integers(1, 9, size=length)), target))
+    others = [inst for inst in instances if inst.target != 3]
+    without_3 = evaluate(params, others, ks=[5], cfg=cfg, excluded=[3]).ranks
+    params.item_emb.data[3] = np.nan
+    ranks = evaluate(params, instances, ks=[5], cfg=cfg).ranks
+    np.testing.assert_array_equal(ranks[[0, 2]], [8, 8])
+    np.testing.assert_array_equal(ranks[[1, 3, 4, 5]], without_3 + 1)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_batch, random_params, reference_logits, tiny_config
+from conftest import random_batch, random_params, reference_hidden, tiny_config
 
 from fuxi_alpha import model as M
 from fuxi_alpha.cli import build_model_config
@@ -388,30 +388,6 @@ def test_forward_causal_bitwise():
     np.testing.assert_array_equal(la[0, :3], lb[0, :3])
 
 
-def test_forward_matches_loop_transcription():
-    cfg = ModelConfig(
-        vocab=5, d=2, d_h=2, heads=1, d_ffn=3, layers=1, n=3,
-        n_buckets=6, negatives=1, max_time_span=500,
-    )
-    params = random_params(cfg, seed=9)
-    items = np.array([[2, 4, 1]])
-    ts = np.array([[3, 8, 40]])
-    batch = SequenceBatch(items, ts, np.array([3]))
-    got = M.forward(batch, params, cfg).data[0]
-    expected = reference_logits(items[0], ts[0], 3, params, cfg)
-    np.testing.assert_allclose(got, expected, atol=1e-10)
-
-
-def test_forward_multilayer_matches_loop_transcription():
-    cfg = tiny_config(layers=3, n=4, vocab=8)
-    params = random_params(cfg, seed=11)
-    batch = random_batch(cfg, 1, seed=12)
-    length = int(batch.valid_len[0])
-    got = M.forward(batch, params, cfg).data[0]
-    expected = reference_logits(batch.items[0], batch.timestamps[0], length, params, cfg)
-    np.testing.assert_allclose(got[:length], expected[:length], atol=1e-9)
-
-
 def test_forward_multihead_shapes_and_causality():
     cfg = tiny_config(heads=2, d_h=3, n=5, vocab=9)
     params = random_params(cfg, seed=4)
@@ -424,14 +400,56 @@ def test_forward_multihead_shapes_and_causality():
     np.testing.assert_array_equal(la[0, :3], lb[0, :3])
 
 
-def test_forward_multihead_matches_loop_transcription():
-    cfg = tiny_config(heads=3, d_h=2, n=5, vocab=9, layers=2, d=6, d_ffn=7)
-    params = random_params(cfg, seed=15)
-    batch = random_batch(cfg, 1, seed=16)
-    length = int(batch.valid_len[0])
-    got = M.forward(batch, params, cfg).data[0]
-    expected = reference_logits(batch.items[0], batch.timestamps[0], length, params, cfg)
-    np.testing.assert_allclose(got[:length], expected[:length], atol=1e-9)
+def _two_tile_batch(cfg):
+    # one history over the real tile height, a second, shorter one inside a tile
+    rng = np.random.default_rng(22)
+    lengths = [cfg.n, T._TILE_ROWS // 2]
+    return SequenceBatch.from_sequences(
+        [rng.integers(1, cfg.vocab, size=length) for length in lengths],
+        [np.cumsum(rng.integers(1, 50, size=length)) for length in lengths],
+        cfg.n,
+    )
+
+
+# name -> (config, params seed, batch of the config, tolerance)
+LOOP_CASES = {
+    "one_layer": (
+        ModelConfig(vocab=5, d=2, d_h=2, heads=1, d_ffn=3, layers=1, n=3, n_buckets=6, negatives=1, max_time_span=500),
+        9,
+        lambda cfg: SequenceBatch(np.array([[2, 4, 1]]), np.array([[3, 8, 40]]), np.array([3])),
+        1e-10,
+    ),
+    "three_layers": (tiny_config(layers=3, n=4, vocab=8), 11, lambda cfg: random_batch(cfg, 1, seed=12), 1e-9),
+    "three_heads": (
+        tiny_config(heads=3, d_h=2, n=5, vocab=9, layers=2, d=6, d_ffn=7), 15, lambda cfg: random_batch(cfg, 1, seed=16), 1e-9
+    ),
+    "two_heads": (
+        tiny_config(vocab=9, n=5, layers=2, d=6, d_h=3, heads=2, d_ffn=7), 31, lambda cfg: random_batch(cfg, 1, seed=32), 1e-9
+    ),
+    "two_heads_reseeded": (
+        tiny_config(vocab=9, n=5, layers=2, d=6, d_h=3, heads=2, d_ffn=7), 33, lambda cfg: random_batch(cfg, 1, seed=34), 1e-9
+    ),
+    "across_tiles": (
+        tiny_config(vocab=30, n=T._TILE_ROWS + 6, d=6, d_h=3, heads=2, d_ffn=7, max_time_span=3000), 21, _two_tile_batch, 1e-9
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LOOP_CASES))
+@pytest.mark.parametrize("kind", M.VARIANT_KINDS)
+def test_forward_matches_loop_transcription(kind, case):
+    cfg, seed, make_batch, atol = LOOP_CASES[case]
+    params = random_params(cfg, kind, seed=seed)
+    batch = make_batch(cfg)
+    logits = M.forward(batch, params, cfg).data
+    hidden = M.forward_hidden(batch, params, cfg).data  # packed: each sequence's valid rows in turn
+    last = M.forward_hidden(batch, params, cfg, rows=batch.valid_len - 1).data
+    starts = np.cumsum(batch.valid_len) - batch.valid_len
+    for row, (start, length) in enumerate(zip(starts, batch.valid_len)):
+        want = reference_hidden(kind, batch.items[row], batch.timestamps[row], length, params, cfg)[:length]
+        np.testing.assert_allclose(logits[row, :length], want @ params.item_emb.data.T, atol=atol)
+        np.testing.assert_allclose(hidden[start : start + length], want, atol=atol)
+        np.testing.assert_allclose(last[row], want[-1], atol=atol)
 
 
 def test_grad_check_multihead_attention():
